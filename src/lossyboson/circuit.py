@@ -225,14 +225,13 @@ def decompose_losses(a: np.ndarray) -> LossDecomposition:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"transfer matrix must be square, got shape {a.shape}")
-    system = numerics.svd(a)
-    s = system.singulars.copy()
+    v, s, w = np.linalg.svd(a, full_matrices=False)
     if np.any(s > 1.0 + SINGULAR_CLIP_TOLERANCE):
         raise ModelViolationError(
             f"singular value {s.max():.12g} exceeds 1: not a passive circuit"
         )
     np.clip(s, None, 1.0, out=s)
-    return LossDecomposition(v=system.left, transmissions=s * s, w=system.right)
+    return LossDecomposition(v=v, transmissions=s * s, w=w)
 
 
 @dataclass(frozen=True)

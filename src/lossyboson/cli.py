@@ -27,13 +27,15 @@ from scipy import stats as scipy_stats
 
 from . import circuit as circ
 from . import mps, oracle, thermal
-from .errors import CapacityError, DegenerateCircuitError, ModelViolationError, ResampleSignal
+from .errors import CapacityError, DegenerateCircuitError, ModelViolationError
 from .numerics import Distribution, total_variation
 from .rng import make_stream, split_stream
+from .sampler import MODES, build_sampler
 
 __all__ = ["main", "run_plan", "run_sample", "run_validate", "run_stats"]
 
 COMMANDS = ("plan", "sample", "validate", "stats")
+FORMATS = ("jsonl", "csv")
 ENV_PREFIX = "LOSSYBOSON_"
 
 DEFAULTS = {
@@ -70,10 +72,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--circuit", help="circuit JSON file")
     p.add_argument("--seed", type=int, help="root RNG seed (fixed seed => fixed bytes)")
     p.add_argument("--samples", type=int, help="number of samples to draw")
-    p.add_argument("--mode", choices=("auto", "thermal", "mps", "oracle", "scattershot"),
+    p.add_argument("--mode", choices=MODES,
                    help="sampling backend (auto follows the plan)")
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--format", choices=("jsonl", "csv"), help="sample output format")
+    p.add_argument("--format", choices=FORMATS, help="sample output format")
     p.add_argument("--in", dest="input", help="sample file to read (stats)")
     p.add_argument("--reference", help="reference distribution JSON (stats)")
     p.add_argument("--eps", type=float, help="total-variation budget")
@@ -273,148 +275,6 @@ def run_plan(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _choose_regime(cfg: dict, circuit: circ.LayeredCircuit, photons: int) -> str:
-    mode = cfg["mode"]
-    if mode != "auto":
-        return mode
-    try:
-        tau = circuit.uniform_tau()
-    except ValueError:
-        return "thermal"  # non-uniform loss: only the thermal path applies
-    params = circ.PlanParameters(
-        modes=circuit.modes, depth=circuit.depth, tau=tau, eps=float(cfg["eps"]),
-        photons=photons,
-    )
-    return circ.plan(params).regime
-
-
-def _thermal_sampler(cfg: dict, circuit: circ.LayeredCircuit, pattern: tuple):
-    if any(x > 1 for x in pattern):
-        raise UsageError("thermal sampling expects at most one photon per input mode")
-    a = circ.transfer_matrix(circuit)
-    decomposition = circ.decompose_losses(a)
-    if decomposition.transmissions.max() == 0.0:
-        # fully blocking circuit: every input is absorbed, outputs are vacuum
-        zeros = np.zeros(circuit.modes, dtype=int)
-
-        def draw_vacuum(rng):
-            return zeros
-
-        return draw_vacuum
-    factored = circ.factor_nonuniform(decomposition)
-    params = thermal.ThermalParams(min(factored.mu_max, 1.0 - 1e-9))
-    residual = factored.residual.reconstruct()
-    input_modes = np.flatnonzero(np.asarray(pattern))
-    n = len(input_modes)
-    eps = float(cfg["eps"])
-
-    def draw(rng):
-        return thermal.sample_output(residual, params, n, eps, rng, input_modes)
-
-    return draw
-
-
-def _mps_sampler(cfg: dict, circuit: circ.LayeredCircuit, pattern: tuple):
-    try:
-        tau = circuit.uniform_tau()
-    except ValueError as exc:
-        raise UsageError(
-            "tensor-network sampling requires a uniform per-layer transmission"
-        ) from exc
-    if any(x > 1 for x in pattern):
-        raise UsageError("lossy tensor-network sampling expects 0/1 input patterns")
-    mu_eff = tau ** circuit.depth
-    lossless = circuit.lossless_copy()
-    occupied = np.flatnonzero(np.asarray(pattern))
-    max_bond = int(cfg["max_bond"])
-    cache: dict = {}
-
-    def state_for(thinned: tuple) -> mps.MPSState:
-        if thinned not in cache:
-            if len(cache) >= 4096:
-                cache.clear()  # unbounded pattern variety: keep memory flat
-            state = mps.simulate_circuit(lossless, thinned, max_bond=max_bond)
-            cache[thinned] = mps.canonicalize(state)
-        return cache[thinned]
-
-    def draw(rng):
-        keep = mps.lossy_input_sample(len(occupied), mu_eff, rng)
-        thinned = np.zeros(circuit.modes, dtype=int)
-        thinned[occupied[keep.astype(bool)]] = 1
-        state = state_for(tuple(int(x) for x in thinned))
-        while True:
-            try:
-                return np.array(mps.sample(state, rng), dtype=int)
-            except ResampleSignal:
-                continue
-
-    return draw
-
-
-def _oracle_distribution(circuit: circ.LayeredCircuit, pattern: tuple) -> Distribution:
-    if circuit.is_lossless():
-        return oracle.fock_output_distribution(circ.transfer_matrix(circuit), pattern)
-    tau = circuit.uniform_tau()  # raises if mixed
-    if any(x > 1 for x in pattern):
-        raise UsageError("lossy oracle sampling expects 0/1 input patterns")
-    u = circ.transfer_matrix(circuit.lossless_copy())
-    mu_eff = tau ** circuit.depth
-    occupied = list(np.flatnonzero(np.asarray(pattern)))
-    if occupied == list(range(len(occupied))):
-        return oracle.lossy_exact_distribution(u, mu_eff, len(occupied))
-    # photons sit away from the leading modes: mix survival subsets directly
-    acc: dict = {}
-    n = len(occupied)
-    for bits in range(1 << n):
-        kept = [occupied[i] for i in range(n) if (bits >> i) & 1]
-        weight = mu_eff ** len(kept) * (1.0 - mu_eff) ** (n - len(kept))
-        sub_pattern = tuple(1 if i in kept else 0 for i in range(circuit.modes))
-        sub = oracle.fock_output_distribution(u, sub_pattern)
-        for outcome, w in zip(sub.outcomes, sub.weights):
-            acc[outcome] = acc.get(outcome, 0.0) + weight * w
-    outcomes = sorted(acc)
-    return Distribution(tuple(outcomes), np.array([acc[o] for o in outcomes]))
-
-
-def _oracle_sampler(cfg: dict, circuit: circ.LayeredCircuit, pattern: tuple):
-    dist = _oracle_distribution(circuit, pattern)
-    outcomes = [np.array(o, dtype=int) for o in dist.outcomes]
-    weights = dist.weights / dist.weights.sum()
-
-    def draw(rng):
-        return outcomes[int(rng.choice(len(outcomes), p=weights))]
-
-    return draw
-
-
-def _scattershot_sampler(cfg: dict, circuit: circ.LayeredCircuit, photons_hint: int):
-    lam = float(cfg["herald_lambda"])
-    inner_mode = "thermal" if _choose_regime(
-        {**cfg, "mode": "auto"}, circuit, max(photons_hint, 1)
-    ) == "thermal" else "mps"
-    builders = {"thermal": _thermal_sampler, "mps": _mps_sampler}
-    build = builders[inner_mode]
-    sampler_cache: dict = {}
-
-    def draw(rng):
-        for _ in range(100_000):
-            herald = thermal.scattershot_herald(circuit.modes, lam, rng)
-            if herald.max() <= 1:
-                pattern = tuple(int(x) for x in herald)
-                break
-        else:
-            raise CapacityError(
-                "scattershot rejection did not find a collision-free herald"
-            )
-        if pattern not in sampler_cache:
-            if len(sampler_cache) >= 1024:
-                sampler_cache.clear()
-            sampler_cache[pattern] = build(cfg, circuit, pattern)
-        return sampler_cache[pattern](rng)
-
-    return draw, inner_mode
-
-
 def _format_line(counts, regime: str, fmt: str) -> str:
     if fmt == "csv":
         return ",".join(str(int(c)) for c in counts)
@@ -435,6 +295,11 @@ def _config_hash(cfg: dict, circuit_text: str) -> str:
 
 
 def run_sample(cfg: dict) -> int:
+    for key, allowed in (("mode", MODES), ("format", FORMATS)):
+        if cfg[key] not in allowed:
+            raise UsageError(
+                f"unknown {key} {cfg[key]!r}; choose one of {', '.join(allowed)}"
+            )
     circuit = _resolve_circuit(cfg)
     if circuit is None:
         raise UsageError("sample needs a circuit (file path or brickwork spec)")
@@ -447,31 +312,18 @@ def run_sample(cfg: dict) -> int:
     if workers < 1:
         raise UsageError("workers must be >= 1")
 
-    regime = _choose_regime(cfg, circuit, photons)
-    if regime == "scattershot":
-        draw, inner = _scattershot_sampler(cfg, circuit, photons)
-        line_regime = inner
-    else:
-        builders = {
-            "thermal": _thermal_sampler,
-            "mps": _mps_sampler,
-            "oracle": _oracle_sampler,
-        }
-        draw = builders[regime](cfg, circuit, pattern)
-        line_regime = regime
-
-    fmt = cfg["format"]
-    if fmt not in ("jsonl", "csv"):
-        raise UsageError(f"unknown format {fmt!r}")
-    root = make_stream(cfg.get("seed"))
-    streams = split_stream(root, workers)
+    sampler = build_sampler(
+        cfg["mode"], circuit, pattern, eps=float(cfg["eps"]),
+        max_bond=int(cfg["max_bond"]), herald_lambda=float(cfg["herald_lambda"]),
+    )
+    streams = split_stream(make_stream(cfg.get("seed")), workers)
     base, extra = divmod(n_samples, workers)
-    lines = []
-    for w, stream in enumerate(streams):
-        block = base + (1 if w < extra else 0)
-        for _ in range(block):
-            lines.append(_format_line(draw(stream), line_regime, fmt))
-    text = "\n".join(lines) + "\n"
+    fmt = cfg["format"]
+    text = "".join(
+        _format_line(row, sampler.regime, fmt) + "\n"
+        for w, stream in enumerate(streams)
+        for row in sampler.draw(stream, base + (1 if w < extra else 0))
+    )
 
     out_path = cfg.get("out")
     if out_path:
@@ -485,7 +337,7 @@ def run_sample(cfg: dict) -> int:
             "seed": cfg.get("seed"),
             "samples": n_samples,
             "workers": workers,
-            "regime": line_regime,
+            "regime": sampler.regime,
             "format": fmt,
             "modes": circuit.modes,
             "photons": photons,

@@ -31,7 +31,6 @@ from .errors import CapacityError, ResampleSignal
 from .rng import RandomStream
 
 __all__ = [
-    "FockSample",
     "MPSState",
     "CouplerMPO",
     "ZERO_CUTOFF",
@@ -49,8 +48,6 @@ __all__ = [
     "lossy_input_sample",
     "simulate_circuit",
 ]
-
-FockSample = tuple  # photon counts per mode
 
 # Relative threshold below which a Schmidt/singular value is an exact zero
 # contaminated by rounding, never a physical weight.
@@ -370,7 +367,7 @@ def canonicalize(state: MPSState) -> MPSState:
     )
 
 
-def sample(state: MPSState, rng: RandomStream) -> FockSample:
+def sample(state: MPSState, rng: RandomStream) -> tuple:
     """Draw one photon-count pattern by the chain rule over modes.
 
     Requires canonical form (run ``canonicalize`` once before drawing);

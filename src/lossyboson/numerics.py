@@ -1,5 +1,5 @@
-"""Shared numerical kernels: SVD wrapper, Haar unitaries, permanents,
-discrete distributions and total-variation distance.
+"""Shared numerical kernels: Haar unitaries, permanents, discrete
+distributions, total-variation distance and input-mode checks.
 """
 
 from __future__ import annotations
@@ -12,49 +12,15 @@ from .errors import CapacityError
 from .rng import RandomStream
 
 __all__ = [
-    "SingularSystem",
-    "svd",
     "haar_unitary",
     "permanent",
     "permanent_naive",
     "Distribution",
     "total_variation",
+    "input_mode_indices",
 ]
 
 PERMANENT_MAX_DIM = 20
-
-
-@dataclass(frozen=True)
-class SingularSystem:
-    """Result of a singular value decomposition a = left @ diag(singulars) @ right."""
-
-    left: np.ndarray
-    singulars: np.ndarray
-    right: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singulars) @ self.right
-
-
-def svd(a: np.ndarray) -> SingularSystem:
-    """Full singular value decomposition with non-increasing singular values.
-
-    Parameters
-    ----------
-    a : (m, n) array_like
-        Complex or real matrix.
-
-    Returns
-    -------
-    SingularSystem
-        ``left`` and ``right`` have orthonormal columns/rows and
-        ``left @ diag(singulars) @ right`` reconstructs ``a``.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"svd expects a matrix, got ndim={a.ndim}")
-    left, s, right = np.linalg.svd(a, full_matrices=False)
-    return SingularSystem(left=left, singulars=s, right=right)
 
 
 def haar_unitary(m: int, rng: RandomStream) -> np.ndarray:
@@ -175,3 +141,16 @@ def total_variation(p: Distribution, q: Distribution) -> float:
     pd, qd = p.as_dict(), q.as_dict()
     support = set(pd) | set(qd)
     return 0.5 * sum(abs(pd.get(x, 0.0) - qd.get(x, 0.0)) for x in support)
+
+
+def input_mode_indices(input_modes, n: int, modes: int) -> np.ndarray:
+    """The n occupied input modes as an int array (default: the first n).
+
+    Raises ValueError unless there are exactly n indices, all in [0, modes).
+    """
+    input_modes = np.arange(n) if input_modes is None else np.asarray(input_modes, dtype=int)
+    if input_modes.shape[0] != n:
+        raise ValueError("input_modes length must equal n")
+    if n > 0 and (input_modes.min() < 0 or input_modes.max() >= modes):
+        raise ValueError("input mode index out of range")
+    return input_modes

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, ModelViolationError
-from .numerics import Distribution, permanent
+from .numerics import Distribution, input_mode_indices, permanent
 from .thermal import Constellation, gauss_hermite_constellation
 
 __all__ = [
@@ -92,13 +92,16 @@ def fock_output_distribution(u: np.ndarray, pattern) -> Distribution:
     return Distribution(outcomes=tuple(outcomes), weights=np.array(weights))
 
 
-def lossy_exact_distribution(u: np.ndarray, mu: float, n: int) -> Distribution:
+def lossy_exact_distribution(
+    u: np.ndarray, mu: float, n: int, input_modes=None
+) -> Distribution:
     """Exact outcome law for n single photons with uniform transmission mu.
 
-    Input photons occupy the first n modes; each survives the loss channel
-    independently with probability mu, then the survivors interfere through
-    the unitary ``u``.  The result is the binomial mixture over survival
-    subsets of the exact lossless distributions.
+    Input photons occupy ``input_modes`` (default: the first n modes); each
+    survives the loss channel independently with probability mu, then the
+    survivors interfere through the unitary ``u``.  The result is the
+    binomial mixture over survival subsets of the exact lossless
+    distributions.
     """
     u = _check_unitary(u)
     modes = u.shape[0]
@@ -106,15 +109,16 @@ def lossy_exact_distribution(u: np.ndarray, mu: float, n: int) -> Distribution:
         raise ValueError(f"transmission must lie in [0, 1], got {mu}")
     if not 0 <= n <= modes:
         raise ValueError(f"need 0 <= photons <= modes, got n={n}, modes={modes}")
+    input_modes = input_mode_indices(input_modes, n, modes)
     _check_caps(n, modes)
     acc: dict = {}
     for bits in range(1 << n):
-        survivors = [(bits >> i) & 1 for i in range(n)]
-        k = sum(survivors)
+        survivors = np.array([(bits >> i) & 1 for i in range(n)], dtype=bool)
+        k = int(survivors.sum())
         weight = mu**k * (1.0 - mu) ** (n - k)
         if weight == 0.0:
             continue
-        pattern = tuple(survivors) + (0,) * (modes - n)
+        pattern = np.bincount(input_modes[survivors], minlength=modes)
         sub = fock_output_distribution(u, pattern)
         for outcome, w in zip(sub.outcomes, sub.weights):
             acc[outcome] = acc.get(outcome, 0.0) + weight * w

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
+from .numerics import input_mode_indices
 from .rng import RandomStream
 
 __all__ = [
@@ -235,14 +236,7 @@ def sample_output(
     if a.ndim != 2:
         raise ValueError("transfer matrix must be 2-dimensional")
     m_modes = a.shape[0]
-    if input_modes is None:
-        input_modes = np.arange(n)
-    else:
-        input_modes = np.asarray(input_modes, dtype=int)
-        if input_modes.shape[0] != n:
-            raise ValueError("input_modes length must equal n")
-    if n > 0 and (input_modes.min() < 0 or input_modes.max() >= a.shape[1]):
-        raise ValueError("input mode index out of range")
+    input_modes = input_mode_indices(input_modes, n, a.shape[1])
 
     stage_eps = eps / 3.0
     m_const = constellation_size(max(n, 1), stage_eps, params.lam)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import lossyboson.circuit
 from lossyboson import (
     fock_output_distribution,
+    lossy_exact_distribution,
     make_stream,
     random_brickwork,
     save_circuit,
@@ -259,6 +261,48 @@ def test_sample_scattershot_smoke(shallow_lossless, capsys):
     assert len(lines) == 5
 
 
+def test_sample_scattershot_builds_transfer_matrix_once(deep_lossy, monkeypatch, capsys):
+    calls = []
+    original = lossyboson.circuit.transfer_matrix
+
+    def counting(circuit):
+        calls.append(circuit)
+        return original(circuit)
+
+    monkeypatch.setattr(lossyboson.circuit, "transfer_matrix", counting)
+    code = main([
+        "sample", "--circuit", deep_lossy, "--seed", "31", "--samples", "50",
+        "--mode", "scattershot", "--herald-lambda", "0.3", "--photons", "2",
+    ])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 50
+    assert {json.loads(ln)["regime"] for ln in lines} == {"thermal"}
+    assert len(calls) == 1
+
+
+def test_sample_oracle_lossy_pattern_matches_exact_law(shallow_lossy, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pattern": [0, 1, 0, 1]}))
+    out = tmp_path / "o.jsonl"
+    n = 4000
+    code = main([
+        "sample", "--config", str(cfg), "--circuit", shallow_lossy, "--seed", "37",
+        "--samples", str(n), "--mode", "oracle", "--out", str(out),
+    ])
+    assert code == 0
+    counts = {}
+    for ln in out.read_text().splitlines():
+        key = tuple(json.loads(ln)["n"])
+        counts[key] = counts.get(key, 0) + 1
+    u = transfer_matrix(random_brickwork(4, 2, 0.8, make_stream(2)).lossless_copy())
+    exact = lossy_exact_distribution(u[:, [1, 3, 0, 2]], 0.8**2, 2).as_dict()
+    assert set(counts) <= set(exact)
+    for outcome, p in exact.items():
+        sigma = np.sqrt(n * p * (1.0 - p))
+        assert abs(counts.get(outcome, 0) - n * p) <= 3.0 * sigma + 1e-9
+
+
 def test_sample_explicit_pattern(tmp_path, shallow_lossless, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"pattern": [0, 1, 0, 1]}))
@@ -314,6 +358,27 @@ def test_bad_config_file_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
     assert main(["plan", "--config", str(cfg)]) == 1
+
+
+def test_unknown_mode_is_usage_error(tmp_path, shallow_lossless, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "bogus", "photons": 1}))
+    argv = ["sample", "--circuit", shallow_lossless, "--samples", "2"]
+    assert main(argv + ["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "bogus" in err and "scattershot" in err
+    monkeypatch.setenv("LOSSYBOSON_MODE", "thermall")
+    assert main(argv + ["--photons", "1"]) == 1
+    assert "thermall" in capsys.readouterr().err
+
+
+def test_unknown_format_is_rejected_before_circuit_build(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "xml", "photons": 1}))
+    missing = str(tmp_path / "missing.json")
+    assert main(["sample", "--config", str(cfg), "--circuit", missing]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "xml" in err and "jsonl, csv" in err
 
 
 def test_amplifying_circuit_is_model_violation(tmp_path, shallow_lossy, capsys):

@@ -1,4 +1,4 @@
-"""Tests for permanents, Haar sampling, SVD wrappers, and distributions."""
+"""Tests for permanents, Haar sampling, and distributions."""
 
 import itertools
 import math
@@ -13,7 +13,6 @@ from lossyboson import (
     make_stream,
     permanent,
     permanent_naive,
-    svd,
     total_variation,
 )
 
@@ -106,15 +105,6 @@ def test_haar_unitary_deterministic_under_seed():
     u1 = haar_unitary(5, make_stream(42))
     u2 = haar_unitary(5, make_stream(42))
     assert np.array_equal(u1, u2)
-
-
-def test_svd_reconstructs_input():
-    rng = make_stream(3)
-    a = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-    sys = svd(a)
-    assert np.allclose(sys.reconstruct(), a, atol=1e-12)
-    assert np.all(np.diff(sys.singulars) <= 0)
-    assert np.all(sys.singulars >= 0)
 
 
 def test_distribution_basic_accessors():

@@ -142,6 +142,20 @@ def test_lossy_law_interpolates_to_lossless():
         assert full.get(outcome, 0.0) == pytest.approx(p, abs=1e-12)
 
 
+def test_lossy_law_places_photons_on_input_modes():
+    u = haar_unitary(4, make_stream(99))
+    placed = lossy_exact_distribution(u, 0.6, 2, input_modes=(1, 3))
+    leading = lossy_exact_distribution(u[:, [1, 3, 0, 2]], 0.6, 2)
+    assert placed.outcomes == leading.outcomes
+    assert np.allclose(placed.weights, leading.weights, atol=1e-12)
+
+
+@pytest.mark.parametrize("input_modes", [(1,), (1, 2, 3), (0, 4), (-1, 2)])
+def test_lossy_law_rejects_bad_input_modes(input_modes):
+    with pytest.raises(ValueError):
+        lossy_exact_distribution(np.eye(4), 0.5, 2, input_modes=input_modes)
+
+
 # ---------------------------------------------------------------------------
 # thermal mixtures
 # ---------------------------------------------------------------------------
