@@ -23,7 +23,6 @@ import os
 import sys
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import circuit as circ
 from . import mps, oracle, thermal
@@ -376,6 +375,8 @@ def _check(name: str, measured: float, bound: float) -> dict:
 
 
 def _poisson_binomial_tvd(x: float, t: int) -> float:
+    from scipy import stats as scipy_stats  # slow import, needed by validate only
+
     ks = np.arange(t + 1)
     b = scipy_stats.binom.pmf(ks, t, x / t)
     p = scipy_stats.poisson.pmf(ks, x)

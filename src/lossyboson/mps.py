@@ -22,7 +22,7 @@ evolving the surviving photons through the lossless blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -11,6 +11,7 @@ row and feeds its occupied modes to the same circuit-level source.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import circuit as circ
 from . import mps, oracle, thermal
-from .errors import CapacityError, ResampleSignal
+from .errors import CapacityError, ModelViolationError, ResampleSignal
 from .rng import RandomStream
 
 __all__ = ["MODES", "Sampler", "ThermalSource", "MPSSource", "choose_regime", "build_sampler"]
@@ -58,8 +59,8 @@ class ThermalSource:
     every input; the residual matrix carries the rest of the loss.
     """
 
-    def __init__(self, circuit: circ.LayeredCircuit, eps: float):
-        self.modes, self.eps, self.residual = circuit.modes, eps, None
+    def __init__(self, circuit: circ.LayeredCircuit):
+        self.modes, self.residual = circuit.modes, None
         decomposition = circ.decompose_losses(circ.transfer_matrix(circuit))
         if decomposition.transmissions.max() == 0.0:
             return  # fully blocking circuit: every input is absorbed
@@ -71,8 +72,19 @@ class ThermalSource:
         if self.residual is None:
             return np.zeros(self.modes, dtype=int)
         return thermal.sample_output(
-            self.residual, self.params, len(input_modes), self.eps, rng, input_modes
+            self.residual, self.params, len(input_modes), rng, input_modes
         )
+
+    def check_surrogate(self, photons: int, eps: float, auto: bool) -> None:
+        """Refuse (``auto``) or warn when N * mu_max**2 exceeds eps; vacuum always passes."""
+        mu = self.params.lam if self.residual is not None else 0.0
+        if photons == 0 or circ.simulability_condition(mu, photons, eps):
+            return
+        reason = (f"thermal surrogate outside its bound: N*mu_max^2 = {photons * mu * mu:.4g} "
+                  f"exceeds eps = {eps:.4g}")
+        if auto:
+            raise ModelViolationError(reason + "; no exact backend takes mixed loss")
+        warnings.warn(reason + "; sampling anyway because thermal mode was requested")
 
 
 class MPSSource:
@@ -152,11 +164,13 @@ def build_sampler(
     ``auto`` follows :func:`choose_regime`.  ``scattershot`` heralds a
     collision-free input per row with squeezing ``herald_lambda``; the
     pattern's photon number only steers its thermal-or-MPS inner source.
+    A fixed-input thermal sampler checks its surrogate bound once.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose one of {', '.join(MODES)}")
     pattern = tuple(int(x) for x in pattern)
-    if mode == "auto":
+    auto = mode == "auto"
+    if auto:
         mode = choose_regime(circuit, eps, sum(pattern))
     if mode == "oracle":
         return _oracle_sampler(circuit, pattern)
@@ -164,8 +178,10 @@ def build_sampler(
         regime = choose_regime(circuit, eps, max(sum(pattern), 1))
     else:
         regime, input_modes = mode, _occupied(pattern, mode)
-    source = ThermalSource(circuit, eps) if regime == "thermal" else MPSSource(circuit, max_bond)
+    source = ThermalSource(circuit) if regime == "thermal" else MPSSource(circuit, max_bond)
     if mode == "scattershot":
         return Sampler(regime, circuit.modes, lambda rng: source.draw(
             _herald_modes(circuit.modes, herald_lambda, rng), rng))
+    if regime == "thermal":
+        source.check_surrogate(len(input_modes), eps, auto)
     return Sampler(regime, circuit.modes, lambda rng: source.draw(input_modes, rng))

@@ -2,13 +2,13 @@
 
 When every input photon is attenuated down to transmission mu, the surviving
 light is indistinguishable (in total variation) from single-mode thermal
-states with mean-photon parameter lambda = mu.  Thermal states have a
-Gaussian phase-space representation, so the whole output distribution can be
-sampled classically: draw coherent amplitudes from a finite Gauss-Hermite
-constellation that matches the Gaussian's moments, push them through the
-transfer matrix, and read each output mode with a Poisson counter emulated by
-Bernoulli trials.  Every approximation stage carries an explicit
-total-variation budget.
+states with mean-photon parameter lambda = mu.  Thermal states are Gaussian
+in phase space, so the whole output distribution is sampled classically and
+exactly: draw one complex-Gaussian coherent amplitude per occupied input,
+push the amplitudes through the transfer matrix, and draw a Poisson count at
+each output mode.  The surrogate itself is the only approximation.  The
+paper's finite-precision stages (Gauss-Hermite constellation, Bernoulli
+counters) stay as analysed functions that ``lossyboson validate`` checks.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "sample_thermal_coherent",
     "propagate",
     "sample_poisson_bernoulli",
-    "sample_poisson_direct",
     "sample_output",
     "thermal_vs_erasure_distance",
     "scattershot_herald",
@@ -186,37 +185,19 @@ def sample_poisson_bernoulli(beta_i: complex, t: int, rng: RandomStream) -> int:
     return int(rng.binomial(t, x / t))
 
 
-def sample_poisson_direct(x: float, rng: RandomStream) -> int:
-    """Exact Poisson(x) draw by CDF inversion; validation alternative."""
-    if x < 0:
-        raise ValueError("intensity must be >= 0")
-    if x == 0.0:
-        return 0
-    u = rng.random()
-    k, pmf, cdf = 0, math.exp(-x), math.exp(-x)
-    while u > cdf:
-        k += 1
-        pmf *= x / k
-        cdf += pmf
-        if k > 10_000_000:  # pragma: no cover - cdf sums to 1 long before this
-            raise RuntimeError("Poisson inversion failed to terminate")
-    return k
-
-
 def sample_output(
     a: np.ndarray,
     params: ThermalParams,
     n: int,
-    eps: float,
     rng: RandomStream,
     input_modes: np.ndarray | None = None,
 ) -> np.ndarray:
     """One photon-count sample from n thermal inputs through transfer matrix a.
 
-    The total-variation budget eps is split evenly across the three stages:
-    constellation discretization, linear propagation (whose floating-point
-    error is far below its share), and the Bernoulli emulation of the Poisson
-    counters.
+    Each occupied input gets alpha = sqrt(V/2) * (x + i y) with x, y standard
+    normal, so E|alpha|^2 = V, the thermal phase-space variance; the output
+    mode i then counts Poisson(|beta_i|^2) photons with beta = a @ alpha.
+    Both draws are exact, so the sample follows the thermal surrogate's law.
 
     Parameters
     ----------
@@ -227,27 +208,19 @@ def sample_output(
         Surrogate thermal state per occupied input mode.
     n : int
         Number of occupied input modes.
-    eps : float
-        Total-variation budget for this sample's distribution.
     input_modes : sequence of int, optional
         Which modes carry the thermal inputs; defaults to the first n.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError("transfer matrix must be 2-dimensional")
-    m_modes = a.shape[0]
     input_modes = input_mode_indices(input_modes, n, a.shape[1])
-
-    stage_eps = eps / 3.0
-    m_const = constellation_size(max(n, 1), stage_eps, params.lam)
-    constellation = gauss_hermite_constellation(m_const)
-    t = bernoulli_trials_count(m_modes, max(n, 1), stage_eps, m_const)
-
     alpha = np.zeros(a.shape[1], dtype=complex)
     if n > 0:
-        alpha[input_modes] = sample_thermal_coherent(constellation, params, n, rng)
+        x = rng.standard_normal((2, n))
+        alpha[input_modes] = math.sqrt(params.variance / 2.0) * (x[0] + 1j * x[1])
     beta = propagate(a, alpha)
-    return np.array([sample_poisson_bernoulli(b, t, rng) for b in beta], dtype=int)
+    return rng.poisson(np.abs(beta) ** 2)
 
 
 def thermal_vs_erasure_distance(lam: float, mu: float) -> float:

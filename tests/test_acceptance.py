@@ -119,7 +119,7 @@ def test_acceptance_05_thermal_sampler_end_to_end():
     params = ThermalParams(lam)
     counts: dict = {}
     for _ in range(trials):
-        key = tuple(int(x) for x in sample_output(u, params, 2, eps, rng))
+        key = tuple(int(x) for x in sample_output(u, params, 2, rng))
         counts[key] = counts.get(key, 0) + 1
     empirical = Distribution(
         outcomes=tuple(counts),

@@ -1,12 +1,17 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import lossyboson.circuit
 from lossyboson import (
+    circuit_to_json,
     fock_output_distribution,
     lossy_exact_distribution,
     make_stream,
@@ -281,6 +286,41 @@ def test_sample_scattershot_builds_transfer_matrix_once(deep_lossy, monkeypatch,
     assert len(calls) == 1
 
 
+def _mixed_loss(tmp_path, hi, lo):
+    """4-mode, 3-layer brickwork at transmission hi, first coupler of each layer at lo."""
+    doc = json.loads(circuit_to_json(random_brickwork(4, 3, hi, make_stream(9))))
+    for layer in doc["layers"]:
+        layer["couplers"][0]["tau"] = lo
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("hi,lo", [(0.99, 0.98), (0.7, 0.6)])
+def test_auto_mixed_loss_outside_thermal_bound_is_model_violation(tmp_path, capsys, hi, lo):
+    code = main([
+        "sample", "--circuit", _mixed_loss(tmp_path, hi, lo), "--photons", "3",
+        "--seed", "1", "--samples", "20",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "model violation" in captured.err and "N*mu_max^2" in captured.err
+    assert "eps = 0.05" in captured.err and "mixed loss" in captured.err
+
+
+def test_forced_thermal_outside_bound_warns_and_samples(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([
+            "sample", "--circuit", _mixed_loss(tmp_path, 0.7, 0.6), "--photons", "3",
+            "--seed", "1", "--samples", "20", "--mode", "thermal",
+        ])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 20
+    assert len(caught) == 1 and "N*mu_max^2" in str(caught[0].message)
+
+
 def test_sample_oracle_lossy_pattern_matches_exact_law(shallow_lossy, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"pattern": [0, 1, 0, 1]}))
@@ -401,6 +441,13 @@ def test_tiny_bond_cap_is_capacity_error(shallow_lossless, capsys):
     ])
     assert code == 3
     assert "capacity" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs most of the CLI's import time and only validate needs it."""
+    src = os.path.dirname(os.path.dirname(lossyboson.__file__))
+    code = "import sys, lossyboson.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 # ---------------------------------------------------------------------------
