@@ -7,10 +7,10 @@ and per-bond Schmidt vectors lambda[i], so the amplitude of a count pattern
 
     Gamma[0][n_0] @ diag(lambda[0]) @ Gamma[1][n_1] @ ... @ Gamma[M-1][n_{M-1}].
 
-Gates never truncate: couplers are applied through an exact MPO split of the
-two-mode Fock-space unitary, the touched bond is re-orthogonalized with one
-SVD, and only singular values below 1e-12 of the largest (exact zeros up to
-rounding) are dropped.  With local dimension d+1 covering the total photon
+Gates never truncate: each coupler's two-mode Fock-space unitary is
+contracted with its two-site block and the touched bond is re-orthogonalized
+with one SVD, as in TEBD; only singular values below 1e-12 of the largest
+(exact zeros up to rounding) are dropped.  With local dimension d+1 covering the total photon
 number, the simulation is exact and the bond dimension is bounded by
 (d+1)^(2*depth).
 
@@ -38,6 +38,7 @@ __all__ = [
     "init_input",
     "coupler_fock_amplitudes",
     "coupler_mpo",
+    "fock_gates",
     "apply_phase",
     "apply_coupler",
     "outcome_probability",
@@ -69,15 +70,6 @@ class MPSState:
     @property
     def bond_dims(self) -> tuple:
         return tuple(len(s) for s in self.schmidts)
-
-    def copy_shallow(self) -> "MPSState":
-        return MPSState(
-            modes=self.modes,
-            local_dim=self.local_dim,
-            gammas=list(self.gammas),
-            schmidts=list(self.schmidts),
-            peak_bond=self.peak_bond,
-        )
 
 
 def init_input(pattern, d: int) -> MPSState:
@@ -183,14 +175,22 @@ def coupler_mpo(block: np.ndarray, d: int) -> CouplerMPO:
     return CouplerMPO(x_left=x_left, sigmas=sig, x_right=x_right)
 
 
+def fock_gates(circuit: LayeredCircuit, d: int) -> list:
+    """Fock tensor of every coupler of ``circuit`` at cutoff d, in application order."""
+    return [
+        coupler_fock_amplitudes(gate.block, d)
+        for layer in circuit.layers
+        for gate in layer.couplers
+    ]
+
+
 def apply_phase(state: MPSState, mode: int, theta: float) -> MPSState:
-    """Phase rotation exp(i * theta * n) on one mode; bond structure untouched."""
+    """Phase rotation exp(i * theta * n) on one mode, in place; bonds untouched."""
     if not 0 <= mode < state.modes:
         raise ValueError(f"mode {mode} out of range for {state.modes} modes")
     factor = np.exp(1j * theta * np.arange(state.local_dim))
-    out = state.copy_shallow()
-    out.gammas[mode] = state.gammas[mode] * factor[:, None, None]
-    return out
+    state.gammas[mode] = state.gammas[mode] * factor[:, None, None]
+    return state
 
 
 def _left_weights(state: MPSState, site: int) -> np.ndarray:
@@ -202,16 +202,18 @@ def _right_weights(state: MPSState, site: int) -> np.ndarray:
 
 
 def apply_coupler(
-    state: MPSState, mode: int, mpo: CouplerMPO, max_bond: int | None = DEFAULT_MAX_BOND
+    state: MPSState, mode: int, gate: np.ndarray, max_bond: int | None = DEFAULT_MAX_BOND
 ) -> MPSState:
-    """Apply a two-mode coupler on (mode, mode+1) and re-orthogonalize the bond.
+    """Apply a two-mode coupler on (mode, mode+1) in place and re-orthogonalize the bond.
 
-    The MPO halves are contracted into the site tensors, growing the touched
-    bond by the MPO rank; one SVD of the two-site block (with the neighbour
-    Schmidt weights folded in) restores canonical form on that bond.  Singular
-    values below 1e-12 of the largest are dropped as exact zeros; the Schmidt
-    vector is stored as returned by the SVD, so the state norm is preserved to
-    rounding and can be asserted by callers.
+    ``gate`` is the Fock tensor c[p, s, n0, n1] from
+    :func:`coupler_fock_amplitudes` at the state's cutoff.  It is contracted
+    with the two-site block Gamma[k] lambda[k] Gamma[k+1], and one SVD of
+    that block (with the neighbour Schmidt weights folded in) restores
+    canonical form on the bond.  Singular values below 1e-12 of the largest
+    are dropped as exact zeros; the Schmidt vector is stored as returned by
+    the SVD, so the state norm is preserved to rounding and can be asserted
+    by callers.
 
     New site tensors are extracted without dividing by the neighbour Schmidt
     weights (only by the kept new singular values), which keeps the update
@@ -221,26 +223,23 @@ def apply_coupler(
     if not 0 <= k < state.modes - 1:
         raise ValueError(f"coupler site {k} out of range for {state.modes} modes")
     q = state.local_dim
-    if mpo.x_left.shape[0] != q:
+    if gate.shape != (q, q, q, q):
         raise ValueError(
-            f"MPO local dimension {mpo.x_left.shape[0]} does not match state {q}"
+            f"gate tensor shape {gate.shape} does not match local dimension {q}"
         )
     a, b = state.gammas[k], state.gammas[k + 1]
     lam_l = _left_weights(state, k)
-    lam_m = state.schmidts[k]
     lam_r = _right_weights(state, k + 1)
     c_l, c_r = a.shape[1], b.shape[2]
 
-    # contract MPO halves; merged bond index is (old bond, mpo rank)
-    at = np.einsum("png,nab->pabg", mpo.x_left, a).reshape(q, c_l, -1)
-    bt = np.einsum("smg,mbc->sbgc", mpo.x_right, b).reshape(q, -1, c_r)
-    lam_mid = np.outer(lam_m, mpo.sigmas).ravel()
-    core = np.einsum("paj,j,sjc->pasc", at, lam_mid, bt)
+    # two-site block theta[a, (n0, n1), c], then the gate on the physical pair
+    left = (a * state.schmidts[k][None, None, :]).transpose(1, 0, 2).reshape(c_l * q, -1)
+    theta = (left @ b.transpose(1, 0, 2).reshape(-1, q * c_r)).reshape(c_l, q * q, c_r)
+    core = (gate.reshape(q * q, q * q) @ theta).reshape(c_l * q, q * c_r)  # (a, p), (s, c)
 
-    full = (core * lam_l[None, :, None, None] * lam_r[None, None, None, :]).transpose(
-        1, 0, 2, 3
-    ).reshape(c_l * q, q * c_r)
-    u, sv, vh = np.linalg.svd(full, full_matrices=False)
+    w_l, w_r = lam_l.repeat(q)[:, None], np.tile(lam_r, q)[None, :]
+    no_left, no_right = core * w_r, w_l * core
+    u, sv, vh = np.linalg.svd(w_l * no_left, full_matrices=False)
     keep = sv >= ZERO_CUTOFF * sv[0] if sv[0] > 0 else np.arange(len(sv)) < 1
     u, sv, vh = u[:, keep], sv[keep], vh[keep]
     chi_new = len(sv)
@@ -249,23 +248,16 @@ def apply_coupler(
             f"bond dimension {chi_new} exceeds the configured maximum {max_bond}"
         )
 
-    no_left = (core * lam_r[None, None, None, :]).transpose(1, 0, 2, 3).reshape(
-        c_l * q, q * c_r
-    )
-    no_right = (core * lam_l[None, :, None, None]).transpose(1, 0, 2, 3).reshape(
-        c_l * q, q * c_r
-    )
     g_left = ((no_left @ vh.conj().T) / sv).reshape(c_l, q, chi_new).transpose(1, 0, 2)
     g_right = (
         ((u.conj().T @ no_right) / sv[:, None]).reshape(chi_new, q, c_r).transpose(1, 0, 2)
     )
 
-    out = state.copy_shallow()
-    out.gammas[k] = g_left
-    out.gammas[k + 1] = g_right
-    out.schmidts[k] = sv
-    out.peak_bond = max(out.peak_bond, chi_new)
-    return out
+    state.gammas[k] = g_left
+    state.gammas[k + 1] = g_right
+    state.schmidts[k] = sv
+    state.peak_bond = max(state.peak_bond, chi_new)
+    return state
 
 
 def outcome_probability(state: MPSState, pattern) -> float:
@@ -367,37 +359,49 @@ def canonicalize(state: MPSState) -> MPSState:
     )
 
 
-def sample(state: MPSState, rng: RandomStream) -> tuple:
-    """Draw one photon-count pattern by the chain rule over modes.
+def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
+    """Draw ``size`` photon-count patterns by the chain rule over modes.
 
-    Requires canonical form (run ``canonicalize`` once before drawing);
-    the conditional for each mode then only involves the prefix contraction.
+    Requires canonical form (run ``canonicalize`` once before drawing); the
+    conditional for each mode then only involves the prefix contraction.
+    Each mode takes one ``rng.random(size)`` and picks every row's count by
+    inverting the cumulative conditional law, so a call always consumes
+    ``size * modes`` uniforms.  Returns a (size, modes) int array.
+
+    Raises
+    ------
+    ResampleSignal
+        If some rows' prefix probability underflows (< 1e-300); the signal
+        carries all rows and the mask of the untrustworthy ones.
     """
-    q = state.local_dim
-    prefix = None  # row vector over the current bond, unnormalized
-    counts = []
-    weight = 1.0
+    prefix = np.ones((size, 1), dtype=complex)  # unit rows over the current bond
+    counts = np.empty((size, state.modes), dtype=int)
+    weight = np.ones(size)
+    bad = np.zeros(size, dtype=bool)
+    rows = np.arange(size)
     for i in range(state.modes):
-        g = state.gammas[i]
-        if i == 0:
-            vecs = (g * _right_weights(state, 0)[None, None, :])[:, 0, :]
-        else:
-            t = g * _right_weights(state, i)[None, None, :]
-            vecs = np.einsum("a,nab->nb", prefix, t)
-        probs = np.einsum("nb,nb->n", vecs, vecs.conj()).real
-        probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
-        if total < 1e-300:
-            raise ResampleSignal("prefix probability underflow; redraw this sample")
-        n = int(rng.choice(q, p=probs / total))
-        counts.append(n)
-        prefix = vecs[n]
-        weight = float(probs[n] / total) * weight
-        if weight < 1e-300:
-            raise ResampleSignal("prefix probability underflow; redraw this sample")
-        # renormalize the carried vector to keep magnitudes O(1)
-        prefix = prefix / np.linalg.norm(prefix)
-    return tuple(counts)
+        g = state.gammas[i] * _right_weights(state, i)[None, None, :]
+        q, chi_l, chi_r = g.shape
+        vecs = (prefix @ g.transpose(1, 0, 2).reshape(chi_l, q * chi_r)).reshape(size, q, chi_r)
+        parts = vecs.view(np.float64)  # real and imaginary parts side by side
+        probs = np.einsum("snb,snb->sn", parts, parts)
+        cdf = np.cumsum(probs, axis=1)
+        total = cdf[:, -1]
+        # rows with total > 0 never pick a zero-probability count; the clip
+        # only keeps rows already flagged as underflowed in range
+        n = np.minimum((cdf <= (rng.random(size) * total)[:, None]).sum(axis=1), q - 1)
+        counts[:, i] = n
+        chosen = probs[rows, n]
+        weight = weight * (chosen / np.where(total > 0.0, total, 1.0))
+        bad |= (total < 1e-300) | (weight < 1e-300)
+        # renormalize the carried vectors to keep magnitudes O(1)
+        norm = np.sqrt(chosen)
+        prefix = vecs[rows, n] / np.where(norm > 0.0, norm, 1.0)[:, None]
+    if bad.any():
+        raise ResampleSignal(
+            "prefix probability underflow; redraw the flagged rows", counts, bad
+        )
+    return counts
 
 
 def lossy_input_sample(n: int, mu: float, rng: RandomStream) -> np.ndarray:
@@ -414,13 +418,16 @@ def simulate_circuit(
     pattern,
     d: int | None = None,
     max_bond: int | None = DEFAULT_MAX_BOND,
+    gates: list | None = None,
 ) -> MPSState:
     """Evolve |pattern> through a lossless circuit, layer by layer.
 
     ``d`` is the per-mode photon cutoff and defaults to the total photon
-    number, which makes the evolution exact.  Loss must be handled upstream
-    (thin the input with ``lossy_input_sample`` and pass the lossless
-    blocks, e.g. ``circuit.lossless_copy()``).
+    number, which makes the evolution exact.  ``gates`` are the couplers'
+    Fock tensors at that cutoff (``fock_gates(circuit, d)``); pass them to
+    reuse one build across patterns, otherwise they are built here.  Loss
+    must be handled upstream (thin the input with ``lossy_input_sample`` and
+    pass the lossless blocks, e.g. ``circuit.lossless_copy()``).
 
     Raises
     ------
@@ -446,11 +453,15 @@ def simulate_circuit(
             f"cutoff d={d} below total photon number {sum(pattern)}: evolution "
             "would not be exact"
         )
+    if gates is None:
+        gates = fock_gates(circuit, d)
+    elif len(gates) != sum(len(layer.couplers) for layer in circuit.layers):
+        raise ValueError("need one gate tensor per coupler of the circuit")
     state = init_input(pattern, d)
+    gate_iter = iter(gates)
     for layer in circuit.layers:
         for gate in layer.couplers:
-            mpo = coupler_mpo(gate.block, d)
-            state = apply_coupler(state, gate.mode, mpo, max_bond=max_bond)
+            state = apply_coupler(state, gate.mode, next(gate_iter), max_bond=max_bond)
         for i, theta in enumerate(layer.phases):
             if theta != 0.0:
                 state = apply_phase(state, i, theta)

@@ -4,9 +4,10 @@
 :class:`Sampler` whose ``draw(rng, size)`` returns a ``(size, M)`` array of
 photon counts.  Circuit-level work is done once per sampler: the transfer
 matrix and loss SVD for the thermal surrogate, the lossless copy and the
-thinned-state cache for MPS, the exact law for the oracle.  A fixed-input
-sampler binds the occupied input modes once; scattershot draws a herald per
-row and feeds its occupied modes to the same circuit-level source.
+gate tensors and thinned-state cache for MPS, the exact law for the oracle.
+A fixed-input sampler binds the occupied input modes once and draws whole
+arrays; scattershot draws a herald per row and feeds its occupied modes to
+the same circuit-level source.
 """
 
 from __future__ import annotations
@@ -27,17 +28,25 @@ __all__ = ["MODES", "Sampler", "ThermalSource", "MPSSource", "choose_regime", "b
 MODES = ("auto", "thermal", "mps", "oracle", "scattershot")
 
 
+# Redraw rounds for MPS rows whose chain-rule prefix underflowed.
+RESAMPLE_ROUNDS = 8
+
+
 @dataclass(frozen=True)
 class Sampler:
-    """Photon-count rows from one circuit; ``regime`` is the tag for each row."""
+    """Photon-count rows from one circuit; ``regime`` is the tag for each row.
+
+    ``draw(rng, size)`` returns a (size, M) int array.
+    """
 
     regime: str
-    modes: int
-    row: Callable[[RandomStream], np.ndarray]
+    draw: Callable[[RandomStream, int], np.ndarray]
 
-    def draw(self, rng: RandomStream, size: int) -> np.ndarray:
-        """``size`` rows drawn one after another from ``rng``, as a (size, M) int array."""
-        return np.array([self.row(rng) for _ in range(size)], dtype=int).reshape(size, self.modes)
+
+def _rows(row: Callable[[RandomStream], np.ndarray], rng: RandomStream, size: int,
+          modes: int) -> np.ndarray:
+    """``size`` rows drawn one after another from ``rng``."""
+    return np.array([row(rng) for _ in range(size)], dtype=int).reshape(size, modes)
 
 
 def choose_regime(circuit: circ.LayeredCircuit, eps: float, photons: int) -> str:
@@ -68,12 +77,11 @@ class ThermalSource:
         self.params = thermal.ThermalParams(min(factored.mu_max, 1.0 - 1e-9))
         self.residual = factored.residual.reconstruct()
 
-    def draw(self, input_modes: np.ndarray, rng: RandomStream) -> np.ndarray:
+    def draw(self, input_modes: np.ndarray, rng: RandomStream, size: int) -> np.ndarray:
         if self.residual is None:
-            return np.zeros(self.modes, dtype=int)
-        return thermal.sample_output(
-            self.residual, self.params, len(input_modes), rng, input_modes
-        )
+            return np.zeros((size, self.modes), dtype=int)
+        return _rows(lambda r: thermal.sample_output(
+            self.residual, self.params, len(input_modes), r, input_modes), rng, size, self.modes)
 
     def check_surrogate(self, photons: int, eps: float, auto: bool) -> None:
         """Refuse (``auto``) or warn when N * mu_max**2 exceeds eps; vacuum always passes."""
@@ -90,32 +98,67 @@ class ThermalSource:
 class MPSSource:
     """Exact MPS sampling of one uniform-loss circuit, for any occupied input modes.
 
-    Each draw keeps every input photon with probability tau**depth and samples
-    the survivors through the lossless circuit; evolved states are cached by
-    thinned pattern.
+    Each row keeps every input photon with probability tau**depth and samples
+    the survivors through the lossless circuit.  Evolved states are cached
+    by thinned pattern.  Gate tensors are built at the largest cutoff met so
+    far and sliced for smaller ones: a coupler's Fock amplitudes do not
+    depend on the cutoff, so the slice equals a build at the smaller cutoff.
     """
 
     def __init__(self, circuit: circ.LayeredCircuit, max_bond: int):
         self.mu = circuit.uniform_tau() ** circuit.depth  # raises ValueError for mixed loss
         self.lossless = circuit.lossless_copy()
         self.max_bond = max_bond
-        self.cache: dict = {}
+        self.gates: list = []  # Fock tensor of every coupler at cutoff self.gate_cutoff
+        self.gate_cutoff = 0
+        self.states: dict = {}  # thinned pattern -> canonical evolved state
 
-    def draw(self, input_modes: np.ndarray, rng: RandomStream) -> np.ndarray:
-        keep = mps.lossy_input_sample(len(input_modes), self.mu, rng)
-        thinned = np.zeros(self.lossless.modes, dtype=int)
-        thinned[input_modes[keep.astype(bool)]] = 1
-        key = tuple(int(x) for x in thinned)
-        if key not in self.cache:
-            if len(self.cache) >= 4096:
-                self.cache.clear()  # unbounded pattern variety: keep memory flat
-            state = mps.simulate_circuit(self.lossless, key, max_bond=self.max_bond)
-            self.cache[key] = mps.canonicalize(state)
-        while True:
+    def state(self, pattern: tuple) -> mps.MPSState:
+        if pattern not in self.states:
+            if len(self.states) >= 4096:
+                self.states.clear()  # unbounded pattern variety: keep memory flat
+            d = max(1, sum(pattern))
+            if d > self.gate_cutoff:
+                self.gates, self.gate_cutoff = mps.fock_gates(self.lossless, d), d
+            evolved = mps.simulate_circuit(
+                self.lossless, pattern, d=d, max_bond=self.max_bond,
+                gates=[g[: d + 1, : d + 1, : d + 1, : d + 1] for g in self.gates],
+            )
+            self.states[pattern] = mps.canonicalize(evolved)
+        return self.states[pattern]
+
+    def draw(self, input_modes: np.ndarray, rng: RandomStream, size: int) -> np.ndarray:
+        """Thin all rows at once, then draw each thinned pattern's rows in one call.
+
+        Patterns are visited in sorted order, so the rows depend only on
+        ``rng`` and ``size``.
+        """
+        thinned = np.zeros((size, self.lossless.modes), dtype=int)
+        thinned[:, input_modes] = mps.lossy_input_sample(
+            len(input_modes) * size, self.mu, rng).reshape(size, len(input_modes))
+        patterns, which = np.unique(thinned, axis=0, return_inverse=True)
+        which = which.reshape(size)
+        for g, pattern in enumerate(patterns):
+            rows = np.flatnonzero(which == g)
+            thinned[rows] = self._sample(tuple(int(x) for x in pattern), rng, len(rows))
+        return thinned
+
+    def _sample(self, pattern: tuple, rng: RandomStream, size: int) -> np.ndarray:
+        """Chain-rule rows of one pattern; underflowed rows are redrawn a bounded number of times."""
+        state = self.state(pattern)
+        out = np.empty((size, self.lossless.modes), dtype=int)
+        todo = np.arange(size)
+        for _ in range(RESAMPLE_ROUNDS):
             try:
-                return np.array(mps.sample(self.cache[key], rng), dtype=int)
-            except ResampleSignal:
-                continue
+                out[todo] = mps.sample(state, rng, len(todo))
+                return out
+            except ResampleSignal as signal:
+                out[todo] = signal.rows
+                todo = todo[signal.bad]
+        raise CapacityError(
+            f"chain-rule draws for thinned pattern {list(pattern)} still underflow "
+            f"after {RESAMPLE_ROUNDS} rounds"
+        )
 
 
 def _occupied(pattern: tuple, backend: str) -> np.ndarray:
@@ -134,11 +177,10 @@ def _oracle_sampler(circuit: circ.LayeredCircuit, pattern: tuple) -> Sampler:
             circ.transfer_matrix(circuit.lossless_copy()), tau ** circuit.depth,
             len(input_modes), input_modes=input_modes,
         )
-    outcomes = np.array(dist.outcomes, dtype=int)
+    outcomes = np.array(dist.outcomes, dtype=int).reshape(-1, circuit.modes)
     weights = dist.weights / dist.weights.sum()
     return Sampler(
-        "oracle", circuit.modes,
-        lambda rng: outcomes[int(rng.choice(len(outcomes), p=weights))],
+        "oracle", lambda rng, size: outcomes[rng.choice(len(outcomes), size=size, p=weights)]
     )
 
 
@@ -180,8 +222,10 @@ def build_sampler(
         regime, input_modes = mode, _occupied(pattern, mode)
     source = ThermalSource(circuit) if regime == "thermal" else MPSSource(circuit, max_bond)
     if mode == "scattershot":
-        return Sampler(regime, circuit.modes, lambda rng: source.draw(
-            _herald_modes(circuit.modes, herald_lambda, rng), rng))
+        def herald_row(rng: RandomStream) -> np.ndarray:
+            return source.draw(_herald_modes(circuit.modes, herald_lambda, rng), rng, 1)[0]
+
+        return Sampler(regime, lambda rng, size: _rows(herald_row, rng, size, circuit.modes))
     if regime == "thermal":
         source.check_surrogate(len(input_modes), eps, auto)
-    return Sampler(regime, circuit.modes, lambda rng: source.draw(input_modes, rng))
+    return Sampler(regime, lambda rng, size: source.draw(input_modes, rng, size))

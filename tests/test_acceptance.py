@@ -105,7 +105,7 @@ def test_acceptance_04_hong_ou_mandel():
     state = canonicalize(simulate_circuit(balanced, (1, 1)))
     mps_p11 = outcome_probability(state, (1, 1))
     rng = make_stream(1001)
-    coincidences = sum(1 for _ in range(10**5) if sample(state, rng) == (1, 1))
+    coincidences = int((sample(state, rng, 10**5) == (1, 1)).all(axis=1).sum())
     _verdict(4, "Hong-Ou-Mandel coincidence suppressed",
              oracle_p11 < 1e-12 and mps_p11 < 1e-12 and coincidences == 0,
              f"oracle={oracle_p11:.1e} mps={mps_p11:.1e} counts={coincidences}")
@@ -141,12 +141,13 @@ def test_acceptance_06_lossy_mps_thinning_matches_exact():
     for bits in range(4):
         pattern = (bits & 1, (bits >> 1) & 1, 0, 0)
         states[pattern] = canonicalize(simulate_circuit(circuit, pattern))
-    counts: dict = {}
-    for _ in range(trials):
-        keep = lossy_input_sample(2, mu, rng)
-        pattern = (int(keep[0]), int(keep[1]), 0, 0)
-        key = sample(states[pattern], rng)
-        counts[key] = counts.get(key, 0) + 1
+    keep = lossy_input_sample(2 * trials, mu, rng).reshape(trials, 2)
+    draws = np.empty((trials, 4), dtype=int)
+    for pattern, state in states.items():
+        rows = np.flatnonzero((keep == pattern[:2]).all(axis=1))
+        draws[rows] = sample(state, rng, len(rows))
+    outcomes, freq = np.unique(draws, axis=0, return_counts=True)
+    counts = {tuple(int(x) for x in o): int(c) for o, c in zip(outcomes, freq)}
     empirical = Distribution(
         outcomes=tuple(counts),
         weights=np.array([c / trials for c in counts.values()]),

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +178,17 @@ def test_sample_worker_split_covers_all_samples(shallow_lossless, tmp_path):
     assert len(out.read_text().splitlines()) == 11
     meta = json.loads((tmp_path / "w.jsonl.meta.json").read_text())
     assert meta["workers"] == 3 and meta["samples"] == 11
+
+
+def test_sample_mps_workers_output_is_byte_identical(shallow_lossy, tmp_path):
+    argv = ["sample", "--circuit", shallow_lossy, "--photons", "3", "--mode", "mps",
+            "--seed", "8", "--samples", "301", "--workers", "3"]
+    outs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for out in outs:
+        assert main(argv + ["--out", str(out)]) == 0
+    text = outs[0].read_bytes()
+    assert len(text.splitlines()) == 301 and b'"regime":"mps"' in text
+    assert text == outs[1].read_bytes()
 
 
 def test_sample_meta_sidecar_contents(shallow_lossy, tmp_path):
@@ -422,7 +434,7 @@ def test_unknown_format_is_rejected_before_circuit_build(tmp_path, capsys):
 
 
 def test_amplifying_circuit_is_model_violation(tmp_path, shallow_lossy, capsys):
-    doc = json.loads(open(shallow_lossy).read())
+    doc = json.loads(Path(shallow_lossy).read_text())
     doc["layers"][0]["couplers"][0]["tau"] = 1.5
     bad = tmp_path / "amp.json"
     bad.write_text(json.dumps(doc))

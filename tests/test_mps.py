@@ -117,7 +117,7 @@ def test_single_photon_splits_by_column_law():
     theta = 0.7
     block = CouplerGate(0, theta).block
     st = init_input((1, 0), d=1)
-    st = apply_coupler(st, 0, coupler_mpo(block, 1), max_bond=16)
+    st = apply_coupler(st, 0, coupler_fock_amplitudes(block, 1), max_bond=16)
     assert outcome_probability(st, (1, 0)) == pytest.approx(
         abs(block[0, 0]) ** 2, abs=1e-12
     )
@@ -128,7 +128,7 @@ def test_single_photon_splits_by_column_law():
 
 def test_two_photon_interference_on_balanced_coupler():
     st = init_input((1, 1), d=2)
-    st = apply_coupler(st, 0, coupler_mpo(BS5050, 2), max_bond=16)
+    st = apply_coupler(st, 0, coupler_fock_amplitudes(BS5050, 2), max_bond=16)
     assert outcome_probability(st, (1, 1)) == pytest.approx(0.0, abs=1e-12)
     assert outcome_probability(st, (2, 0)) == pytest.approx(0.5, abs=1e-12)
     assert outcome_probability(st, (0, 2)) == pytest.approx(0.5, abs=1e-12)
@@ -140,9 +140,9 @@ def test_coupler_then_inverse_restores_product_state():
 
     block = haar_unitary(2, rng)
     st = init_input((1, 1, 0), d=2)
-    st = apply_coupler(st, 0, coupler_mpo(block, 2), max_bond=64)
+    st = apply_coupler(st, 0, coupler_fock_amplitudes(block, 2), max_bond=64)
     assert st.bond_dims[0] > 1
-    st = apply_coupler(st, 0, coupler_mpo(block.conj().T, 2), max_bond=64)
+    st = apply_coupler(st, 0, coupler_fock_amplitudes(block.conj().T, 2), max_bond=64)
     assert outcome_probability(st, (1, 1, 0)) == pytest.approx(1.0, abs=1e-10)
     # exact zeros reappear and are dropped, so the bond collapses back
     assert st.bond_dims[0] == 1
@@ -154,7 +154,7 @@ def test_apply_coupler_preserves_norm():
 
     st = init_input((1, 1, 1, 0), d=3)
     for k in (0, 1, 2, 0, 1, 2):
-        st = apply_coupler(st, k, coupler_mpo(haar_unitary(2, rng), 3), max_bond=1024)
+        st = apply_coupler(st, k, coupler_fock_amplitudes(haar_unitary(2, rng), 3), max_bond=1024)
     assert state_norm(st) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -164,12 +164,12 @@ def test_apply_coupler_respects_bond_cap():
 
     st = init_input((2, 2), d=4)
     with pytest.raises(CapacityError):
-        apply_coupler(st, 0, coupler_mpo(haar_unitary(2, rng), 4), max_bond=1)
+        apply_coupler(st, 0, coupler_fock_amplitudes(haar_unitary(2, rng), 4), max_bond=1)
 
 
 def test_apply_phase_rotates_amplitudes_only():
     st = init_input((1, 0), d=1)
-    st = apply_coupler(st, 0, coupler_mpo(BS5050, 1), max_bond=4)
+    st = apply_coupler(st, 0, coupler_fock_amplitudes(BS5050, 1), max_bond=4)
     before = [outcome_probability(st, o) for o in ((1, 0), (0, 1))]
     st = apply_phase(st, 0, 1.234)
     after = [outcome_probability(st, o) for o in ((1, 0), (0, 1))]
@@ -184,10 +184,12 @@ def test_bond_growth_bounded_by_mpo_rank():
     d = 2
     st = init_input((1, 1, 0, 0), d=d)
     for k in (0, 1, 2):
-        mpo = coupler_mpo(haar_unitary(2, rng), d)
+        block = haar_unitary(2, rng)
+        rank = coupler_mpo(block, d).rank
+        assert rank <= (d + 1) ** 2
         before = max(st.bond_dims)
-        st = apply_coupler(st, k, mpo, max_bond=4096)
-        assert max(st.bond_dims) <= before * (d + 1) ** 2
+        st = apply_coupler(st, k, coupler_fock_amplitudes(block, d), max_bond=4096)
+        assert max(st.bond_dims) <= before * rank
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +203,7 @@ def test_updates_keep_canonical_form():
 
     st = init_input((1, 0, 1, 0), d=2)
     for k in (0, 2, 1, 0, 2):
-        st = apply_coupler(st, k, coupler_mpo(haar_unitary(2, rng), 2), max_bond=1024)
+        st = apply_coupler(st, k, coupler_fock_amplitudes(haar_unitary(2, rng), 2), max_bond=1024)
     assert canonical_defect(st) < 1e-10
 
 
@@ -211,7 +213,7 @@ def test_canonicalize_restores_form_and_unit_norm():
 
     st = init_input((1, 1, 0), d=2)
     for k in (0, 1, 0):
-        st = apply_coupler(st, k, coupler_mpo(haar_unitary(2, rng), 2), max_bond=256)
+        st = apply_coupler(st, k, coupler_fock_amplitudes(haar_unitary(2, rng), 2), max_bond=256)
     fixed = canonicalize(st)
     assert canonical_defect(fixed) < 1e-12
     assert state_norm(fixed) == pytest.approx(1.0, abs=1e-12)
@@ -276,10 +278,8 @@ def test_chain_rule_samples_match_state_probabilities():
     st = canonicalize(simulate_circuit(circuit, (1, 1, 0, 0)))
     exact = fock_output_distribution(transfer_matrix(circuit), (1, 1, 0, 0)).as_dict()
     trials = 20000
-    counts = {}
-    for _ in range(trials):
-        s = sample(st, rng)
-        counts[s] = counts.get(s, 0) + 1
+    outcomes, freq = np.unique(sample(st, rng, trials), axis=0, return_counts=True)
+    counts = {tuple(int(x) for x in o): int(c) for o, c in zip(outcomes, freq)}
     assert set(counts) <= set(exact)
     tvd = 0.5 * sum(abs(counts.get(o, 0) / trials - p) for o, p in exact.items())
     assert tvd < 0.02
@@ -289,9 +289,10 @@ def test_sampling_is_deterministic_under_seed():
     rng = make_stream(81)
     circuit = random_brickwork(3, 2, 1.0, rng)
     st = canonicalize(simulate_circuit(circuit, (1, 0, 0)))
-    s1 = [sample(st, make_stream(9)) for _ in range(5)]
-    s2 = [sample(st, make_stream(9)) for _ in range(5)]
-    assert s1 == s2
+    s1 = sample(st, make_stream(9), 5)
+    s2 = sample(st, make_stream(9), 5)
+    assert s1.shape == (5, 3)
+    assert np.array_equal(s1, s2)
 
 
 def test_lossy_input_thinning_statistics():
