@@ -34,7 +34,6 @@ __all__ = [
     "LayeredCircuit",
     "LossDecomposition",
     "NonuniformFactorization",
-    "PlanParameters",
     "AlgebraicThreshold",
     "SimulationPlan",
     "transfer_matrix",
@@ -315,32 +314,35 @@ def random_brickwork(
 
 
 def simulability_condition(mu: float, n: int, eps: float) -> bool:
-    """True when uniform transmission mu admits the thermal replacement.
+    """True when transmission mu admits the thermal replacement of n photons.
 
-    The N-photon output distribution is within total-variation eps of the
-    thermal surrogate whenever mu <= sqrt(eps / n).
+    The n-photon output distribution is within total-variation eps of the
+    thermal surrogate whenever n * mu**2 <= eps, tested as mu <= sqrt(eps / n).
+    Vacuum (n = 0) always passes.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {mu}")
-    if n < 1:
-        raise ValueError("photon number must be >= 1")
+    if n < 0:
+        raise ValueError("photon number must be >= 0")
     if eps <= 0:
         raise ValueError("error budget must be positive")
-    return mu <= math.sqrt(eps / n)
+    return n == 0 or mu <= math.sqrt(eps / n)
 
 
 def thermalization_depth(n: int, eps: float, x: float) -> float:
     """Depth at which per-layer loss x makes N photons thermally simulable.
 
-    Solves tau**D = (1-x)**D <= sqrt(eps/N) for D.  Returns infinity when
-    x == 0 (a lossless circuit never thermalizes).
+    Solves tau**D = (1-x)**D <= sqrt(eps/N) for D.  Returns 0 for vacuum
+    (N = 0) and infinity when x == 0 (a lossless circuit never thermalizes).
     """
-    if n < 1:
-        raise ValueError("photon number must be >= 1")
+    if n < 0:
+        raise ValueError("photon number must be >= 0")
     if eps <= 0:
         raise ValueError("error budget must be positive")
     if not 0.0 <= x < 1.0:
         raise ValueError(f"per-layer loss must lie in [0, 1), got {x}")
+    if n == 0:
+        return 0.0
     if x == 0.0:
         return math.inf
     return max(0.0, math.log(n / eps) / (2.0 * math.log(1.0 / (1.0 - x))))
@@ -351,8 +353,10 @@ def depth_threshold_exponential(
 ) -> float:
     """Simulability depth for photon density N = k * M**gamma, loss tau per layer.
 
-    D* = [gamma*log(M) + log(k/eps) + log(2)] / (2*log(1/tau)); beyond this
-    depth the thermal algorithm is accurate to eps.  Infinite when tau == 1.
+    D* = [gamma*log(M) + log(k/eps) + log(2)] / (2*log(1/tau)) is the paper's
+    estimate of the depth beyond which the thermal algorithm is accurate to
+    eps.  Infinite when tau == 1.  It is reported, not used to choose a
+    regime: :func:`plan` tests the actual N * mu_max**2 against eps.
     """
     if modes < 1:
         raise ValueError("mode count must be >= 1")
@@ -410,96 +414,44 @@ def depth_threshold_algebraic(
 
 
 @dataclass(frozen=True)
-class PlanParameters:
-    """Inputs the regime decision needs.
+class SimulationPlan:
+    """The regime for N photons and the error ledger behind it.
 
-    ``photons`` may be omitted, in which case it is derived from the density
-    law N = round(k * M**gamma).
+    ``regime`` is "thermal", "mps", or None when neither backend is valid.
+    ``surrogate_error`` = N * mu_max**2 is the total-variation error of the
+    thermal surrogate; ``thermal_valid`` is whether it fits in ``eps``.
     """
 
-    modes: int
-    depth: int
-    tau: float
-    eps: float
-    density_k: float = 1.0
-    density_gamma: float = 1.0
-    photons: int | None = None
-
-    def __post_init__(self):
-        if self.modes < 1:
-            raise ValueError("mode count must be >= 1")
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"transmission must lie in (0, 1], got {self.tau}")
-        if self.eps <= 0:
-            raise ValueError("error budget must be positive")
-        if self.density_k <= 0:
-            raise ValueError("density coefficient must be positive")
-        if not 0.0 < self.density_gamma <= 1.0:
-            raise ValueError("density exponent must lie in (0, 1]")
-        if self.photons is None:
-            derived = round(self.density_k * self.modes ** self.density_gamma)
-            object.__setattr__(self, "photons", max(1, int(derived)))
-        elif self.photons < 1:
-            raise ValueError("photon number must be >= 1")
-
-
-@dataclass(frozen=True)
-class SimulationPlan:
-    regime: str  # "thermal" or "mps"
-    mu_effective: float
-    depth: int
-    depth_threshold: float
+    regime: str | None
+    mu_max: float
+    photons: int
+    surrogate_error: float
     thermal_valid: bool
     rationale: str
 
 
-def plan(params: PlanParameters) -> SimulationPlan:
-    """Choose the simulation regime for a uniform-loss circuit.
+def plan(mu_max: float, photons: int, eps: float, exact_backend: bool) -> SimulationPlan:
+    """Choose the regime from the largest loss-SVD transmission mu_max.
 
-    Thermal sampling is selected when the circuit depth reaches the
-    exponential-loss threshold (boundary inclusive); shallower circuits go to
-    exact tensor-network evolution.  ``thermal_valid`` records whether the
-    effective transmission also satisfies the conservative per-photon bound
-    mu <= sqrt(eps / (2N)) that backs the thermal replacement end to end.
+    Thermal when N * mu_max**2 <= eps (boundary inclusive); otherwise exact
+    tensor-network evolution when ``exact_backend`` (uniform loss) is
+    available; otherwise no regime, and the rationale says why.
     """
-    d_star = depth_threshold_exponential(
-        params.modes, params.density_gamma, params.density_k, params.eps, params.tau
-    )
-    mu_eff = params.tau ** params.depth
-    n = int(params.photons)
-    thermal_valid = mu_eff <= math.sqrt(params.eps / (2.0 * n))
-    if params.depth >= d_star:
-        regime = "thermal"
-        rationale = (
-            f"depth {params.depth} >= threshold {d_star:.6g}: effective transmission "
-            f"{mu_eff:.6g} is small enough that each surviving photon is "
-            f"indistinguishable (within budget {params.eps}) from thermal noise; "
-            f"per-photon bound mu <= sqrt(eps/2N) "
-            f"{'holds' if thermal_valid else 'needs the aggregate depth argument'}"
-        )
-    elif math.isinf(d_star):
-        regime = "mps"
-        rationale = (
-            "lossless circuit (tau = 1): thermal regime unreachable at any "
-            "depth; exact tensor-network evolution applies"
-        )
+    thermal_valid = simulability_condition(mu_max, photons, eps)
+    surrogate_error = photons * mu_max * mu_max
+    ledger = (f"N*mu_max^2 = {surrogate_error:.4g} {'<=' if thermal_valid else 'exceeds'} "
+              f"eps = {eps:.4g}")
+    if thermal_valid:
+        regime, why = "thermal", "the photons are within eps of thermal noise"
     else:
-        regime = "mps"
-        rationale = (
-            f"depth {params.depth} < threshold {d_star:.6g}: too little loss to "
-            f"thermalize, but the circuit is shallow enough for exact "
-            f"tensor-network evolution with bond dimension <= (N+1)^(2*depth)"
-        )
-    return SimulationPlan(
-        regime=regime,
-        mu_effective=mu_eff,
-        depth=params.depth,
-        depth_threshold=d_star,
-        thermal_valid=thermal_valid,
-        rationale=rationale,
-    )
+        bound = ("unreachable on a lossless circuit" if mu_max >= 1.0 - SINGULAR_CLIP_TOLERANCE
+                 else "outside its bound")
+        regime = "mps" if exact_backend else None
+        why = f"thermal surrogate {bound}; " + (
+            "the loss is uniform, so exact tensor-network evolution applies" if exact_backend
+            else "no exact backend takes mixed loss")
+    return SimulationPlan(regime, mu_max, photons, surrogate_error, thermal_valid,
+                          f"{ledger}: {why}")
 
 
 # ---------------------------------------------------------------------------

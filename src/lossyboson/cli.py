@@ -2,7 +2,7 @@
 
 Four commands over a shared option set:
 
-* ``plan``     - report simulability thresholds and the chosen regime
+* ``plan``     - report the chosen regime, its error ledger and the thresholds
 * ``sample``   - draw photon-count samples from a circuit
 * ``validate`` - desk-scale self-checks and circuit-file checks
 * ``stats``    - summarize a sample file, optionally against a reference law
@@ -79,7 +79,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--reference", help="reference distribution JSON (stats)")
     p.add_argument("--eps", type=float, help="total-variation budget")
     p.add_argument("--photons", type=int, help="input photon number")
-    p.add_argument("--workers", type=int, help="independent sample streams")
+    p.add_argument("--workers", type=int,
+                   help="number of seed streams the samples are split over; they run "
+                        "one after another in one process, so this sets the output "
+                        "layout, not parallelism")
     p.add_argument("--max-bond", type=int, dest="max_bond",
                    help="tensor-network bond-dimension cap")
     p.add_argument("--herald-lambda", type=float, dest="herald_lambda",
@@ -192,25 +195,6 @@ def _input_pattern(cfg: dict, modes: int) -> tuple:
     return (1,) * n + (0,) * (modes - n)
 
 
-def _plan_inputs(cfg: dict, circuit: circ.LayeredCircuit | None):
-    if circuit is not None:
-        modes = circuit.modes
-        depth = circuit.depth
-        try:
-            tau = circuit.uniform_tau()
-        except ValueError:
-            tau = None
-    else:
-        for key in ("modes", "depth", "tau"):
-            if key not in cfg:
-                raise UsageError(f'plan needs "{key}" (or a circuit file)')
-        modes, depth, tau = int(cfg["modes"]), int(cfg["depth"]), float(cfg["tau"])
-    photons = cfg.get("photons")
-    if photons is None and "pattern" in cfg:
-        photons = sum(int(x) for x in cfg["pattern"])
-    return modes, depth, tau, (int(photons) if photons else None)
-
-
 def _json_out(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -221,42 +205,59 @@ def _json_out(doc: dict) -> str:
 
 
 def run_plan(cfg: dict) -> int:
-    circuit = _resolve_circuit(cfg)
-    modes, depth, tau, photons = _plan_inputs(cfg, circuit)
+    """Report the plan ``sample --mode auto`` acts on, and the paper's depth formulas.
+
+    With a circuit the plan is the auto sampler's own.  Without one, the
+    geometry ``modes``/``depth``/``tau`` gives mu_max = tau**depth.  With
+    neither photons nor a pattern, N follows the density law k * M**gamma.
+    """
     eps = float(cfg["eps"])
-    if tau is None:
-        raise UsageError(
-            "plan needs a uniform per-layer transmission; this circuit mixes "
-            "transmissions (use the thermal sampler directly)"
-        )
-    params = circ.PlanParameters(
-        modes=modes, depth=depth, tau=tau, eps=eps,
-        density_k=float(cfg["density_k"]), density_gamma=float(cfg["density_gamma"]),
-        photons=photons,
-    )
-    decision = circ.plan(params)
+    k, gamma = float(cfg["density_k"]), float(cfg["density_gamma"])
+    circuit = _resolve_circuit(cfg)
+    if circuit is not None:
+        modes, depth = circuit.modes, circuit.depth
+        try:
+            tau = circuit.uniform_tau()
+        except ValueError:
+            tau = None
+    else:
+        for key in ("modes", "depth", "tau"):
+            if key not in cfg:
+                raise UsageError(f'plan needs "{key}" (or a circuit file)')
+        modes, depth, tau = int(cfg["modes"]), int(cfg["depth"]), float(cfg["tau"])
+        if depth < 0 or not 0.0 < tau <= 1.0:
+            raise UsageError(f"plan needs depth >= 0 and tau in (0, 1], got {depth}, {tau}")
+    if "pattern" not in cfg and not cfg.get("photons"):
+        cfg = dict(cfg, photons=max(1, round(k * modes**gamma)))
+    pattern = _input_pattern(cfg, modes)
+    if circuit is not None:
+        decision = build_sampler("auto", circuit, pattern, eps).plan
+    else:
+        decision = circ.plan(tau**depth, sum(pattern), eps, exact_backend=True)
     report = {
         "regime": decision.regime,
-        "photons": params.photons,
+        "photons": decision.photons,
         "modes": modes,
         "depth": depth,
         "tau": tau,
         "eps": eps,
-        "mu_effective": decision.mu_effective,
-        "depth_threshold_exponential": decision.depth_threshold,
-        "thermalization_depth": circ.thermalization_depth(
-            params.photons, eps, 1.0 - tau
-        ),
+        "mu_effective": decision.mu_max,
+        "surrogate_error": decision.surrogate_error,
         "thermal_valid": decision.thermal_valid,
         "rationale": decision.rationale,
     }
+    # the paper's depth formulas need one nonzero transmission per layer
+    uniform = tau is not None and tau > 0.0
+    report["depth_threshold_exponential"] = (
+        circ.depth_threshold_exponential(modes, gamma, k, eps, tau) if uniform else None)
+    report["thermalization_depth"] = (
+        circ.thermalization_depth(decision.photons, eps, 1.0 - tau) if uniform else None)
     if "algebraic" in cfg:
         alg = cfg["algebraic"]
         try:
             result = circ.depth_threshold_algebraic(
                 d_len=float(alg["d_len"]), beta=float(alg["beta"]),
-                k=float(cfg["density_k"]), eps=eps,
-                gamma=float(cfg["density_gamma"]), modes=modes,
+                k=k, eps=eps, gamma=gamma, modes=modes,
             )
         except KeyError as exc:
             raise UsageError(f"algebraic spec missing key {exc}") from exc
@@ -341,18 +342,11 @@ def run_sample(cfg: dict) -> int:
             "modes": circuit.modes,
             "photons": photons,
             "eps": float(cfg["eps"]),
+            "thresholds": {
+                "mu_effective": sampler.plan.mu_max,
+                "surrogate_error": sampler.plan.surrogate_error,
+            },
         }
-        try:
-            tau = circuit.uniform_tau()
-            meta["thresholds"] = {
-                "mu_effective": tau ** circuit.depth,
-                "depth_threshold_exponential": circ.depth_threshold_exponential(
-                    circuit.modes, float(cfg["density_gamma"]),
-                    float(cfg["density_k"]), float(cfg["eps"]), tau,
-                ),
-            }
-        except ValueError:
-            meta["thresholds"] = None
         with open(out_path + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_json_out(meta) + "\n")
     else:

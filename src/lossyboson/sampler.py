@@ -3,8 +3,9 @@
 ``build_sampler`` turns a mode, a circuit and an input pattern into a
 :class:`Sampler` whose ``draw(rng, size)`` returns a ``(size, M)`` array of
 photon counts.  Circuit-level work is done once per sampler: the transfer
-matrix and loss SVD for the thermal surrogate, the lossless copy and the
-gate tensors and thinned-state cache for MPS, the exact law for the oracle.
+matrix and loss SVD, which both :func:`circuit.plan` and the thermal
+surrogate read, the lossless copy and the gate tensors and thinned-state
+cache for MPS, the exact law for the oracle.
 A fixed-input sampler binds the occupied input modes once and draws whole
 arrays; scattershot draws a herald per row and feeds its occupied modes to
 the same circuit-level source.
@@ -23,7 +24,7 @@ from . import mps, oracle, thermal
 from .errors import CapacityError, ModelViolationError, ResampleSignal
 from .rng import RandomStream
 
-__all__ = ["MODES", "Sampler", "ThermalSource", "MPSSource", "choose_regime", "build_sampler"]
+__all__ = ["MODES", "Sampler", "ThermalSource", "MPSSource", "build_sampler"]
 
 MODES = ("auto", "thermal", "mps", "oracle", "scattershot")
 
@@ -36,29 +37,20 @@ RESAMPLE_ROUNDS = 8
 class Sampler:
     """Photon-count rows from one circuit; ``regime`` is the tag for each row.
 
-    ``draw(rng, size)`` returns a (size, M) int array.
+    ``draw(rng, size)`` returns a (size, M) int array.  ``plan`` is the
+    planner's verdict and error ledger for the pattern, also when a forced
+    mode overrides its regime.
     """
 
     regime: str
     draw: Callable[[RandomStream, int], np.ndarray]
+    plan: circ.SimulationPlan
 
 
 def _rows(row: Callable[[RandomStream], np.ndarray], rng: RandomStream, size: int,
           modes: int) -> np.ndarray:
     """``size`` rows drawn one after another from ``rng``."""
     return np.array([row(rng) for _ in range(size)], dtype=int).reshape(size, modes)
-
-
-def choose_regime(circuit: circ.LayeredCircuit, eps: float, photons: int) -> str:
-    """The ``auto`` policy: the planner's regime, thermal for non-uniform loss."""
-    try:
-        tau = circuit.uniform_tau()
-    except ValueError:
-        return "thermal"  # non-uniform loss: only the thermal path applies
-    params = circ.PlanParameters(
-        modes=circuit.modes, depth=circuit.depth, tau=tau, eps=eps, photons=photons,
-    )
-    return circ.plan(params).regime
 
 
 class ThermalSource:
@@ -68,9 +60,8 @@ class ThermalSource:
     every input; the residual matrix carries the rest of the loss.
     """
 
-    def __init__(self, circuit: circ.LayeredCircuit):
-        self.modes, self.residual = circuit.modes, None
-        decomposition = circ.decompose_losses(circ.transfer_matrix(circuit))
+    def __init__(self, modes: int, decomposition: circ.LossDecomposition):
+        self.modes, self.residual = modes, None
         if decomposition.transmissions.max() == 0.0:
             return  # fully blocking circuit: every input is absorbed
         factored = circ.factor_nonuniform(decomposition)
@@ -82,17 +73,6 @@ class ThermalSource:
             return np.zeros((size, self.modes), dtype=int)
         return _rows(lambda r: thermal.sample_output(
             self.residual, self.params, len(input_modes), r, input_modes), rng, size, self.modes)
-
-    def check_surrogate(self, photons: int, eps: float, auto: bool) -> None:
-        """Refuse (``auto``) or warn when N * mu_max**2 exceeds eps; vacuum always passes."""
-        mu = self.params.lam if self.residual is not None else 0.0
-        if photons == 0 or circ.simulability_condition(mu, photons, eps):
-            return
-        reason = (f"thermal surrogate outside its bound: N*mu_max^2 = {photons * mu * mu:.4g} "
-                  f"exceeds eps = {eps:.4g}")
-        if auto:
-            raise ModelViolationError(reason + "; no exact backend takes mixed loss")
-        warnings.warn(reason + "; sampling anyway because thermal mode was requested")
 
 
 class MPSSource:
@@ -167,7 +147,8 @@ def _occupied(pattern: tuple, backend: str) -> np.ndarray:
     return np.flatnonzero(np.asarray(pattern))
 
 
-def _oracle_sampler(circuit: circ.LayeredCircuit, pattern: tuple) -> Sampler:
+def _oracle_sampler(circuit: circ.LayeredCircuit, pattern: tuple,
+                    decision: circ.SimulationPlan) -> Sampler:
     if circuit.is_lossless():
         dist = oracle.fock_output_distribution(circ.transfer_matrix(circuit), pattern)
     else:
@@ -180,7 +161,8 @@ def _oracle_sampler(circuit: circ.LayeredCircuit, pattern: tuple) -> Sampler:
     outcomes = np.array(dist.outcomes, dtype=int).reshape(-1, circuit.modes)
     weights = dist.weights / dist.weights.sum()
     return Sampler(
-        "oracle", lambda rng, size: outcomes[rng.choice(len(outcomes), size=size, p=weights)]
+        "oracle", lambda rng, size: outcomes[rng.choice(len(outcomes), size=size, p=weights)],
+        decision,
     )
 
 
@@ -193,6 +175,14 @@ def _herald_modes(modes: int, lam: float, rng: RandomStream) -> np.ndarray:
     raise CapacityError("scattershot rejection did not find a collision-free herald")
 
 
+def _uniform_loss(circuit: circ.LayeredCircuit) -> bool:
+    try:
+        circuit.uniform_tau()
+    except ValueError:
+        return False
+    return True
+
+
 def build_sampler(
     mode: str,
     circuit: circ.LayeredCircuit,
@@ -203,29 +193,40 @@ def build_sampler(
 ) -> Sampler:
     """Sampler for ``pattern`` through ``circuit`` in one of :data:`MODES`.
 
-    ``auto`` follows :func:`choose_regime`.  ``scattershot`` heralds a
-    collision-free input per row with squeezing ``herald_lambda``; the
-    pattern's photon number only steers its thermal-or-MPS inner source.
-    A fixed-input thermal sampler checks its surrogate bound once.
+    The pattern is planned with :func:`circuit.plan` on the largest
+    transmission of the loss SVD; ``auto`` takes the plan's regime and
+    raises :class:`ModelViolationError` when it has none.  ``scattershot``
+    heralds a collision-free input per row with squeezing ``herald_lambda``;
+    the pattern's plan only steers its thermal-or-MPS inner source.  A
+    thermal sampler outside the bound N * mu_max**2 <= eps warns once.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose one of {', '.join(MODES)}")
     pattern = tuple(int(x) for x in pattern)
-    auto = mode == "auto"
-    if auto:
-        mode = choose_regime(circuit, eps, sum(pattern))
+    loss = circ.decompose_losses(circ.transfer_matrix(circuit))
+    decision = circ.plan(float(loss.transmissions.max()), sum(pattern), eps,
+                         exact_backend=_uniform_loss(circuit))
+    if mode == "auto":
+        if decision.regime is None:
+            raise ModelViolationError(decision.rationale)
+        mode = decision.regime
     if mode == "oracle":
-        return _oracle_sampler(circuit, pattern)
+        return _oracle_sampler(circuit, pattern, decision)
     if mode == "scattershot":
-        regime = choose_regime(circuit, eps, max(sum(pattern), 1))
+        regime = decision.regime or "thermal"  # only the thermal source takes mixed loss
     else:
         regime, input_modes = mode, _occupied(pattern, mode)
-    source = ThermalSource(circuit) if regime == "thermal" else MPSSource(circuit, max_bond)
+    if regime == "thermal":
+        source = ThermalSource(circuit.modes, loss)
+        if not decision.thermal_valid:
+            warnings.warn(f"{decision.rationale}; sampling anyway because {mode} mode "
+                          "was requested")
+    else:
+        source = MPSSource(circuit, max_bond)
     if mode == "scattershot":
         def herald_row(rng: RandomStream) -> np.ndarray:
             return source.draw(_herald_modes(circuit.modes, herald_lambda, rng), rng, 1)[0]
 
-        return Sampler(regime, lambda rng, size: _rows(herald_row, rng, size, circuit.modes))
-    if regime == "thermal":
-        source.check_surrogate(len(input_modes), eps, auto)
-    return Sampler(regime, lambda rng, size: source.draw(input_modes, rng, size))
+        return Sampler(regime, lambda rng, size: _rows(herald_row, rng, size, circuit.modes),
+                       decision)
+    return Sampler(regime, lambda rng, size: source.draw(input_modes, rng, size), decision)

@@ -12,7 +12,6 @@ from lossyboson import (
     Layer,
     LayeredCircuit,
     ModelViolationError,
-    PlanParameters,
     circuit_from_json,
     circuit_to_json,
     decompose_losses,
@@ -271,37 +270,43 @@ def test_depth_threshold_algebraic_flags_inefficient_scaling():
 
 
 def test_plan_deep_lossy_circuit_goes_thermal():
-    params = PlanParameters(modes=100, depth=200, tau=0.9, eps=0.05, photons=10)
-    decision = plan(params)
+    mu = 0.9**200
+    decision = plan(mu, 10, 0.05, exact_backend=True)
     assert decision.regime == "thermal"
-    assert decision.mu_effective == pytest.approx(0.9**200)
-    assert decision.thermal_valid  # mu_eff is astronomically small here
-    assert decision.depth >= decision.depth_threshold
+    assert decision.mu_max == mu and decision.photons == 10
+    assert decision.thermal_valid  # mu is astronomically small here
+    assert decision.surrogate_error == pytest.approx(10 * mu * mu)
 
 
 def test_plan_shallow_circuit_goes_mps():
-    params = PlanParameters(modes=10, depth=2, tau=0.99, eps=0.01, photons=3)
-    decision = plan(params)
+    decision = plan(0.99**2, 3, 0.01, exact_backend=True)
     assert decision.regime == "mps"
     assert not decision.thermal_valid
+    assert decision.surrogate_error == pytest.approx(3 * 0.99**4)
+    assert "exact tensor-network evolution" in decision.rationale
 
 
 def test_plan_boundary_depth_is_thermal():
-    # exactly at the threshold the thermal algorithm's guarantee applies
-    params = PlanParameters(modes=100, depth=1, tau=0.5, eps=0.05, photons=1)
-    threshold = depth_threshold_exponential(100, 1.0, 1.0, 0.05, 0.5)
-    deep = PlanParameters(
-        modes=100, depth=int(math.ceil(threshold)), tau=0.5, eps=0.05, photons=1
-    )
-    assert plan(deep).regime == "thermal"
-    assert plan(params).regime == "mps"
+    # tau = 0.5, one photon, eps = 0.5**4: depth 2 meets N*mu^2 = eps exactly
+    eps = 0.5**4
+    at_bound = plan(0.5**2, 1, eps, exact_backend=True)
+    assert at_bound.surrogate_error == eps
+    assert at_bound.regime == "thermal" and at_bound.thermal_valid
+    assert plan(0.5, 1, eps, exact_backend=True).regime == "mps"
+    # four photons at mu = 0.25 also sit on the bound 4 * 0.0625 = 0.25
+    assert plan(0.25, 4, 0.25, exact_backend=False).regime == "thermal"
 
 
-def test_plan_derives_photon_number_from_density():
-    params = PlanParameters(
-        modes=16, depth=1, tau=0.9, eps=0.05, density_k=0.5, density_gamma=1.0
-    )
-    assert params.photons == 8
+def test_plan_without_exact_backend_has_no_regime():
+    decision = plan(0.7**3, 3, 0.05, exact_backend=False)
+    assert decision.regime is None and not decision.thermal_valid
+    assert "N*mu_max^2 = 0.3529" in decision.rationale
+    assert "eps = 0.05" in decision.rationale and "mixed loss" in decision.rationale
+
+
+def test_plan_vacuum_is_thermal_at_any_loss():
+    decision = plan(1.0, 0, 0.05, exact_backend=False)
+    assert decision.regime == "thermal" and decision.surrogate_error == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,32 @@ def test_plan_reports_algebraic_threshold(tmp_path, capsys):
     assert doc["algebraic"]["efficient"] is True
 
 
+def test_plan_derives_photon_number_from_density(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "modes": 16, "depth": 1, "tau": 0.9, "eps": 0.05, "density_k": 0.5,
+    }))
+    assert main(["plan", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["photons"] == 8
+
+
+def test_plan_and_auto_agree_on_density_k_config(tmp_path, capsys):
+    """N*mu^2 = 10 * 0.9**40 = 0.148 > 0.05: both must pick mps, whatever density_k says."""
+    brickwork = {"brickwork": {"modes": 10, "depth": 20, "tau": 0.9, "seed": 3}}
+    geometry = {"modes": 10, "depth": 20, "tau": 0.9}
+    for where in ({"circuit": brickwork}, geometry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**where, "photons": 10, "density_k": 0.1}))
+        assert main(["plan", "--config", str(cfg)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["regime"] == "mps" and doc["thermal_valid"] is False
+        assert doc["surrogate_error"] == pytest.approx(10 * 0.9**40, rel=1e-9)
+    cfg.write_text(json.dumps({"circuit": brickwork, "photons": 10, "density_k": 0.1}))
+    assert main(["sample", "--config", str(cfg), "--seed", "1", "--samples", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert {json.loads(ln)["regime"] for ln in lines} == {"mps"}
+
+
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------
@@ -202,7 +228,8 @@ def test_sample_meta_sidecar_contents(shallow_lossy, tmp_path):
     assert meta["regime"] == "mps"
     assert meta["seed"] == 9
     assert meta["modes"] == 4 and meta["photons"] == 2
-    assert meta["thresholds"]["mu_effective"] == pytest.approx(0.8**2)
+    assert meta["thresholds"] == {
+        "mu_effective": pytest.approx(0.8**2), "surrogate_error": pytest.approx(2 * 0.8**4)}
     assert len(meta["config_hash"]) == 64
 
 
@@ -319,6 +346,43 @@ def test_auto_mixed_loss_outside_thermal_bound_is_model_violation(tmp_path, caps
     assert captured.out == ""
     assert "model violation" in captured.err and "N*mu_max^2" in captured.err
     assert "eps = 0.05" in captured.err and "mixed loss" in captured.err
+
+
+@pytest.mark.parametrize("hi,lo", [(0.99, 0.98), (0.7, 0.6)])
+def test_plan_mixed_loss_outside_thermal_bound_is_model_violation(tmp_path, capsys, hi, lo):
+    code = main(["plan", "--circuit", _mixed_loss(tmp_path, hi, lo), "--photons", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "N*mu_max^2" in captured.err and "eps = 0.05" in captured.err
+
+
+def test_plan_and_auto_agree_on_mixed_loss_inside_bound(tmp_path, capsys):
+    mixed = _mixed_loss(tmp_path, 0.3, 0.2)
+    assert main(["plan", "--circuit", mixed, "--photons", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["regime"] == "thermal" and doc["thermal_valid"] is True
+    assert doc["tau"] is None and doc["depth_threshold_exponential"] is None
+    assert doc["mu_effective"] <= 0.3**3 + 1e-12
+    out = tmp_path / "m.jsonl"
+    assert main(["sample", "--circuit", mixed, "--photons", "3", "--seed", "2",
+                 "--samples", "5", "--out", str(out)]) == 0
+    assert {json.loads(ln)["regime"] for ln in out.read_text().splitlines()} == {"thermal"}
+    meta = json.loads((tmp_path / "m.jsonl.meta.json").read_text())
+    assert meta["thresholds"] == {"mu_effective": doc["mu_effective"],
+                                  "surrogate_error": doc["surrogate_error"]}
+
+
+def test_vacuum_pattern_under_auto_samples_vacuum(tmp_path, shallow_lossless, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pattern": [0, 0, 0, 0]}))
+    argv = ["--config", str(cfg), "--circuit", shallow_lossless]
+    assert main(["plan", *argv]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["regime"] == "thermal" and doc["photons"] == 0
+    assert main(["sample", *argv, "--seed", "1", "--samples", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(ln) for ln in lines] == [{"n": [0, 0, 0, 0], "regime": "thermal"}] * 4
 
 
 def test_forced_thermal_outside_bound_warns_and_samples(tmp_path, capsys):
