@@ -172,30 +172,32 @@ class LayeredCircuit:
         return taus.pop()
 
 
-def _layer_matrix(layer: Layer, modes: int) -> np.ndarray:
-    mat = np.zeros((modes, modes), dtype=complex)
-    covered = layer.covered_modes()
-    for g in layer.couplers:
-        k = g.mode
-        mat[k : k + 2, k : k + 2] = math.sqrt(g.tau) * g.block
-    root_idle = math.sqrt(layer.idle_tau)
-    for i in range(modes):
-        if i not in covered:
-            mat[i, i] = root_idle
-    # phases act after the couplers: multiply rows
-    mat *= np.exp(1j * np.asarray(layer.phases))[:, None]
-    return mat
-
-
 def transfer_matrix(circuit: LayeredCircuit) -> np.ndarray:
     """Overall transfer matrix mapping input to output amplitudes.
 
     Layers are composed in traversal order, so with layers [L1, ..., LD] the
-    result is M(LD) @ ... @ M(L1).
+    result is M(LD) @ ... @ M(L1).  Each layer multiplies the row pairs its
+    couplers mix by their 2x2 blocks (phases included) and scales the idle
+    rows, so the cost is O(M^2) per layer.
     """
-    a = np.eye(circuit.modes, dtype=complex)
+    modes = circuit.modes
+    a = np.eye(modes, dtype=complex)
     for layer in circuit.layers:
-        a = _layer_matrix(layer, circuit.modes) @ a
+        phase = np.exp(1j * np.asarray(layer.phases))
+        idle = np.ones(modes, dtype=bool)
+        if layer.couplers:
+            pairs = np.array([g.mode for g in layer.couplers])[:, None] + np.arange(2)
+            theta = np.array([g.theta for g in layer.couplers])
+            e = np.exp(1j * np.array([g.phi for g in layer.couplers]))
+            blocks = np.empty((len(pairs), 2, 2), dtype=complex)
+            blocks[:, 0, 0] = blocks[:, 1, 1] = np.cos(theta)
+            blocks[:, 0, 1] = e * np.sin(theta)
+            blocks[:, 1, 0] = -np.conj(e) * np.sin(theta)
+            blocks *= np.sqrt(np.array([g.tau for g in layer.couplers]))[:, None, None]
+            blocks *= phase[pairs][:, :, None]
+            a[pairs] = blocks @ a[pairs]
+            idle[pairs] = False
+        a[idle] *= (math.sqrt(layer.idle_tau) * phase[idle])[:, None]
     return a
 
 
@@ -256,24 +258,27 @@ def factor_nonuniform(dec: LossDecomposition) -> NonuniformFactorization:
     return NonuniformFactorization(mu_max=mu_max, residual=residual)
 
 
-def _bs_params_from_block(u: np.ndarray) -> tuple[float, float, float, float]:
+def _bs_params_from_block(u) -> tuple[float, float, float, float]:
     """Exact decomposition u = diag(e^{ia}, e^{ib}) @ coupler(theta, phi).
 
+    ``u`` is a 2x2 unitary as an array or as nested lists of Python complex
+    numbers (``array.tolist()``), which index much faster than numpy.
     Returns (theta, phi, a, b).  Valid for any 2x2 unitary; the phases a, b
     belong in the layer's phase vector (phases act after couplers).
     """
-    theta = math.atan2(abs(u[0, 1]), abs(u[0, 0]))
-    if abs(u[0, 0]) > 1e-12:
-        a = math.atan2(u[0, 0].imag, u[0, 0].real)
-        phi = math.atan2(u[0, 1].imag, u[0, 1].real) - a if abs(u[0, 1]) > 1e-12 else 0.0
-        b = math.atan2(u[1, 1].imag, u[1, 1].real) if abs(u[1, 1]) > 1e-12 else (
-            math.atan2((-u[1, 0]).imag, (-u[1, 0]).real) + phi
+    (u00, u01), (u10, u11) = u
+    theta = math.atan2(abs(u01), abs(u00))
+    if abs(u00) > 1e-12:
+        a = math.atan2(u00.imag, u00.real)
+        phi = math.atan2(u01.imag, u01.real) - a if abs(u01) > 1e-12 else 0.0
+        b = math.atan2(u11.imag, u11.real) if abs(u11) > 1e-12 else (
+            math.atan2((-u10).imag, (-u10).real) + phi
         )
     else:
         # fully crossing coupler: cos(theta) = 0, diagonal phases are free
         a = 0.0
-        phi = math.atan2(u[0, 1].imag, u[0, 1].real)
-        b = math.atan2((-u[1, 0]).imag, (-u[1, 0]).real) + phi
+        phi = math.atan2(u01.imag, u01.real)
+        b = math.atan2((-u10).imag, (-u10).real) + phi
     return theta, phi, a, b
 
 
@@ -285,7 +290,8 @@ def random_brickwork(
     Odd layers start at mode 0, even layers at mode 1.  Every gate carries
     intensity transmission ``tau`` and so does idle propagation, hence each
     mode sees sqrt(tau) in amplitude per layer and the total per-mode
-    transmission is tau**depth.
+    transmission is tau**depth.  All Haar blocks are drawn in one stack, in
+    gate order, so the circuit equals one drawn gate by gate.
     """
     if modes < 1:
         raise ValueError("need at least one mode")
@@ -293,14 +299,14 @@ def random_brickwork(
         raise ValueError("depth must be >= 0")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {tau}")
+    gate_modes = [range(l % 2, modes - 1, 2) for l in range(depth)]
+    blocks = iter(numerics.haar_unitary(2, rng, sum(map(len, gate_modes))).tolist())
     layers = []
-    for l in range(depth):
-        offset = l % 2
+    for ks in gate_modes:
         phases = [0.0] * modes
         gates = []
-        for k in range(offset, modes - 1, 2):
-            u = numerics.haar_unitary(2, rng)
-            theta, phi, pa, pb = _bs_params_from_block(u)
+        for k in ks:
+            theta, phi, pa, pb = _bs_params_from_block(next(blocks))
             gates.append(CouplerGate(mode=k, theta=theta, phi=phi, tau=tau))
             phases[k] += pa
             phases[k + 1] += pb

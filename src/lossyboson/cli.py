@@ -151,18 +151,29 @@ def _resolve(args: argparse.Namespace) -> dict:
         )
     cfg["command"] = command
     cfg["_explicit"] = sorted(explicit)
+    try:
+        k, gamma = float(cfg["density_k"]), float(cfg["density_gamma"])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"density_k and density_gamma must be numbers: {exc}") from exc
+    if not k > 0.0:
+        raise UsageError(f"density_k must be > 0, got {k}")
+    if not 0.0 < gamma <= 1.0:
+        raise UsageError(f"density_gamma must lie in (0, 1], got {gamma}")
     return cfg
 
 
-def _resolve_circuit(cfg: dict) -> circ.LayeredCircuit | None:
+def _resolve_circuit(cfg: dict) -> tuple[circ.LayeredCircuit | None, str]:
+    """The configured circuit and the text of its file ("" for a brickwork spec or none)."""
     spec = cfg.get("circuit")
     if spec is None:
-        return None
+        return None, ""
     if isinstance(spec, str):
         try:
-            return circ.load_circuit(spec)
+            with open(spec, "r", encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read circuit {spec}: {exc}") from exc
+        return circ.circuit_from_json(text), text
     if isinstance(spec, dict) and "brickwork" in spec:
         b = spec["brickwork"]
         try:
@@ -171,7 +182,7 @@ def _resolve_circuit(cfg: dict) -> circ.LayeredCircuit | None:
                 depth=int(b["depth"]),
                 tau=float(b.get("tau", 1.0)),
                 rng=make_stream(int(b.get("seed", 0))),
-            )
+            ), ""
         except KeyError as exc:
             raise UsageError(f"brickwork spec missing key {exc}") from exc
     raise UsageError("circuit must be a file path or {'brickwork': {...}}")
@@ -213,7 +224,7 @@ def run_plan(cfg: dict) -> int:
     """
     eps = float(cfg["eps"])
     k, gamma = float(cfg["density_k"]), float(cfg["density_gamma"])
-    circuit = _resolve_circuit(cfg)
+    circuit, _ = _resolve_circuit(cfg)
     if circuit is not None:
         modes, depth = circuit.modes, circuit.depth
         try:
@@ -275,16 +286,18 @@ def run_plan(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _format_line(counts, regime: str, fmt: str) -> str:
-    if fmt == "csv":
-        return ",".join(str(int(c)) for c in counts)
-    return json.dumps(
-        {"n": [int(c) for c in counts], "regime": regime},
-        sort_keys=True, separators=(",", ":"),
-    )
+def _format_rows(rows: np.ndarray, regime: str, fmt: str) -> str:
+    """One line per row: bare CSV counts, or JSONL as compact sorted ``json.dumps`` writes it.
+
+    Rows are converted one at a time, so no nested list of the whole array is held.
+    """
+    head, tail = ("", "\n") if fmt == "csv" else (
+        '{"n":[', '],"regime":' + json.dumps(regime) + "}\n")
+    return "".join([head + ",".join(map(str, r.tolist())) + tail for r in rows])
 
 
 def _config_hash(cfg: dict, circuit_text: str) -> str:
+    """SHA-256 of the resolved settings and the circuit file's text ("" for a brickwork spec)."""
     skip = ("out", "input", "reference")
     payload = json.dumps(
         {k: cfg[k] for k in sorted(cfg)
@@ -300,7 +313,7 @@ def run_sample(cfg: dict) -> int:
             raise UsageError(
                 f"unknown {key} {cfg[key]!r}; choose one of {', '.join(allowed)}"
             )
-    circuit = _resolve_circuit(cfg)
+    circuit, circuit_text = _resolve_circuit(cfg)
     if circuit is None:
         raise UsageError("sample needs a circuit (file path or brickwork spec)")
     pattern = _input_pattern(cfg, circuit.modes)
@@ -320,9 +333,8 @@ def run_sample(cfg: dict) -> int:
     base, extra = divmod(n_samples, workers)
     fmt = cfg["format"]
     text = "".join(
-        _format_line(row, sampler.regime, fmt) + "\n"
+        _format_rows(sampler.draw(stream, base + (1 if w < extra else 0)), sampler.regime, fmt)
         for w, stream in enumerate(streams)
-        for row in sampler.draw(stream, base + (1 if w < extra else 0))
     )
 
     out_path = cfg.get("out")
@@ -331,9 +343,7 @@ def run_sample(cfg: dict) -> int:
             fh.write(text)
         meta = {
             "command": "sample",
-            "config_hash": _config_hash(
-                cfg, circ.circuit_to_json(circuit)
-            ),
+            "config_hash": _config_hash(cfg, circuit_text),
             "seed": cfg.get("seed"),
             "samples": n_samples,
             "workers": workers,
@@ -444,7 +454,7 @@ def run_validate(cfg: dict) -> int:
         tvd = 0.5 * float(np.abs(probs - exact.weights).sum())
         checks.append(_check("mps_matches_oracle", tvd, 1e-10))
 
-    circuit = _resolve_circuit(cfg)
+    circuit, _ = _resolve_circuit(cfg)
     if circuit is not None:
         a = circ.transfer_matrix(circuit)
         dec = circ.decompose_losses(a)  # raises ModelViolationError -> exit 2

@@ -21,62 +21,72 @@ __all__ = [
 ]
 
 PERMANENT_MAX_DIM = 20
+# Complex entries in one Glynn intermediate: 8192 * 16 B = 128 KiB.
+PERMANENT_CHUNK = 1 << 13
 
 
-def haar_unitary(m: int, rng: RandomStream) -> np.ndarray:
-    """Draw an m-by-m unitary from the Haar measure.
+def haar_unitary(m: int, rng: RandomStream, count: int | None = None) -> np.ndarray:
+    """Draw an m-by-m unitary from the Haar measure, or a (count, m, m) stack.
 
     QR of a complex Ginibre matrix, with the R diagonal's phases divided out
     so the distribution is exactly Haar rather than QR-convention biased.
+    Each matrix consumes m*m real then m*m imaginary normals, so a stack
+    equals ``count`` single draws from the same stream, bit for bit.
     """
     if m < 1:
         raise ValueError("matrix size must be >= 1")
-    z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
+    x = rng.standard_normal((2, m, m) if count is None else (count, 2, m, m))
+    z = (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def permanent(a: np.ndarray) -> complex:
-    """Permanent of a square matrix by the Glynn formula with Gray-code updates.
+def permanent(a: np.ndarray) -> complex | np.ndarray:
+    """Permanent of a square matrix, or of each matrix in a (..., n, n) stack.
 
-    Runs in O(2^n n) time for an n-by-n matrix.  The 0-by-0 permanent is 1 by
-    convention (empty product).
+    Glynn formula: perm(a) = 2^{1-n} sum over delta in {+-1}^n with
+    delta_0 = +1 of prod(delta) * prod_j sum_i delta_i a[i, j].  The sign
+    vectors are taken in chunks as one matrix product each, so no
+    intermediate exceeds 128 KiB; the work is O(2^n n^2) per matrix.
+    A single matrix gives a complex number, a stack an array of the stack's
+    shape.  The 0-by-0 permanent is 1 by convention (empty product).
 
     Raises
     ------
     ValueError
         If ``a`` is not square.
     CapacityError
-        If n > 20; beyond that the 2^n loop is not worth attempting.
+        If n > 20; beyond that the 2^n sum is not worth attempting.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"permanent needs a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        return complex(1.0)
+    n = a.shape[-1]
     if n > PERMANENT_MAX_DIM:
         raise CapacityError(
             f"permanent capped at {PERMANENT_MAX_DIM}x{PERMANENT_MAX_DIM}, got n={n}"
         )
-    # Glynn: perm(a) = 2^{1-n} sum over delta in {+-1}^n (delta_0 = +1 fixed)
-    # of prod(delta) * prod_j sum_i delta_i a[i, j].  Successive delta vectors
-    # follow a Gray code so each step updates the column sums with one row.
-    col_sums = a.sum(axis=0).astype(complex)
-    total = np.prod(col_sums)
-    sign = 1
-    gray = 0
-    for k in range(1, 1 << (n - 1)):
-        new_gray = k ^ (k >> 1)
-        flipped = new_gray ^ gray  # power of two: the row whose sign changed
-        row = flipped.bit_length()  # rows 1..n-1 (row 0 sign stays +1)
-        direction = -2.0 if (new_gray & flipped) else 2.0
-        col_sums += direction * a[row]
-        gray = new_gray
-        sign = -sign
-        total += sign * np.prod(col_sums)
-    return complex(total * 2.0 ** (1 - n))
+    stack = a.reshape((int(np.prod(a.shape[:-2])), n, n))
+    if n == 0:
+        total = np.ones(len(stack), dtype=complex)
+    else:
+        total = np.zeros(len(stack), dtype=complex)
+        count = 1 << (n - 1)
+        width = min(count, max(1, PERMANENT_CHUNK // n))  # sign vectors per product
+        per = max(1, PERMANENT_CHUNK // (width * n))  # matrices per product
+        for start in range(0, count, width):
+            index = np.arange(start, min(start + width, count))
+            delta = np.ones((len(index), n), dtype=complex)
+            delta[:, 1:] -= 2 * ((index[:, None] >> np.arange(n - 1)) & 1)
+            parity = delta.prod(axis=1)
+            for b in range(0, len(stack), per):
+                sums = delta @ stack[b : b + per]  # (matrices, signs, n) column sums
+                total[b : b + per] += sums.prod(axis=-1) @ parity
+        total *= 2.0 ** (1 - n)
+    if a.ndim == 2:
+        return complex(total[0])
+    return total.reshape(a.shape[:-2])
 
 
 def permanent_naive(a: np.ndarray) -> complex:

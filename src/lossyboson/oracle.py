@@ -64,6 +64,31 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _outcome_table(total: int, modes: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Outcomes of ``total`` photons over ``modes``, their permanent rows and norms.
+
+    Row r of the index array repeats each mode by its count in outcome r;
+    the norm is prod(outcome!).
+    """
+    outcomes = tuple(enumerate_patterns(total, modes))
+    counts = np.array(outcomes, dtype=int).reshape(len(outcomes), modes)
+    rows = np.repeat(np.tile(np.arange(modes), len(outcomes)), counts.ravel())
+    factorials = np.array([math.factorial(x) for x in range(total + 1)], dtype=float)
+    return outcomes, rows.reshape(len(outcomes), total), factorials[counts].prod(axis=1)
+
+
+def _fock_weights(u: np.ndarray, pattern, table: tuple) -> np.ndarray:
+    """Output weights of Fock input ``pattern`` over a table from :func:`_outcome_table`.
+
+    Every outcome's submatrix is gathered into one stack for one permanent call.
+    """
+    _, rows, norms = table
+    cols = np.repeat(np.arange(len(pattern)), pattern)
+    amps = permanent(u[rows[:, :, None], cols])
+    in_norm = math.prod(math.factorial(x) for x in pattern)
+    return np.abs(amps) ** 2 / (in_norm * norms)
+
+
 def fock_output_distribution(u: np.ndarray, pattern) -> Distribution:
     """Exact output distribution of Fock input ``pattern`` through unitary ``u``.
 
@@ -80,16 +105,8 @@ def fock_output_distribution(u: np.ndarray, pattern) -> Distribution:
         raise ValueError("photon counts must be non-negative")
     total = sum(pattern)
     _check_caps(total, modes)
-    cols = np.repeat(np.arange(modes), pattern)
-    in_norm = math.prod(math.factorial(x) for x in pattern)
-    outcomes, weights = [], []
-    for outcome in enumerate_patterns(total, modes):
-        rows = np.repeat(np.arange(modes), outcome)
-        amp = permanent(u[np.ix_(rows, cols)])
-        norm = in_norm * math.prod(math.factorial(x) for x in outcome)
-        outcomes.append(outcome)
-        weights.append(abs(amp) ** 2 / norm)
-    return Distribution(outcomes=tuple(outcomes), weights=np.array(weights))
+    table = _outcome_table(total, modes)
+    return Distribution(outcomes=table[0], weights=_fock_weights(u, pattern, table))
 
 
 def lossy_exact_distribution(
@@ -101,7 +118,7 @@ def lossy_exact_distribution(
     survives the loss channel independently with probability mu, then the
     survivors interfere through the unitary ``u``.  The result is the
     binomial mixture over survival subsets of the exact lossless
-    distributions.
+    distributions; outcomes are enumerated once per survivor count.
     """
     u = _check_unitary(u)
     modes = u.shape[0]
@@ -111,20 +128,22 @@ def lossy_exact_distribution(
         raise ValueError(f"need 0 <= photons <= modes, got n={n}, modes={modes}")
     input_modes = input_mode_indices(input_modes, n, modes)
     _check_caps(n, modes)
-    acc: dict = {}
+    tables: dict = {}  # survivor count -> outcome table
+    acc: dict = {}  # survivor count -> weights summed over that table
     for bits in range(1 << n):
         survivors = np.array([(bits >> i) & 1 for i in range(n)], dtype=bool)
         k = int(survivors.sum())
         weight = mu**k * (1.0 - mu) ** (n - k)
         if weight == 0.0:
             continue
+        if k not in tables:
+            tables[k], acc[k] = _outcome_table(k, modes), 0.0
         pattern = np.bincount(input_modes[survivors], minlength=modes)
-        sub = fock_output_distribution(u, pattern)
-        for outcome, w in zip(sub.outcomes, sub.weights):
-            acc[outcome] = acc.get(outcome, 0.0) + weight * w
-    outcomes = sorted(acc)
+        acc[k] = acc[k] + weight * _fock_weights(u, pattern, tables[k])
+    law = {o: w for k in tables for o, w in zip(tables[k][0], acc[k])}
+    outcomes = sorted(law)
     return Distribution(
-        outcomes=tuple(outcomes), weights=np.array([acc[o] for o in outcomes])
+        outcomes=tuple(outcomes), weights=np.array([law[o] for o in outcomes])
     )
 
 

@@ -18,6 +18,7 @@ from lossyboson import (
     depth_threshold_algebraic,
     depth_threshold_exponential,
     factor_nonuniform,
+    haar_unitary,
     load_circuit,
     make_stream,
     plan,
@@ -27,6 +28,7 @@ from lossyboson import (
     thermalization_depth,
     transfer_matrix,
 )
+from lossyboson.circuit import _bs_params_from_block
 
 
 def _single_coupler_circuit(theta, phi=0.0, tau=1.0, phases=(0.0, 0.0)):
@@ -158,6 +160,49 @@ def test_uniform_tau_on_mixed_circuit_raises():
     c = LayeredCircuit(modes=2, layers=(l1, l2))
     with pytest.raises(ValueError):
         c.uniform_tau()
+
+
+def _dense_transfer(circuit):
+    """Reference transfer matrix: one dense M x M layer matrix per layer, multiplied in order."""
+    a = np.eye(circuit.modes, dtype=complex)
+    for layer in circuit.layers:
+        mat = np.diag(np.full(circuit.modes, math.sqrt(layer.idle_tau), dtype=complex))
+        for g in layer.couplers:
+            mat[g.mode : g.mode + 2, g.mode : g.mode + 2] = math.sqrt(g.tau) * g.block
+        a = (np.exp(1j * np.asarray(layer.phases))[:, None] * mat) @ a
+    return a
+
+
+def _mixed_circuit(modes, depth, rng, blocking_layer=None):
+    """Random couplers at irregular positions, mixed gate and idle loss, non-zero phases."""
+    layers = []
+    for l in range(depth):
+        gates, k = [], int(rng.integers(0, 2))
+        while k + 1 < modes:
+            if rng.random() < 0.7:
+                gates.append(CouplerGate(k, rng.uniform(0, 2 * math.pi), rng.uniform(-3, 3),
+                                         rng.uniform(0.3, 1.0)))
+                k += 2 + int(rng.integers(0, 2))
+            else:
+                k += 1
+        idle_tau = rng.uniform(0.3, 1.0)
+        if l == blocking_layer:
+            gates = [CouplerGate(g.mode, g.theta, g.phi, 0.0) for g in gates]
+            idle_tau = 0.0
+        layers.append(Layer(tuple(gates), tuple(rng.uniform(-3, 3, modes)), idle_tau))
+    return LayeredCircuit(modes, tuple(layers))
+
+
+@pytest.mark.parametrize("modes,depth,blocking", [(7, 12, None), (8, 9, None), (5, 6, 3), (1, 3, None)])
+def test_transfer_matrix_matches_dense_layer_product(modes, depth, blocking):
+    c = _mixed_circuit(modes, depth, make_stream(40 + modes), blocking_layer=blocking)
+    assert len({l.idle_tau for l in c.layers} | {g.tau for l in c.layers for g in l.couplers}) > 2
+    a, ref = transfer_matrix(c), _dense_transfer(c)
+    assert np.abs(a - ref).max() <= 1e-13
+    if blocking is not None:
+        assert not ref.any() and not a.any()
+    else:
+        assert np.abs(ref).max() > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -374,3 +419,25 @@ def test_brickwork_deterministic_under_seed():
     c1 = random_brickwork(5, 3, 0.9, make_stream(21))
     c2 = random_brickwork(5, 3, 0.9, make_stream(21))
     assert circuit_to_json(c1) == circuit_to_json(c2)
+
+
+def _brickwork_per_gate(modes, depth, tau, rng):
+    """Reference brickwork: one haar_unitary(2) draw per gate, in gate order."""
+    layers = []
+    for l in range(depth):
+        phases, gates = [0.0] * modes, []
+        for k in range(l % 2, modes - 1, 2):
+            theta, phi, pa, pb = _bs_params_from_block(haar_unitary(2, rng))
+            gates.append(CouplerGate(k, theta, phi, tau))
+            phases[k] += pa
+            phases[k + 1] += pb
+        layers.append(Layer(tuple(gates), tuple(phases), tau))
+    return LayeredCircuit(modes, tuple(layers))
+
+
+@pytest.mark.parametrize("modes,depth", [(1, 3), (2, 1), (7, 5), (6, 0)])
+def test_brickwork_equals_per_gate_draws(modes, depth):
+    rng_a, rng_b = make_stream(60 + modes), make_stream(60 + modes)
+    c = random_brickwork(modes, depth, 0.93, rng_a)
+    assert c == _brickwork_per_gate(modes, depth, 0.93, rng_b)
+    assert rng_a.random() == rng_b.random()  # the stream advanced by the same draws

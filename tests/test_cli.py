@@ -20,7 +20,7 @@ from lossyboson import (
     save_circuit,
     transfer_matrix,
 )
-from lossyboson.cli import main
+from lossyboson.cli import _format_rows, main
 
 
 @pytest.fixture
@@ -325,6 +325,57 @@ def test_sample_scattershot_builds_transfer_matrix_once(deep_lossy, monkeypatch,
     assert len(calls) == 1
 
 
+def test_sample_brickwork_does_not_serialise_circuit(tmp_path, monkeypatch):
+    calls = []
+    original = lossyboson.circuit.circuit_to_json
+
+    def counting(circuit):
+        calls.append(circuit)
+        return original(circuit)
+
+    monkeypatch.setattr(lossyboson.circuit, "circuit_to_json", counting)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "circuit": {"brickwork": {"modes": 6, "depth": 40, "tau": 0.9, "seed": 2}},
+        "photons": 2, "samples": 5, "seed": 1, "out": str(tmp_path / "s.jsonl"),
+    }))
+    assert main(["sample", "--config", str(cfg)]) == 0
+    assert len(json.loads((tmp_path / "s.jsonl.meta.json").read_text())["config_hash"]) == 64
+    assert calls == []
+
+
+def _config_hash_of(tmp_path, settings):
+    cfg, out = tmp_path / "hash.json", tmp_path / "hash.jsonl"
+    cfg.write_text(json.dumps({**settings, "photons": 2, "samples": 3, "seed": 4,
+                               "out": str(out)}))
+    assert main(["sample", "--config", str(cfg)]) == 0
+    return json.loads((tmp_path / "hash.jsonl.meta.json").read_text())["config_hash"]
+
+
+def test_config_hash_tracks_circuit_file_bytes_and_brickwork_seed(shallow_lossy, tmp_path):
+    path = Path(shallow_lossy)
+    before = _config_hash_of(tmp_path, {"circuit": shallow_lossy})
+    assert _config_hash_of(tmp_path, {"circuit": shallow_lossy}) == before
+    text = path.read_text()
+    path.write_text(text.replace('"modes": 4', '"modes":  4', 1))  # one byte, same circuit
+    assert _config_hash_of(tmp_path, {"circuit": shallow_lossy}) != before
+    seeds = [_config_hash_of(tmp_path, {"circuit": {"brickwork": {
+        "modes": 4, "depth": 2, "tau": 0.8, "seed": seed}}}) for seed in (2, 2, 3)]
+    assert seeds[0] == seeds[1] != seeds[2]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_format_rows_matches_json_dumps(fmt):
+    rows = np.array([[0, 3, 12], [1, 0, 0]])
+    if fmt == "jsonl":
+        expected = "".join(json.dumps({"n": r, "regime": "mps"}, sort_keys=True,
+                                      separators=(",", ":")) + "\n" for r in rows.tolist())
+    else:
+        expected = "0,3,12\n1,0,0\n"
+    assert _format_rows(rows, "mps", fmt) == expected
+    assert _format_rows(rows[:0], "mps", fmt) == ""
+
+
 def _mixed_loss(tmp_path, hi, lo):
     """4-mode, 3-layer brickwork at transmission hi, first coupler of each layer at lo."""
     doc = json.loads(circuit_to_json(random_brickwork(4, 3, hi, make_stream(9))))
@@ -486,6 +537,19 @@ def test_unknown_mode_is_usage_error(tmp_path, shallow_lossless, capsys, monkeyp
     monkeypatch.setenv("LOSSYBOSON_MODE", "thermall")
     assert main(argv + ["--photons", "1"]) == 1
     assert "thermall" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [{"density_gamma": 5}, {"density_gamma": 0},
+                                 {"density_k": 0}, {"density_k": -1.5}, {"density_k": "x"}])
+def test_density_settings_are_checked_for_plan_and_sample(tmp_path, capsys, bad):
+    circuit = {"brickwork": {"modes": 4, "depth": 30, "tau": 0.7, "seed": 1}}
+    cfg = tmp_path / "cfg.json"
+    for settings, code in (({}, 0), (bad, 1)):
+        cfg.write_text(json.dumps({"circuit": circuit, "photons": 2, "samples": 3, **settings}))
+        assert main(["plan", "--config", str(cfg)]) == code
+        assert main(["sample", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert ("usage error: density" in err) == (code == 1)
 
 
 def test_unknown_format_is_rejected_before_circuit_build(tmp_path, capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lossyboson import numerics
 from lossyboson import (
     CapacityError,
     Distribution,
@@ -75,11 +76,30 @@ def test_permanent_is_linear_in_each_row():
 def test_permanent_rejects_oversized_input():
     with pytest.raises(CapacityError):
         permanent(np.eye(21))
+    with pytest.raises(CapacityError):
+        permanent(np.zeros((2, 21, 21)))
 
 
 def test_permanent_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        permanent(np.ones((2, 3)))
+    for shape in ((2, 3), (4, 2, 3), (3,)):
+        with pytest.raises(ValueError):
+            permanent(np.ones(shape))
+
+
+@pytest.mark.parametrize("chunk", [numerics.PERMANENT_CHUNK, 7])
+def test_stacked_permanent_matches_single_calls_and_naive(monkeypatch, chunk):
+    """A (2, 3, n, n) stack gives each matrix's permanent; chunk 7 splits signs and matrices."""
+    monkeypatch.setattr(numerics, "PERMANENT_CHUNK", chunk)
+    rng = make_stream(300)
+    for n in range(7):
+        stack = rng.normal(size=(2, 3, n, n)) + 1j * rng.normal(size=(2, 3, n, n))
+        got = permanent(stack)
+        assert got.shape == (2, 3)
+        single = np.array([[permanent(m) for m in row] for row in stack])
+        naive = np.array([[permanent_naive(m) for m in row] for row in stack])
+        assert isinstance(permanent(stack[0, 0]), complex)
+        assert np.allclose(got, single, rtol=1e-12, atol=1e-12)
+        assert np.allclose(got, naive, rtol=1e-10, atol=1e-10)
 
 
 def test_haar_unitary_is_unitary():
@@ -105,6 +125,24 @@ def test_haar_unitary_deterministic_under_seed():
     u1 = haar_unitary(5, make_stream(42))
     u2 = haar_unitary(5, make_stream(42))
     assert np.array_equal(u1, u2)
+
+
+def _haar_reference(m, rng):
+    """One Ginibre draw (m*m real normals, then m*m imaginary), QR, R's phases divided out."""
+    z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def test_haar_unitary_stack_equals_single_draws():
+    rng_a, rng_b = make_stream(43), make_stream(43)
+    stack = haar_unitary(3, rng_a, 6)
+    assert stack.shape == (6, 3, 3)
+    assert np.array_equal(stack, np.array([_haar_reference(3, rng_b) for _ in range(6)]))
+    assert np.array_equal(haar_unitary(4, rng_a), _haar_reference(4, rng_b))
+    assert haar_unitary(3, rng_a, 0).shape == (0, 3, 3)
+    assert rng_a.random() == rng_b.random()
 
 
 def test_distribution_basic_accessors():
