@@ -153,12 +153,18 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg["_explicit"] = sorted(explicit)
     try:
         k, gamma = float(cfg["density_k"]), float(cfg["density_gamma"])
+        eps, max_bond = float(cfg["eps"]), int(cfg["max_bond"])
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"density_k and density_gamma must be numbers: {exc}") from exc
+        raise UsageError(
+            f"density_k, density_gamma, eps and max_bond must be numbers: {exc}") from exc
     if not k > 0.0:
         raise UsageError(f"density_k must be > 0, got {k}")
     if not 0.0 < gamma <= 1.0:
         raise UsageError(f"density_gamma must lie in (0, 1], got {gamma}")
+    if not 0.0 < eps < math.inf:
+        raise UsageError(f"eps must be finite and > 0, got {eps}")
+    if max_bond < 1:
+        raise UsageError(f"max_bond must be >= 1, got {max_bond}")
     return cfg
 
 

@@ -17,7 +17,6 @@ __all__ = [
     "permanent_naive",
     "Distribution",
     "total_variation",
-    "input_mode_indices",
 ]
 
 PERMANENT_MAX_DIM = 20
@@ -151,16 +150,3 @@ def total_variation(p: Distribution, q: Distribution) -> float:
     pd, qd = p.as_dict(), q.as_dict()
     support = set(pd) | set(qd)
     return 0.5 * sum(abs(pd.get(x, 0.0) - qd.get(x, 0.0)) for x in support)
-
-
-def input_mode_indices(input_modes, n: int, modes: int) -> np.ndarray:
-    """The n occupied input modes as an int array (default: the first n).
-
-    Raises ValueError unless there are exactly n indices, all in [0, modes).
-    """
-    input_modes = np.arange(n) if input_modes is None else np.asarray(input_modes, dtype=int)
-    if input_modes.shape[0] != n:
-        raise ValueError("input_modes length must equal n")
-    if n > 0 and (input_modes.min() < 0 or input_modes.max() >= modes):
-        raise ValueError("input mode index out of range")
-    return input_modes

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, ModelViolationError
-from .numerics import Distribution, input_mode_indices, permanent
+from .numerics import Distribution, permanent
 from .thermal import Constellation, gauss_hermite_constellation
 
 __all__ = [
@@ -126,7 +126,10 @@ def lossy_exact_distribution(
         raise ValueError(f"transmission must lie in [0, 1], got {mu}")
     if not 0 <= n <= modes:
         raise ValueError(f"need 0 <= photons <= modes, got n={n}, modes={modes}")
-    input_modes = input_mode_indices(input_modes, n, modes)
+    input_modes = np.arange(n) if input_modes is None else np.asarray(input_modes, dtype=int)
+    if input_modes.shape != (n,) or (
+            n and not 0 <= input_modes.min() <= input_modes.max() < modes):
+        raise ValueError(f"input_modes must list {n} modes in [0, {modes})")
     _check_caps(n, modes)
     tables: dict = {}  # survivor count -> outcome table
     acc: dict = {}  # survivor count -> weights summed over that table

@@ -6,9 +6,10 @@ photon counts.  Circuit-level work is done once per sampler: the transfer
 matrix and loss SVD, which both :func:`circuit.plan` and the thermal
 surrogate read, the lossless copy and the gate tensors and thinned-state
 cache for MPS, the exact law for the oracle.
-A fixed-input sampler binds the occupied input modes once and draws whole
-arrays; scattershot draws a herald per row and feeds its occupied modes to
-the same circuit-level source.
+Every source draws whole arrays: ``draw(inputs, rng)`` takes a (rows, M) 0/1
+array that marks each row's occupied input modes.  A fixed-input sampler
+passes its pattern broadcast to every row; scattershot first draws one
+collision-free herald per row into that array.
 """
 
 from __future__ import annotations
@@ -47,12 +48,6 @@ class Sampler:
     plan: circ.SimulationPlan
 
 
-def _rows(row: Callable[[RandomStream], np.ndarray], rng: RandomStream, size: int,
-          modes: int) -> np.ndarray:
-    """``size`` rows drawn one after another from ``rng``."""
-    return np.array([row(rng) for _ in range(size)], dtype=int).reshape(size, modes)
-
-
 class ThermalSource:
     """Thermal surrogate of one circuit, drawn for any set of occupied input modes.
 
@@ -60,19 +55,18 @@ class ThermalSource:
     every input; the residual matrix carries the rest of the loss.
     """
 
-    def __init__(self, modes: int, decomposition: circ.LossDecomposition):
-        self.modes, self.residual = modes, None
+    def __init__(self, decomposition: circ.LossDecomposition):
+        self.residual = None
         if decomposition.transmissions.max() == 0.0:
             return  # fully blocking circuit: every input is absorbed
         factored = circ.factor_nonuniform(decomposition)
         self.params = thermal.ThermalParams(min(factored.mu_max, 1.0 - 1e-9))
         self.residual = factored.residual.reconstruct()
 
-    def draw(self, input_modes: np.ndarray, rng: RandomStream, size: int) -> np.ndarray:
+    def draw(self, inputs: np.ndarray, rng: RandomStream) -> np.ndarray:
         if self.residual is None:
-            return np.zeros((size, self.modes), dtype=int)
-        return _rows(lambda r: thermal.sample_output(
-            self.residual, self.params, len(input_modes), r, input_modes), rng, size, self.modes)
+            return np.zeros(inputs.shape, dtype=int)
+        return thermal.sample_output(self.residual, self.params, inputs, rng)
 
 
 class MPSSource:
@@ -107,17 +101,17 @@ class MPSSource:
             self.states[pattern] = mps.canonicalize(evolved)
         return self.states[pattern]
 
-    def draw(self, input_modes: np.ndarray, rng: RandomStream, size: int) -> np.ndarray:
-        """Thin all rows at once, then draw each thinned pattern's rows in one call.
+    def draw(self, inputs: np.ndarray, rng: RandomStream) -> np.ndarray:
+        """Thin every occupied entry at once, then draw each thinned pattern's rows in one call.
 
-        Patterns are visited in sorted order, so the rows depend only on
-        ``rng`` and ``size``.
+        Entries are thinned in row-major order and patterns are visited in
+        sorted order, so the rows depend only on ``rng`` and ``inputs``.
         """
-        thinned = np.zeros((size, self.lossless.modes), dtype=int)
-        thinned[:, input_modes] = mps.lossy_input_sample(
-            len(input_modes) * size, self.mu, rng).reshape(size, len(input_modes))
+        thinned = np.array(inputs, dtype=int)
+        thinned[thinned.astype(bool)] = mps.lossy_input_sample(
+            np.count_nonzero(thinned), self.mu, rng)
         patterns, which = np.unique(thinned, axis=0, return_inverse=True)
-        which = which.reshape(size)
+        which = which.reshape(len(thinned))
         for g, pattern in enumerate(patterns):
             rows = np.flatnonzero(which == g)
             thinned[rows] = self._sample(tuple(int(x) for x in pattern), rng, len(rows))
@@ -141,10 +135,10 @@ class MPSSource:
         )
 
 
-def _occupied(pattern: tuple, backend: str) -> np.ndarray:
+def _zero_one(pattern: tuple, backend: str) -> np.ndarray:
     if any(x > 1 for x in pattern):
         raise ValueError(f"{backend} sampling expects 0/1 input patterns")
-    return np.flatnonzero(np.asarray(pattern))
+    return np.array(pattern, dtype=int)
 
 
 def _oracle_sampler(circuit: circ.LayeredCircuit, pattern: tuple,
@@ -153,7 +147,7 @@ def _oracle_sampler(circuit: circ.LayeredCircuit, pattern: tuple,
         dist = oracle.fock_output_distribution(circ.transfer_matrix(circuit), pattern)
     else:
         tau = circuit.uniform_tau()  # raises ValueError for mixed loss
-        input_modes = _occupied(pattern, "lossy oracle")
+        input_modes = np.flatnonzero(_zero_one(pattern, "lossy oracle"))
         dist = oracle.lossy_exact_distribution(
             circ.transfer_matrix(circuit.lossless_copy()), tau ** circuit.depth,
             len(input_modes), input_modes=input_modes,
@@ -166,12 +160,12 @@ def _oracle_sampler(circuit: circ.LayeredCircuit, pattern: tuple,
     )
 
 
-def _herald_modes(modes: int, lam: float, rng: RandomStream) -> np.ndarray:
-    """Occupied modes of the first collision-free scattershot herald."""
+def _herald(modes: int, lam: float, rng: RandomStream) -> np.ndarray:
+    """The first collision-free scattershot herald, as a 0/1 input row."""
     for _ in range(100_000):
         herald = thermal.scattershot_herald(modes, lam, rng)
         if herald.max() <= 1:
-            return np.flatnonzero(herald)
+            return herald
     raise CapacityError("scattershot rejection did not find a collision-free herald")
 
 
@@ -214,19 +208,20 @@ def build_sampler(
         return _oracle_sampler(circuit, pattern, decision)
     if mode == "scattershot":
         regime = decision.regime or "thermal"  # only the thermal source takes mixed loss
+
+        def inputs(rng: RandomStream, size: int) -> np.ndarray:
+            heralds = (_herald(circuit.modes, herald_lambda, rng) for _ in range(size))
+            return np.fromiter(heralds, dtype=np.dtype((int, circuit.modes)), count=size)
     else:
-        regime, input_modes = mode, _occupied(pattern, mode)
+        regime, row = mode, _zero_one(pattern, mode)
+
+        def inputs(rng: RandomStream, size: int) -> np.ndarray:
+            return np.broadcast_to(row, (size, circuit.modes))
     if regime == "thermal":
-        source = ThermalSource(circuit.modes, loss)
+        source = ThermalSource(loss)
         if not decision.thermal_valid:
             warnings.warn(f"{decision.rationale}; sampling anyway because {mode} mode "
                           "was requested")
     else:
         source = MPSSource(circuit, max_bond)
-    if mode == "scattershot":
-        def herald_row(rng: RandomStream) -> np.ndarray:
-            return source.draw(_herald_modes(circuit.modes, herald_lambda, rng), rng, 1)[0]
-
-        return Sampler(regime, lambda rng, size: _rows(herald_row, rng, size, circuit.modes),
-                       decision)
-    return Sampler(regime, lambda rng, size: source.draw(input_modes, rng, size), decision)
+    return Sampler(regime, lambda rng, size: source.draw(inputs(rng, size), rng), decision)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .numerics import input_mode_indices
 from .rng import RandomStream
 
 __all__ = [
@@ -38,6 +37,8 @@ __all__ = [
 ]
 
 MAX_CONSTELLATION_ORDER = 64
+
+DRAW_BLOCK = 32  # rows per propagate call in sample_output; bounds its temporaries
 
 # 2 * KAPPA_SQ = 2.36 is the constant in the chi-square tail bound for the
 # Gauss-Hermite constellation; the constellation-size formula uses 3*kappa.
@@ -188,16 +189,18 @@ def sample_poisson_bernoulli(beta_i: complex, t: int, rng: RandomStream) -> int:
 def sample_output(
     a: np.ndarray,
     params: ThermalParams,
-    n: int,
+    inputs: np.ndarray,
     rng: RandomStream,
-    input_modes: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One photon-count sample from n thermal inputs through transfer matrix a.
+    """Photon-count rows from thermal inputs through transfer matrix a.
 
     Each occupied input gets alpha = sqrt(V/2) * (x + i y) with x, y standard
     normal, so E|alpha|^2 = V, the thermal phase-space variance; the output
     mode i then counts Poisson(|beta_i|^2) photons with beta = a @ alpha.
     Both draws are exact, so the sample follows the thermal surrogate's law.
+    All normals are drawn first, in row-major order of the occupied entries;
+    the Poisson counts follow in blocks of :data:`DRAW_BLOCK` rows, also in
+    row-major order, so the rows do not depend on the block size.
 
     Parameters
     ----------
@@ -206,21 +209,27 @@ def sample_output(
         the inputs into ``params``).
     params : ThermalParams
         Surrogate thermal state per occupied input mode.
-    n : int
-        Number of occupied input modes.
-    input_modes : sequence of int, optional
-        Which modes carry the thermal inputs; defaults to the first n.
+    inputs : (rows, M) array_like of 0/1
+        Row r carries a thermal input on mode j where ``inputs[r, j]`` is 1.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError("transfer matrix must be 2-dimensional")
-    input_modes = input_mode_indices(input_modes, n, a.shape[1])
-    alpha = np.zeros(a.shape[1], dtype=complex)
-    if n > 0:
-        x = rng.standard_normal((2, n))
-        alpha[input_modes] = math.sqrt(params.variance / 2.0) * (x[0] + 1j * x[1])
-    beta = propagate(a, alpha)
-    return rng.poisson(np.abs(beta) ** 2)
+    inputs = np.asarray(inputs)
+    if a.ndim != 2 or inputs.shape[1:] != a.shape[1:] or inputs.size and (
+            inputs.min() < 0 or inputs.max() > 1 or inputs.sum() != np.count_nonzero(inputs)):
+        raise ValueError(f"inputs {inputs.shape} must be a (rows, M) 0/1 array for A {a.shape}")
+    rows, modes = np.nonzero(inputs)  # occupied entries in row-major order
+    amplitudes = rng.standard_normal(2 * len(rows)).view(complex)  # (x, y) pairs
+    amplitudes *= math.sqrt(params.variance / 2.0)
+    ends = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(inputs)))))
+    out = np.empty(inputs.shape, dtype=np.int64)
+    for start in range(0, len(inputs), DRAW_BLOCK):
+        stop = min(start + DRAW_BLOCK, len(inputs))
+        block = slice(ends[start], ends[stop])
+        alpha = np.zeros((stop - start, a.shape[1]), dtype=complex)
+        alpha[rows[block] - start, modes[block]] = amplitudes[block]
+        beta = propagate(a, alpha.T).T
+        out[start:stop] = rng.poisson(np.abs(beta) ** 2)
+    return out
 
 
 def thermal_vs_erasure_distance(lam: float, mu: float) -> float:

@@ -117,10 +117,9 @@ def test_acceptance_05_thermal_sampler_end_to_end():
     u = haar_unitary(2, rng)
     reference = thermal_exact_distribution(u, lam, 2, cutoff=8)
     params = ThermalParams(lam)
-    counts: dict = {}
-    for _ in range(trials):
-        key = tuple(int(x) for x in sample_output(u, params, 2, rng))
-        counts[key] = counts.get(key, 0) + 1
+    rows, freq = np.unique(sample_output(u, params, np.ones((trials, 2), dtype=int), rng),
+                           axis=0, return_counts=True)
+    counts = {tuple(int(x) for x in row): int(c) for row, c in zip(rows, freq)}
     empirical = Distribution(
         outcomes=tuple(counts),
         weights=np.array([c / trials for c in counts.values()]),

@@ -574,6 +574,18 @@ def test_amplifying_circuit_is_model_violation(tmp_path, shallow_lossy, capsys):
     assert "model violation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--eps", "nan"], ["--eps", "inf"], ["--eps", "0"],
+                                   ["--eps", "-1"], ["--max-bond", "0"], ["--max-bond", "-2"]])
+def test_eps_and_bond_cap_are_checked_for_plan_and_sample(shallow_lossy, tmp_path, capsys,
+                                                          flags):
+    out = tmp_path / "s.jsonl"
+    for command in ("plan", "sample"):
+        assert main([command, "--circuit", shallow_lossy, "--photons", "2", "--samples", "3",
+                     "--out", str(out), *flags]) == 1
+        assert f"usage error: {flags[0][2:].replace('-', '_')}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tiny_bond_cap_is_capacity_error(shallow_lossless, capsys):
     code = main([
         "sample", "--circuit", shallow_lossless, "--photons", "2", "--seed", "1",

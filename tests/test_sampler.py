@@ -1,5 +1,6 @@
-"""Tests for the whole-array MPS sampler path in ``lossyboson.sampler``."""
+"""Tests for the whole-array sampler paths in ``lossyboson.sampler``."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from lossyboson import (
     MPSState,
     ResampleSignal,
     canonicalize,
+    fock_output_distribution,
     lossy_exact_distribution,
     make_stream,
     outcome_probability,
@@ -52,14 +54,15 @@ def test_sample_flags_rows_behind_zero_probability_prefix():
 
 
 def test_underflowed_rows_are_redrawn():
-    rows = _lossless_source(_two_mode_state(0.1)).draw(np.array([0]), make_stream(4), 200)
+    rows = _lossless_source(_two_mode_state(0.1)).draw(
+        np.broadcast_to([1, 0], (200, 2)), make_stream(4))
     assert (rows == (0, 1)).all()
 
 
 def test_rows_that_keep_underflowing_are_a_capacity_error():
     source = _lossless_source(_two_mode_state(1.0))
     with pytest.raises(CapacityError, match=r"\[1, 0\]"):
-        source.draw(np.array([0]), make_stream(4), 5)
+        source.draw(np.broadcast_to([1, 0], (5, 2)), make_stream(4))
 
 
 def test_batched_mps_draw_matches_exact_lossy_law():
@@ -82,7 +85,7 @@ def test_batched_mps_draw_matches_exact_lossy_law():
 def test_gate_tensors_sliced_from_one_build_match_per_pattern_build():
     circuit = random_brickwork(6, 3, 0.85, make_stream(42))
     source = MPSSource(circuit, max_bond=4096)
-    source.draw(np.array([0, 1, 3, 4]), make_stream(43), 300)
+    source.draw(np.broadcast_to([1, 1, 0, 1, 1, 0], (300, 6)), make_stream(43))
     cutoffs = {max(1, sum(p)) for p in source.states}
     assert len(cutoffs) >= 3 and source.gate_cutoff == max(cutoffs) == 4
     for pattern, state in source.states.items():
@@ -111,3 +114,24 @@ def test_mps_draw_handles_empty_requests():
         make_stream(1), 0).shape == (0, 4)
     vacuum = build_sampler("mps", circuit, (0, 0, 0, 0), eps=0.05).draw(make_stream(1), 3)
     assert np.array_equal(vacuum, np.zeros((3, 4), dtype=int))
+
+
+def test_scattershot_draw_matches_exact_heralded_law():
+    """Collision-free heralds have P(h) proportional to lam**|h|; each feeds the lossless law."""
+    circuit = random_brickwork(3, 2, 1.0, make_stream(47))
+    lam, n = 0.3, 20000
+    sampler = build_sampler("scattershot", circuit, (1, 0, 0), eps=0.05, herald_lambda=lam)
+    assert sampler.regime == "mps"
+    outcomes, freq = np.unique(sampler.draw(make_stream(49), n), axis=0, return_counts=True)
+    counts = {tuple(int(x) for x in o): int(c) for o, c in zip(outcomes, freq)}
+    u = transfer_matrix(circuit)
+    heralds = list(itertools.product((0, 1), repeat=3))
+    norm = sum(lam ** sum(h) for h in heralds)
+    exact: dict = {}
+    for h in heralds:
+        for outcome, p in fock_output_distribution(u, h).as_dict().items():
+            exact[outcome] = exact.get(outcome, 0.0) + lam ** sum(h) / norm * p
+    assert set(counts) <= set(exact) and len(exact) == 20
+    for outcome, p in exact.items():
+        sigma = math.sqrt(n * p * (1.0 - p))
+        assert abs(counts.get(outcome, 0) - n * p) <= 3.0 * sigma + 1e-9

@@ -19,6 +19,7 @@ from lossyboson import (
     sample_poisson_bernoulli,
     sample_thermal_coherent,
     scattershot_herald,
+    thermal,
     thermal_vs_erasure_distance,
 )
 
@@ -191,9 +192,8 @@ def test_single_mode_output_follows_thermal_law():
     rng = make_stream(31)
     trials = 20000
     hist = {}
-    for _ in range(trials):
-        n = int(sample_output(a, params, 1, rng)[0])
-        hist[n] = hist.get(n, 0) + 1
+    for n in sample_output(a, params, np.ones((trials, 1), dtype=int), rng)[:, 0]:
+        hist[int(n)] = hist.get(int(n), 0) + 1
     law = {k: (1 - lam) * lam**k for k in range(20)}
     tvd = 0.5 * sum(
         abs(hist.get(k, 0) / trials - p) for k, p in law.items()
@@ -203,13 +203,32 @@ def test_single_mode_output_follows_thermal_law():
 
 
 def test_sample_output_places_inputs_where_asked():
-    """Photons only enter the listed input modes; a diagonal transfer keeps them there."""
+    """Photons only enter each row's own input modes; a diagonal transfer keeps them there."""
     params = ThermalParams(0.4)
     a = np.eye(4, dtype=complex)
     rng = make_stream(37)
-    for _ in range(200):
-        counts = sample_output(a, params, 1, rng, input_modes=np.array([2]))
-        assert counts[0] == 0 and counts[1] == 0 and counts[3] == 0
+    counts = sample_output(a, params, np.broadcast_to([0, 0, 1, 0], (200, 4)), rng)
+    assert (counts[:, [0, 1, 3]] == 0).all()
+    inputs = make_stream(38).integers(0, 2, size=(400, 4))
+    counts = sample_output(a, params, inputs, rng)
+    assert (counts[inputs == 0] == 0).all() and counts[inputs == 1].sum() > 0
+
+
+@pytest.mark.parametrize("inputs", [np.ones(4), np.ones((3, 5)), np.full((3, 4), 2),
+                                    [[1, -1, 1, 0]], [[0.5, 0.5, 0.0, 0.0]]])
+def test_sample_output_rejects_bad_inputs(inputs):
+    with pytest.raises(ValueError, match="0/1 array"):
+        sample_output(np.eye(4), ThermalParams(0.4), inputs, make_stream(1))
+
+
+def test_sample_output_rows_do_not_depend_on_block_size(monkeypatch):
+    a = haar_unitary(5, make_stream(39))
+    inputs = make_stream(40).integers(0, 2, size=(300, 5))
+    rows = {}
+    for block in (7, 300):
+        monkeypatch.setattr(thermal, "DRAW_BLOCK", block)
+        rows[block] = sample_output(a, ThermalParams(0.3), inputs, make_stream(41))
+    assert rows[7].shape == (300, 5) and np.array_equal(rows[7], rows[300])
 
 
 def test_sample_output_means_near_unit_transmission():
@@ -222,7 +241,7 @@ def test_sample_output_means_near_unit_transmission():
     rng = make_stream(41)
     a = haar_unitary(3, rng)
     params = ThermalParams(lam)
-    counts = np.array([sample_output(a, params, 2, rng) for _ in range(rows)])
+    counts = sample_output(a, params, np.broadcast_to([1, 1, 0], (rows, 3)), rng)
     s = (np.abs(a[:, :2]) ** 2).sum(axis=1) * lam / (1.0 - lam)
     sigma = np.sqrt((s + s * s) / rows)
     assert np.all(np.abs(counts.mean(axis=0) - s) <= 5.0 * sigma)
@@ -232,9 +251,9 @@ def test_sample_output_deterministic_under_seed():
     params = ThermalParams(0.3)
     rng1, rng2 = make_stream(5), make_stream(5)
     a = np.eye(3, dtype=complex)
-    s1 = [sample_output(a, params, 2, rng1) for _ in range(20)]
-    s2 = [sample_output(a, params, 2, rng2) for _ in range(20)]
-    assert all(np.array_equal(x, y) for x, y in zip(s1, s2))
+    inputs = np.broadcast_to([1, 1, 0], (20, 3))
+    assert np.array_equal(sample_output(a, params, inputs, rng1),
+                          sample_output(a, params, inputs, rng2))
 
 
 # ---------------------------------------------------------------------------
