@@ -14,9 +14,10 @@ with one SVD, as in TEBD; only singular values below 1e-12 of the largest
 number, the simulation is exact and the bond dimension is bounded by
 (d+1)^(2*depth).
 
-Losses are handled upstream: a uniform-transmission circuit is simulated by
-Bernoulli-thinning the input pattern (keep probability tau**depth) and
-evolving the surviving photons through the lossless blocks.
+Losses are handled by the caller.  Uniform loss mu = tau**depth commutes with
+the lossless blocks, so it may be applied at either end: Bernoulli-thin the
+input pattern (``lossy_input_sample``) and evolve the survivors, or evolve
+the whole pattern and thin each output count binomially.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "CouplerMPO",
     "ZERO_CUTOFF",
     "DEFAULT_MAX_BOND",
+    "SAMPLE_BLOCK",
     "init_input",
     "coupler_fock_amplitudes",
     "coupler_mpo",
@@ -55,6 +57,8 @@ __all__ = [
 ZERO_CUTOFF = 1e-12
 
 DEFAULT_MAX_BOND = 4096
+
+SAMPLE_BLOCK = 64  # rows per chain-rule pass in sample; bounds its (rows, q, chi) temporaries
 
 
 @dataclass
@@ -113,31 +117,31 @@ def coupler_fock_amplitudes(block: np.ndarray, d: int) -> np.ndarray:
         raise ValueError(f"coupler block must be 2x2, got {block.shape}")
     if d < 1:
         raise ValueError(f"local photon cutoff must be >= 1, got {d}")
-    u00, u01 = block[0]
-    u10, u11 = block[1]
     q = d + 1
-    lg = [math.lgamma(k + 1) for k in range(q)]  # log k!
+    lg = np.array([math.lgamma(k + 1) for k in range(q)])  # log k!
+    # powers[k, e] = u_e**k for (u00, u10, u01, u11)
+    powers = np.cumprod(np.vstack([np.ones(4), np.tile(block.T.ravel(), (d, 1))]), axis=0)
+    # term j of amplitude (p, n0, n1): j of n0's photons and p - j of n1's reach p
+    p, n0, n1, j = np.ogrid[:q, :q, :q, :q]
+    s, stay0, move1 = n0 + n1 - p, n0 - j, p - j
+    stay1 = n1 - move1
+    valid = (s <= d) & (s >= 0) & (stay0 >= 0) & (move1 >= 0) & (stay1 >= 0)
+    s, stay0, move1, stay1 = (np.clip(x, 0, d) for x in (s, stay0, move1, stay1))
+    log_mag = (
+        0.5 * (lg[p] + lg[s] - lg[n0] - lg[n1])
+        + lg[n0] - lg[j] - lg[stay0]
+        + lg[n1] - lg[move1] - lg[stay1]
+    )
+    terms = (
+        np.exp(log_mag)
+        * powers[j, 0] * powers[stay0, 1] * powers[move1, 2] * powers[stay1, 3]
+    )
+    amps = np.where(valid, terms, 0.0).sum(axis=3)  # (p, n0, n1)
+    p, n0, n1 = np.indices((q, q, q))
+    s = n0 + n1 - p
+    live = (s >= 0) & (s <= d)
     c = np.zeros((q, q, q, q), dtype=complex)
-    for n0 in range(q):
-        for n1 in range(q):
-            total = n0 + n1
-            for p in range(max(0, total - d), min(total, d) + 1):
-                s = total - p
-                amp = 0.0 + 0.0j
-                for j in range(max(0, p - n1), min(n0, p) + 1):
-                    log_mag = (
-                        0.5 * (lg[p] + lg[s] - lg[n0] - lg[n1])
-                        + lg[n0] - lg[j] - lg[n0 - j]
-                        + lg[n1] - lg[p - j] - lg[n1 - p + j]
-                    )
-                    amp += (
-                        math.exp(log_mag)
-                        * u00**j
-                        * u10 ** (n0 - j)
-                        * u01 ** (p - j)
-                        * u11 ** (n1 - p + j)
-                    )
-                c[p, s, n0, n1] = amp
+    c[p[live], s[live], n0[live], n1[live]] = amps[live]
     return c
 
 
@@ -364,9 +368,11 @@ def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
 
     Requires canonical form (run ``canonicalize`` once before drawing); the
     conditional for each mode then only involves the prefix contraction.
-    Each mode takes one ``rng.random(size)`` and picks every row's count by
-    inverting the cumulative conditional law, so a call always consumes
-    ``size * modes`` uniforms.  Returns a (size, modes) int array.
+    All uniforms are drawn first as ``rng.random((modes, size))``, the stream
+    order of one ``rng.random(size)`` per mode; rows are then drawn in
+    blocks of :data:`SAMPLE_BLOCK`, each picking its counts mode by mode by
+    inverting the cumulative conditional law, so the rows do not depend on
+    the block size.  Returns a (size, modes) int array.
 
     Raises
     ------
@@ -374,29 +380,36 @@ def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
         If some rows' prefix probability underflows (< 1e-300); the signal
         carries all rows and the mask of the untrustworthy ones.
     """
-    prefix = np.ones((size, 1), dtype=complex)  # unit rows over the current bond
-    counts = np.empty((size, state.modes), dtype=int)
-    weight = np.ones(size)
-    bad = np.zeros(size, dtype=bool)
-    rows = np.arange(size)
+    uniforms = rng.random((state.modes, size))
+    # per mode: Gamma with the right Schmidt weights folded in, as (chi_l, q * chi_r)
+    mats = []
     for i in range(state.modes):
         g = state.gammas[i] * _right_weights(state, i)[None, None, :]
-        q, chi_l, chi_r = g.shape
-        vecs = (prefix @ g.transpose(1, 0, 2).reshape(chi_l, q * chi_r)).reshape(size, q, chi_r)
-        parts = vecs.view(np.float64)  # real and imaginary parts side by side
-        probs = np.einsum("snb,snb->sn", parts, parts)
-        cdf = np.cumsum(probs, axis=1)
-        total = cdf[:, -1]
-        # rows with total > 0 never pick a zero-probability count; the clip
-        # only keeps rows already flagged as underflowed in range
-        n = np.minimum((cdf <= (rng.random(size) * total)[:, None]).sum(axis=1), q - 1)
-        counts[:, i] = n
-        chosen = probs[rows, n]
-        weight = weight * (chosen / np.where(total > 0.0, total, 1.0))
-        bad |= (total < 1e-300) | (weight < 1e-300)
-        # renormalize the carried vectors to keep magnitudes O(1)
-        norm = np.sqrt(chosen)
-        prefix = vecs[rows, n] / np.where(norm > 0.0, norm, 1.0)[:, None]
+        mats.append((g.transpose(1, 0, 2).reshape(g.shape[1], -1), g.shape[2]))
+    counts = np.empty((size, state.modes), dtype=int)
+    bad = np.zeros(size, dtype=bool)
+    q = state.local_dim
+    for start in range(0, size, SAMPLE_BLOCK):
+        block = slice(start, min(start + SAMPLE_BLOCK, size))
+        rows = np.arange(block.stop - start)
+        prefix = np.ones((len(rows), 1), dtype=complex)  # unit rows over the current bond
+        weight = np.ones(len(rows))
+        for i, (mat, chi_r) in enumerate(mats):
+            vecs = (prefix @ mat).reshape(len(rows), q, chi_r)
+            parts = vecs.view(np.float64)  # real and imaginary parts side by side
+            probs = np.einsum("snb,snb->sn", parts, parts)
+            cdf = np.cumsum(probs, axis=1)
+            total = cdf[:, -1]
+            # rows with total > 0 never pick a zero-probability count; the clip
+            # only keeps rows already flagged as underflowed in range
+            n = np.minimum((cdf <= (uniforms[i, block] * total)[:, None]).sum(axis=1), q - 1)
+            counts[block, i] = n
+            chosen = probs[rows, n]
+            weight = weight * (chosen / np.where(total > 0.0, total, 1.0))
+            bad[block] |= (total < 1e-300) | (weight < 1e-300)
+            # renormalize the carried vectors to keep magnitudes O(1)
+            norm = np.sqrt(chosen)
+            prefix = vecs[rows, n] / np.where(norm > 0.0, norm, 1.0)[:, None]
     if bad.any():
         raise ResampleSignal(
             "prefix probability underflow; redraw the flagged rows", counts, bad
@@ -426,8 +439,14 @@ def simulate_circuit(
     number, which makes the evolution exact.  ``gates`` are the couplers'
     Fock tensors at that cutoff (``fock_gates(circuit, d)``); pass them to
     reuse one build across patterns, otherwise they are built here.  Loss
-    must be handled upstream (thin the input with ``lossy_input_sample`` and
-    pass the lossless blocks, e.g. ``circuit.lossless_copy()``).
+    must be handled by the caller on the lossless blocks (e.g.
+    ``circuit.lossless_copy()``).  Uniform loss mu = tau**depth commutes
+    with them, so either thin the input with ``lossy_input_sample`` and
+    evolve each surviving pattern, or evolve the whole pattern once and thin
+    each drawn count with ``rng.binomial(counts, mu)``.  For r rows of an
+    n-photon input, the all-survivor pattern is expected among the thinned
+    ones once r * mu**n >= 1, so from there on input thinning would evolve
+    that same n-photon state anyway and output thinning evolves nothing else.
 
     Raises
     ------

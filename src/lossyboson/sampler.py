@@ -4,7 +4,7 @@
 :class:`Sampler` whose ``draw(rng, size)`` returns a ``(size, M)`` array of
 photon counts.  Circuit-level work is done once per sampler: the transfer
 matrix and loss SVD, which both :func:`circuit.plan` and the thermal
-surrogate read, the lossless copy and the gate tensors and thinned-state
+surrogate read, the lossless copy and the gate tensors and evolved-state
 cache for MPS, the exact law for the oracle.
 Every source draws whole arrays: ``draw(inputs, rng)`` takes a (rows, M) 0/1
 array that marks each row's occupied input modes.  A fixed-input sampler
@@ -72,11 +72,18 @@ class ThermalSource:
 class MPSSource:
     """Exact MPS sampling of one uniform-loss circuit, for any occupied input modes.
 
-    Each row keeps every input photon with probability tau**depth and samples
-    the survivors through the lossless circuit.  Evolved states are cached
-    by thinned pattern.  Gate tensors are built at the largest cutoff met so
-    far and sliced for smaller ones: a coupler's Fock amplitudes do not
-    depend on the cutoff, so the slice equals a build at the smaller cutoff.
+    Uniform loss mu = tau**depth commutes with the lossless circuit, so each
+    input pattern of a draw takes the cheaper end for its loss.  With r rows
+    of an n-photon pattern and r * mu**n >= 1 the all-survivor pattern is
+    expected among the thinned inputs, so its n-photon state would be evolved
+    anyway: the rows are drawn from that one state and each output count is
+    thinned with ``rng.binomial(counts, mu)``.  Otherwise every input photon
+    is kept with probability mu and the survivors are drawn through the
+    lossless circuit, which evolves only smaller states.  Evolved states are
+    cached by the pattern they start from.  Gate tensors are built at the
+    largest cutoff met so far and sliced for smaller ones: a coupler's Fock
+    amplitudes do not depend on the cutoff, so the slice equals a build at
+    the smaller cutoff.
     """
 
     def __init__(self, circuit: circ.LayeredCircuit, max_bond: int):
@@ -85,7 +92,7 @@ class MPSSource:
         self.max_bond = max_bond
         self.gates: list = []  # Fock tensor of every coupler at cutoff self.gate_cutoff
         self.gate_cutoff = 0
-        self.states: dict = {}  # thinned pattern -> canonical evolved state
+        self.states: dict = {}  # input pattern -> canonical evolved state
 
     def state(self, pattern: tuple) -> mps.MPSState:
         if pattern not in self.states:
@@ -102,20 +109,36 @@ class MPSSource:
         return self.states[pattern]
 
     def draw(self, inputs: np.ndarray, rng: RandomStream) -> np.ndarray:
-        """Thin every occupied entry at once, then draw each thinned pattern's rows in one call.
+        """Lossy rows: thin at the input or at the output, per input pattern.
 
-        Entries are thinned in row-major order and patterns are visited in
-        sorted order, so the rows depend only on ``rng`` and ``inputs``.
+        Rows thinned at the input go first: their occupied entries are thinned
+        in row-major order by one call, then their lossless rows are drawn.
+        The other rows' lossless rows follow, then one binomial thinning of
+        all their counts.  So the rows depend only on ``rng`` and ``inputs``.
         """
-        thinned = np.array(inputs, dtype=int)
+        inputs = np.asarray(inputs, dtype=int)
+        patterns, which = _row_groups(inputs)
+        rows = np.bincount(which, minlength=len(patterns))
+        at_input = (rows * self.mu ** patterns.sum(axis=1) < 1.0)[which]
+        out = np.empty(inputs.shape, dtype=int)
+        thinned = inputs[at_input]
         thinned[thinned.astype(bool)] = mps.lossy_input_sample(
             np.count_nonzero(thinned), self.mu, rng)
-        patterns, which = np.unique(thinned, axis=0, return_inverse=True)
-        which = which.reshape(len(thinned))
+        out[at_input] = self._lossless_rows(thinned, rng)
+        out[~at_input] = rng.binomial(self._lossless_rows(inputs[~at_input], rng), self.mu)
+        return out
+
+    def _lossless_rows(self, inputs: np.ndarray, rng: RandomStream) -> np.ndarray:
+        """One lossless chain-rule row per input row, each distinct pattern in one call.
+
+        Patterns are visited in sorted order.
+        """
+        patterns, which = _row_groups(inputs)
+        out = np.empty(inputs.shape, dtype=int)
         for g, pattern in enumerate(patterns):
             rows = np.flatnonzero(which == g)
-            thinned[rows] = self._sample(tuple(int(x) for x in pattern), rng, len(rows))
-        return thinned
+            out[rows] = self._sample(tuple(int(x) for x in pattern), rng, len(rows))
+        return out
 
     def _sample(self, pattern: tuple, rng: RandomStream, size: int) -> np.ndarray:
         """Chain-rule rows of one pattern; underflowed rows are redrawn a bounded number of times."""
@@ -130,9 +153,24 @@ class MPSSource:
                 out[todo] = signal.rows
                 todo = todo[signal.bad]
         raise CapacityError(
-            f"chain-rule draws for thinned pattern {list(pattern)} still underflow "
+            f"chain-rule draws for pattern {list(pattern)} still underflow "
             f"after {RESAMPLE_ROUNDS} rounds"
         )
+
+
+def _row_groups(rows: np.ndarray) -> tuple:
+    """Distinct rows in sorted order and each row's index among them.
+
+    The result of ``np.unique(rows, axis=0, return_inverse=True)``, from one
+    lexsort of the integer columns instead of a sort of structured rows.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    which = np.empty(len(rows), dtype=int)
+    which[order] = np.cumsum(first) - 1
+    return ranked[first], which
 
 
 def _zero_one(pattern: tuple, backend: str) -> np.ndarray:

@@ -17,6 +17,7 @@ from lossyboson import (
     coupler_fock_amplitudes,
     coupler_mpo,
     fock_output_distribution,
+    haar_unitary,
     init_input,
     lossy_input_sample,
     make_stream,
@@ -27,6 +28,7 @@ from lossyboson import (
     state_norm,
     transfer_matrix,
 )
+from lossyboson import mps
 
 BS5050 = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
 
@@ -95,6 +97,40 @@ def test_coupler_amplitudes_unitary_per_photon_sector(d):
         pairs = [(n0, total - n0) for n0 in range(total + 1)]
         mat = np.array([[c[p, s, n0, n1] for (n0, n1) in pairs] for (p, s) in pairs])
         assert np.allclose(mat @ mat.conj().T, np.eye(len(pairs)), atol=1e-12)
+
+
+def _loop_fock_amplitudes(block: np.ndarray, d: int) -> np.ndarray:
+    """Reference: the binomial expansion summed term by term in Python."""
+    (u00, u01), (u10, u11) = block
+    q = d + 1
+    lg = [math.lgamma(k + 1) for k in range(q)]
+    c = np.zeros((q, q, q, q), dtype=complex)
+    for n0 in range(q):
+        for n1 in range(q):
+            total = n0 + n1
+            for p in range(max(0, total - d), min(total, d) + 1):
+                s = total - p
+                for j in range(max(0, p - n1), min(n0, p) + 1):
+                    log_mag = (
+                        0.5 * (lg[p] + lg[s] - lg[n0] - lg[n1])
+                        + lg[n0] - lg[j] - lg[n0 - j]
+                        + lg[n1] - lg[p - j] - lg[n1 - p + j]
+                    )
+                    c[p, s, n0, n1] += (
+                        math.exp(log_mag) * u00**j * u10 ** (n0 - j)
+                        * u01 ** (p - j) * u11 ** (n1 - p + j)
+                    )
+    return c
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_coupler_amplitudes_match_term_by_term_expansion(d):
+    rng = make_stream(60 + d)
+    for _ in range(3):
+        block = haar_unitary(2, rng)
+        got = coupler_fock_amplitudes(block, d)
+        assert got.shape == (d + 1,) * 4
+        assert np.abs(got - _loop_fock_amplitudes(block, d)).max() <= 1e-13
 
 
 def test_coupler_mpo_recombines_exactly():
@@ -293,6 +329,19 @@ def test_sampling_is_deterministic_under_seed():
     s2 = sample(st, make_stream(9), 5)
     assert s1.shape == (5, 3)
     assert np.array_equal(s1, s2)
+
+
+def test_sample_rows_do_not_depend_on_block_size(monkeypatch):
+    circuit = random_brickwork(5, 3, 1.0, make_stream(83))
+    st = canonicalize(simulate_circuit(circuit, (1, 0, 1, 1, 0)))
+    size = 150
+    rows = {}
+    for block in (1, 7, 64, size + 1):
+        monkeypatch.setattr(mps, "SAMPLE_BLOCK", block)
+        rows[block] = sample(st, make_stream(84), size)
+    assert rows[1].shape == (size, 5) and (rows[1].sum(axis=1) == 3).all()
+    for block_rows in rows.values():
+        assert np.array_equal(block_rows, rows[1])
 
 
 def test_lossy_input_thinning_statistics():

@@ -65,17 +65,25 @@ def test_rows_that_keep_underflowing_are_a_capacity_error():
         source.draw(np.broadcast_to([1, 0], (5, 2)), make_stream(4))
 
 
-def test_batched_mps_draw_matches_exact_lossy_law():
-    circuit = random_brickwork(5, 2, 0.8, make_stream(40))
+@pytest.mark.parametrize("tau, at_output", [(0.8, True), (0.1, False)])
+def test_batched_mps_draw_matches_exact_lossy_law(tau, at_output):
+    """r * mu**n >= 1 thins the counts of one evolved state; below it the input is thinned."""
+    circuit = random_brickwork(5, 2, tau, make_stream(40))
     pattern = (1, 1, 0, 1, 0)
     n = 20000
-    rows = build_sampler("mps", circuit, pattern, eps=0.05).draw(make_stream(41), n)
+    mu = tau**2
+    assert (n * mu**3 >= 1.0) == at_output
+    source = MPSSource(circuit, max_bond=4096)
+    rows = source.draw(np.broadcast_to(pattern, (n, 5)), make_stream(41))
+    if at_output:
+        assert list(source.states) == [pattern]
+    else:  # only thinned patterns were evolved, never the full 3-photon state
+        assert len(source.states) > 1
+        assert all(sum(p) < 3 for p in source.states)
     outcomes, freq = np.unique(rows, axis=0, return_counts=True)
     counts = {tuple(int(x) for x in o): int(c) for o, c in zip(outcomes, freq)}
     u = transfer_matrix(circuit.lossless_copy())
-    exact = lossy_exact_distribution(
-        u, 0.8**2, 3, input_modes=np.array([0, 1, 3])
-    ).as_dict()
+    exact = lossy_exact_distribution(u, mu, 3, input_modes=np.array([0, 1, 3])).as_dict()
     assert set(counts) <= set(exact)
     for outcome, p in exact.items():
         sigma = math.sqrt(n * p * (1.0 - p))
@@ -84,8 +92,12 @@ def test_batched_mps_draw_matches_exact_lossy_law():
 
 def test_gate_tensors_sliced_from_one_build_match_per_pattern_build():
     circuit = random_brickwork(6, 3, 0.85, make_stream(42))
+    rng = make_stream(43)
+    inputs = np.zeros((60, 6), dtype=int)  # per-row inputs of 1-4 photons
+    for row in inputs:
+        row[rng.choice(6, size=rng.integers(1, 5), replace=False)] = 1
     source = MPSSource(circuit, max_bond=4096)
-    source.draw(np.broadcast_to([1, 1, 0, 1, 1, 0], (300, 6)), make_stream(43))
+    source.draw(inputs, rng)
     cutoffs = {max(1, sum(p)) for p in source.states}
     assert len(cutoffs) >= 3 and source.gate_cutoff == max(cutoffs) == 4
     for pattern, state in source.states.items():
