@@ -1,10 +1,22 @@
 """Layered linear-optical circuits with per-gate loss.
 
-A circuit is an ordered list of layers acting on M modes.  Each layer holds a
-set of two-mode couplers on non-overlapping neighbouring mode pairs, a phase
+A circuit is an ordered list of D layers acting on M modes.  Each layer holds
+a set of two-mode couplers on non-overlapping neighbouring mode pairs, a phase
 per mode, and a baseline transmission for modes no coupler touches in that
 layer.  Within a layer the couplers act first, then the phases.  Layers are
 listed in the order photons traverse them.
+
+:class:`LayeredCircuit` stores the G couplers of all layers as flat arrays
+in layer order (a struct of arrays, validated once when it is built):
+
+* ``offsets`` (D+1,): layer l holds couplers ``offsets[l]:offsets[l+1]``
+* ``gate_mode``, ``theta``, ``phi``, ``tau`` (G,): each coupler's first
+  mode, angles and intensity transmission
+* ``phases`` (D, M): each layer's phase per mode
+* ``idle_tau`` (D,): each layer's transmission for the modes it leaves idle
+
+:class:`CouplerGate` and :class:`Layer` are plain records for writing a
+circuit by hand; :meth:`LayeredCircuit.from_layers` packs them into arrays.
 
 A coupler on modes (k, k+1) with angles (theta, phi) mixes the pair by
 
@@ -20,7 +32,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +49,7 @@ __all__ = [
     "NonuniformFactorization",
     "AlgebraicThreshold",
     "SimulationPlan",
+    "coupler_blocks",
     "transfer_matrix",
     "decompose_losses",
     "factor_nonuniform",
@@ -54,8 +68,7 @@ __all__ = [
 SINGULAR_CLIP_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class CouplerGate:
+class CouplerGate(NamedTuple):
     """Two-mode coupler on neighbouring modes (mode, mode+1)."""
 
     mode: int
@@ -63,26 +76,8 @@ class CouplerGate:
     phi: float = 0.0
     tau: float = 1.0
 
-    def __post_init__(self):
-        if self.mode < 0:
-            raise ValueError(f"gate mode must be >= 0, got {self.mode}")
-        if self.tau > 1.0:
-            raise ModelViolationError(
-                f"gate transmission {self.tau} > 1 would amplify; the model is passive"
-            )
-        if self.tau < 0.0:
-            raise ValueError(f"gate transmission must lie in [0, 1], got {self.tau}")
 
-    @property
-    def block(self) -> np.ndarray:
-        """Lossless 2x2 unitary block of the coupler."""
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        e = np.exp(1j * self.phi)
-        return np.array([[c, e * s], [-np.conj(e) * s, c]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class Layer:
+class Layer(NamedTuple):
     """One circuit layer: disjoint couplers, then per-mode phases.
 
     ``idle_tau`` is the intensity transmission seen by modes not covered by
@@ -94,110 +89,149 @@ class Layer:
     phases: tuple[float, ...]
     idle_tau: float = 1.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "couplers", tuple(self.couplers))
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
-        if self.idle_tau > 1.0:
-            raise ModelViolationError(
-                f"idle transmission {self.idle_tau} > 1 would amplify; the model is passive"
-            )
-        if self.idle_tau < 0.0:
-            raise ValueError(f"idle transmission must lie in [0, 1], got {self.idle_tau}")
-        seen: set[int] = set()
-        for g in self.couplers:
-            pair = {g.mode, g.mode + 1}
-            if seen & pair:
-                raise ValueError(f"overlapping couplers in layer at mode {g.mode}")
-            seen |= pair
 
-    def covered_modes(self) -> set[int]:
-        out: set[int] = set()
-        for g in self.couplers:
-            out |= {g.mode, g.mode + 1}
-        return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayeredCircuit:
+    """M modes and D layers of couplers, phases and idle loss, as read-only arrays.
+
+    The module docstring gives the layout.  Building one checks every field
+    at once: a wrong shape, a non-finite value, a coupler outside the modes
+    or overlapping another in its layer, or a negative transmission raises
+    ``ValueError`` naming the field; a transmission above 1 raises
+    ``ModelViolationError``.
+    """
+
     modes: int
-    layers: tuple[Layer, ...]
+    offsets: np.ndarray
+    gate_mode: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+    tau: np.ndarray
+    phases: np.ndarray
+    idle_tau: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
         if self.modes < 1:
             raise ValueError("circuit needs at least one mode")
-        for layer in self.layers:
-            if len(layer.phases) != self.modes:
-                raise ValueError(
-                    f"layer has {len(layer.phases)} phases for {self.modes} modes"
-                )
-            for g in layer.couplers:
-                if g.mode + 1 >= self.modes:
-                    raise ValueError(
-                        f"coupler at mode {g.mode} does not fit in {self.modes} modes"
-                    )
+        offsets = np.array(self.offsets, dtype=np.intp)
+        if offsets.ndim != 1 or not offsets.size or offsets[0] or (np.diff(offsets) < 0).any():
+            raise ValueError("circuit offsets must start at 0 and never decrease")
+        depth, gates = offsets.size - 1, int(offsets[-1])
+        shapes = {"offsets": (depth + 1,), "gate_mode": (gates,), "theta": (gates,),
+                  "phi": (gates,), "tau": (gates,), "phases": (depth, self.modes),
+                  "idle_tau": (depth,)}
+        for name, shape in shapes.items():
+            value = np.array(getattr(self, name),
+                             dtype=np.intp if name in ("offsets", "gate_mode") else float)
+            if value.size == 0 == math.prod(shape):
+                value = value.reshape(shape)
+            if value.shape != shape:
+                raise ValueError(f"circuit {name} has shape {value.shape}, need {shape}")
+            if value.dtype == float and not np.isfinite(value).all():
+                at = tuple(np.argwhere(~np.isfinite(value))[0])
+                raise ValueError(f"circuit {name}[{', '.join(map(str, at))}] is "
+                                 f"{value[at]}; circuit values must be finite")
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        mode = self.gate_mode
+        outside = (mode < 0) | (mode + 1 >= self.modes)
+        if outside.any():
+            raise ValueError(
+                f"coupler at mode {mode[outside][0]} does not fit in {self.modes} modes")
+        # Layer-major keys: two couplers of one layer overlap iff their keys
+        # differ by less than 2, and keys of different layers always differ
+        # by at least 2 (a last mode <= M-2 against a next first mode >= 0).
+        key = np.sort(self.gate_layer() * self.modes + mode)
+        clash = np.flatnonzero(np.diff(key) < 2)
+        if clash.size:
+            layer, k = divmod(int(key[clash[0] + 1]), self.modes)
+            raise ValueError(f"overlapping couplers in layer {layer} at mode {k}")
+        for name, tau in (("gate transmission", self.tau), ("idle transmission", self.idle_tau)):
+            if (tau > 1.0).any():
+                raise ModelViolationError(
+                    f"{name} {tau.max()} > 1 would amplify; the model is passive")
+            if (tau < 0.0).any():
+                raise ValueError(f"{name} must lie in [0, 1], got {tau.min()}")
+
+    @classmethod
+    def from_layers(cls, modes: int, layers) -> "LayeredCircuit":
+        """Pack a sequence of :class:`Layer` records into one circuit."""
+        for idx, layer in enumerate(layers):
+            if len(layer.phases) != modes:
+                raise ValueError(f"layer {idx} has {len(layer.phases)} phases for {modes} modes")
+        gates = [g for layer in layers for g in layer.couplers]
+        mode, theta, phi, tau = zip(*gates) if gates else ((),) * 4
+        return cls(modes, np.cumsum([0] + [len(layer.couplers) for layer in layers]),
+                   mode, theta, phi, tau, [layer.phases for layer in layers],
+                   [layer.idle_tau for layer in layers])
 
     @property
     def depth(self) -> int:
-        return len(self.layers)
+        return len(self.offsets) - 1
+
+    def gate_layer(self) -> np.ndarray:
+        """Layer index of every coupler, shape (G,)."""
+        return np.repeat(np.arange(self.depth), np.diff(self.offsets))
+
+    def covered_modes(self) -> np.ndarray:
+        """(D, M) mask of the modes a coupler of each layer touches."""
+        covered = np.zeros((self.depth, self.modes), dtype=bool)
+        layer = self.gate_layer()
+        covered[layer, self.gate_mode] = covered[layer, self.gate_mode + 1] = True
+        return covered
 
     def is_lossless(self) -> bool:
-        return all(
-            l.idle_tau == 1.0 and all(g.tau == 1.0 for g in l.couplers)
-            for l in self.layers
-        )
+        return bool((self.tau == 1.0).all() and (self.idle_tau == 1.0).all())
 
     def lossless_copy(self) -> "LayeredCircuit":
         """Same interference pattern with every transmission set to 1."""
-        layers = tuple(
-            Layer(
-                couplers=tuple(
-                    CouplerGate(g.mode, g.theta, g.phi, 1.0) for g in l.couplers
-                ),
-                phases=l.phases,
-                idle_tau=1.0,
-            )
-            for l in self.layers
-        )
-        return LayeredCircuit(self.modes, layers)
+        return replace(self, tau=np.ones_like(self.tau), idle_tau=np.ones_like(self.idle_tau))
 
     def uniform_tau(self) -> float:
         """The common transmission if every gate and idle path shares one, else error."""
-        taus = {l.idle_tau for l in self.layers}
-        taus |= {g.tau for l in self.layers for g in l.couplers}
-        if not taus:
+        taus = np.concatenate([self.idle_tau, self.tau])
+        if not taus.size:
             return 1.0
-        if len(taus) > 1:
-            raise ValueError(f"circuit transmissions are not uniform: {sorted(taus)}")
-        return taus.pop()
+        if (taus != taus[0]).any():
+            raise ValueError(
+                f"circuit transmissions are not uniform: {sorted(set(taus.tolist()))}")
+        return float(taus[0])
+
+
+def coupler_blocks(theta, phi) -> np.ndarray:
+    """Lossless 2x2 unitary block of every coupler: shape (G, 2, 2) for (G,) angles."""
+    theta = np.asarray(theta, dtype=float)
+    e = np.exp(1j * np.asarray(phi, dtype=float))
+    s = np.sin(theta)
+    blocks = np.empty(theta.shape + (2, 2), dtype=complex)
+    blocks[..., 0, 0] = blocks[..., 1, 1] = np.cos(theta)
+    blocks[..., 0, 1] = e * s
+    blocks[..., 1, 0] = -np.conj(e) * s
+    return blocks
 
 
 def transfer_matrix(circuit: LayeredCircuit) -> np.ndarray:
     """Overall transfer matrix mapping input to output amplitudes.
 
     Layers are composed in traversal order, so with layers [L1, ..., LD] the
-    result is M(LD) @ ... @ M(L1).  Each layer multiplies the row pairs its
-    couplers mix by their 2x2 blocks (phases included) and scales the idle
-    rows, so the cost is O(M^2) per layer.
+    result is M(LD) @ ... @ M(L1).  Every coupler's 2x2 block (with sqrt(tau)
+    and the phases of its two modes folded in) and every idle row's factor
+    are built in one pass; each layer then multiplies the row pairs its
+    couplers mix and scales its idle rows, so the cost is O(M^2) per layer.
     """
-    modes = circuit.modes
-    a = np.eye(modes, dtype=complex)
-    for layer in circuit.layers:
-        phase = np.exp(1j * np.asarray(layer.phases))
-        idle = np.ones(modes, dtype=bool)
-        if layer.couplers:
-            pairs = np.array([g.mode for g in layer.couplers])[:, None] + np.arange(2)
-            theta = np.array([g.theta for g in layer.couplers])
-            e = np.exp(1j * np.array([g.phi for g in layer.couplers]))
-            blocks = np.empty((len(pairs), 2, 2), dtype=complex)
-            blocks[:, 0, 0] = blocks[:, 1, 1] = np.cos(theta)
-            blocks[:, 0, 1] = e * np.sin(theta)
-            blocks[:, 1, 0] = -np.conj(e) * np.sin(theta)
-            blocks *= np.sqrt(np.array([g.tau for g in layer.couplers]))[:, None, None]
-            blocks *= phase[pairs][:, :, None]
-            a[pairs] = blocks @ a[pairs]
-            idle[pairs] = False
-        a[idle] *= (math.sqrt(layer.idle_tau) * phase[idle])[:, None]
+    phase = np.exp(1j * circuit.phases)
+    pairs = circuit.gate_mode[:, None] + np.arange(2)
+    blocks = coupler_blocks(circuit.theta, circuit.phi)
+    blocks *= np.sqrt(circuit.tau)[:, None, None]
+    blocks *= phase[circuit.gate_layer()[:, None], pairs][:, :, None]
+    idle = ~circuit.covered_modes()
+    scale = np.sqrt(circuit.idle_tau)[:, None] * phase
+    offsets = circuit.offsets.tolist()
+    a = np.eye(circuit.modes, dtype=complex)
+    for l in range(circuit.depth):
+        rows = pairs[offsets[l]:offsets[l + 1]]
+        a[rows] = blocks[offsets[l]:offsets[l + 1]] @ a[rows]
+        a[idle[l]] *= scale[l, idle[l]][:, None]
     return a
 
 
@@ -258,27 +292,30 @@ def factor_nonuniform(dec: LossDecomposition) -> NonuniformFactorization:
     return NonuniformFactorization(mu_max=mu_max, residual=residual)
 
 
-def _bs_params_from_block(u) -> tuple[float, float, float, float]:
-    """Exact decomposition u = diag(e^{ia}, e^{ib}) @ coupler(theta, phi).
+def _angle(z: np.ndarray) -> np.ndarray:
+    """arg of each entry by ``math.atan2``; ``np.arctan2`` differs from it in the last bit."""
+    return np.array(list(map(math.atan2, z.imag.tolist(), z.real.tolist())))
 
-    ``u`` is a 2x2 unitary as an array or as nested lists of Python complex
-    numbers (``array.tolist()``), which index much faster than numpy.
-    Returns (theta, phi, a, b).  Valid for any 2x2 unitary; the phases a, b
-    belong in the layer's phase vector (phases act after couplers).
+
+def _bs_params(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact decomposition u = diag(e^{ia}, e^{ib}) @ coupler(theta, phi) of a (G, 2, 2) stack.
+
+    Returns (theta, phi, a, b), each of shape (G,).  Valid for any 2x2
+    unitaries; the phases a, b belong in the layer's phase vector (phases act
+    after couplers).  Moduli come from ``np.hypot``, which matches Python's
+    ``abs`` of a complex bit for bit where ``np.abs`` does not.
     """
-    (u00, u01), (u10, u11) = u
-    theta = math.atan2(abs(u01), abs(u00))
-    if abs(u00) > 1e-12:
-        a = math.atan2(u00.imag, u00.real)
-        phi = math.atan2(u01.imag, u01.real) - a if abs(u01) > 1e-12 else 0.0
-        b = math.atan2(u11.imag, u11.real) if abs(u11) > 1e-12 else (
-            math.atan2((-u10).imag, (-u10).real) + phi
-        )
-    else:
-        # fully crossing coupler: cos(theta) = 0, diagonal phases are free
-        a = 0.0
-        phi = math.atan2(u01.imag, u01.real)
-        b = math.atan2((-u10).imag, (-u10).real) + phi
+    u00, u01, u10, u11 = u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1]
+    r00, r01, r11 = (np.hypot(z.real, z.imag) for z in (u00, u01, u11))
+    theta = np.array(list(map(math.atan2, r01.tolist(), r00.tolist())))
+    mixed = r00 > 1e-12  # else a fully crossing coupler: cos(theta) = 0, diagonal phases free
+    arg01 = _angle(u01)
+    a = np.where(mixed, _angle(u00), 0.0)
+    phi = np.where(mixed, np.where(r01 > 1e-12, arg01 - a, 0.0), arg01)
+    from_u11 = mixed & (r11 > 1e-12)
+    b = np.empty_like(theta)
+    b[from_u11] = _angle(u11[from_u11])
+    b[~from_u11] = _angle(-u10[~from_u11]) + phi[~from_u11]
     return theta, phi, a, b
 
 
@@ -299,19 +336,16 @@ def random_brickwork(
         raise ValueError("depth must be >= 0")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {tau}")
-    gate_modes = [range(l % 2, modes - 1, 2) for l in range(depth)]
-    blocks = iter(numerics.haar_unitary(2, rng, sum(map(len, gate_modes))).tolist())
-    layers = []
-    for ks in gate_modes:
-        phases = [0.0] * modes
-        gates = []
-        for k in ks:
-            theta, phi, pa, pb = _bs_params_from_block(next(blocks))
-            gates.append(CouplerGate(mode=k, theta=theta, phi=phi, tau=tau))
-            phases[k] += pa
-            phases[k + 1] += pb
-        layers.append(Layer(couplers=tuple(gates), phases=tuple(phases), idle_tau=tau))
-    return LayeredCircuit(modes=modes, layers=tuple(layers))
+    start = np.arange(depth) % 2
+    offsets = np.concatenate([[0], np.cumsum((modes - start) // 2)])
+    layer = np.repeat(np.arange(depth), np.diff(offsets))
+    gate_mode = start[layer] + 2 * (np.arange(offsets[-1]) - offsets[layer])
+    theta, phi, pa, pb = _bs_params(numerics.haar_unitary(2, rng, int(offsets[-1])))
+    phases = np.zeros((depth, modes))
+    phases[layer, gate_mode] += pa
+    phases[layer, gate_mode + 1] += pb
+    return LayeredCircuit(modes, offsets, gate_mode, theta, phi, np.full(len(theta), tau),
+                          phases, np.full(depth, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -467,17 +501,17 @@ def plan(mu_max: float, photons: int, eps: float, exact_backend: bool) -> Simula
 
 def circuit_to_json(circuit: LayeredCircuit) -> str:
     """Serialize a circuit; floats round-trip bit-exactly through json."""
+    gates = [
+        {"mode": k, "theta": theta, "phi": phi, "tau": tau}
+        for k, theta, phi, tau in zip(circuit.gate_mode.tolist(), circuit.theta.tolist(),
+                                      circuit.phi.tolist(), circuit.tau.tolist())
+    ]
+    offsets = circuit.offsets.tolist()
     layers = []
-    for layer in circuit.layers:
-        entry: dict = {
-            "phases": list(layer.phases),
-            "couplers": [
-                {"mode": g.mode, "theta": g.theta, "phi": g.phi, "tau": g.tau}
-                for g in layer.couplers
-            ],
-        }
-        if layer.idle_tau != 1.0:
-            entry["idle_tau"] = layer.idle_tau
+    for l, (phases, idle_tau) in enumerate(zip(circuit.phases.tolist(), circuit.idle_tau.tolist())):
+        entry: dict = {"phases": phases, "couplers": gates[offsets[l]:offsets[l + 1]]}
+        if idle_tau != 1.0:
+            entry["idle_tau"] = idle_tau
         layers.append(entry)
     return json.dumps({"modes": circuit.modes, "layers": layers}, indent=2)
 
@@ -499,24 +533,13 @@ def circuit_from_json(text: str) -> LayeredCircuit:
         gates = []
         for g in entry["couplers"]:
             try:
-                gates.append(
-                    CouplerGate(
-                        mode=int(g["mode"]),
-                        theta=float(g["theta"]),
-                        phi=float(g.get("phi", 0.0)),
-                        tau=float(g.get("tau", 1.0)),
-                    )
-                )
+                gates.append(CouplerGate(int(g["mode"]), float(g["theta"]),
+                                         float(g.get("phi", 0.0)), float(g.get("tau", 1.0))))
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad coupler in layer {idx}: {g!r}") from exc
-        layers.append(
-            Layer(
-                couplers=tuple(gates),
-                phases=tuple(float(p) for p in entry["phases"]),
-                idle_tau=float(entry.get("idle_tau", 1.0)),
-            )
-        )
-    return LayeredCircuit(modes=modes, layers=tuple(layers))
+        layers.append(Layer(gates, [float(p) for p in entry["phases"]],
+                            float(entry.get("idle_tau", 1.0))))
+    return LayeredCircuit.from_layers(modes, layers)
 
 
 def save_circuit(circuit: LayeredCircuit, path) -> None:

@@ -36,6 +36,7 @@ __all__ = ["main", "run_plan", "run_sample", "run_validate", "run_stats"]
 COMMANDS = ("plan", "sample", "validate", "stats")
 FORMATS = ("jsonl", "csv")
 ENV_PREFIX = "LOSSYBOSON_"
+FORMAT_BLOCK = 4096  # counts per json.dumps call when writing samples
 
 DEFAULTS = {
     "eps": 0.05,
@@ -295,11 +296,21 @@ def run_plan(cfg: dict) -> int:
 def _format_rows(rows: np.ndarray, regime: str, fmt: str) -> str:
     """One line per row: bare CSV counts, or JSONL as compact sorted ``json.dumps`` writes it.
 
-    Rows are converted one at a time, so no nested list of the whole array is held.
+    Each block of about ``FORMAT_BLOCK`` counts is one compact ``json.dumps``,
+    split into rows at ``"],["``; the encoder holds one string per count and
+    separator, so blocks bound that, and no nested list of the whole array
+    is held.
     """
     head, tail = ("", "\n") if fmt == "csv" else (
         '{"n":[', '],"regime":' + json.dumps(regime) + "}\n")
-    return "".join([head + ",".join(map(str, r.tolist())) + tail for r in rows])
+    step = max(1, FORMAT_BLOCK // max(1, rows.shape[1]))
+    return "".join([
+        head
+        + (tail + head).join(
+            json.dumps(rows[i:i + step].tolist(), separators=(",", ":"))[2:-2].split("],["))
+        + tail
+        for i in range(0, len(rows), step)
+    ])
 
 
 def _config_hash(cfg: dict, circuit_text: str) -> str:

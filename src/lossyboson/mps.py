@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import LayeredCircuit
+from .circuit import LayeredCircuit, coupler_blocks
 from .errors import CapacityError, ResampleSignal
 from .rng import RandomStream
 
@@ -181,11 +181,7 @@ def coupler_mpo(block: np.ndarray, d: int) -> CouplerMPO:
 
 def fock_gates(circuit: LayeredCircuit, d: int) -> list:
     """Fock tensor of every coupler of ``circuit`` at cutoff d, in application order."""
-    return [
-        coupler_fock_amplitudes(gate.block, d)
-        for layer in circuit.layers
-        for gate in layer.couplers
-    ]
+    return [coupler_fock_amplitudes(b, d) for b in coupler_blocks(circuit.theta, circuit.phi)]
 
 
 def apply_phase(state: MPSState, mode: int, theta: float) -> MPSState:
@@ -474,14 +470,14 @@ def simulate_circuit(
         )
     if gates is None:
         gates = fock_gates(circuit, d)
-    elif len(gates) != sum(len(layer.couplers) for layer in circuit.layers):
+    elif len(gates) != len(circuit.gate_mode):
         raise ValueError("need one gate tensor per coupler of the circuit")
     state = init_input(pattern, d)
-    gate_iter = iter(gates)
-    for layer in circuit.layers:
-        for gate in layer.couplers:
-            state = apply_coupler(state, gate.mode, next(gate_iter), max_bond=max_bond)
-        for i, theta in enumerate(layer.phases):
+    gate_mode, offsets = circuit.gate_mode.tolist(), circuit.offsets.tolist()
+    for l, phases in enumerate(circuit.phases.tolist()):
+        for g in range(offsets[l], offsets[l + 1]):
+            state = apply_coupler(state, gate_mode[g], gates[g], max_bond=max_bond)
+        for i, theta in enumerate(phases):
             if theta != 0.0:
                 state = apply_phase(state, i, theta)
     return state

@@ -95,9 +95,8 @@ def test_acceptance_03_mps_matches_permanent_oracle():
 
 
 def test_acceptance_04_hong_ou_mandel():
-    balanced = LayeredCircuit(
-        modes=2,
-        layers=(Layer(couplers=(CouplerGate(0, math.pi / 4),), phases=(0.0, 0.0)),),
+    balanced = LayeredCircuit.from_layers(
+        2, (Layer(couplers=(CouplerGate(0, math.pi / 4),), phases=(0.0, 0.0)),),
     )
     oracle_p11 = fock_output_distribution(
         transfer_matrix(balanced), (1, 1)
@@ -232,7 +231,7 @@ def test_acceptance_11_loss_model_uniform_and_nonuniform():
         dec = decompose_losses(transfer_matrix(circuit))
         worst = max(worst, float(np.abs(dec.transmissions - 0.9**depth).max()))
     layer = Layer(couplers=(CouplerGate(0, 0.4, tau=0.5),), phases=(0.0,) * 3)
-    a = transfer_matrix(LayeredCircuit(modes=3, layers=(layer,)))
+    a = transfer_matrix(LayeredCircuit.from_layers(3, (layer,)))
     fac = factor_nonuniform(decompose_losses(a))
     recombine_dev = float(
         np.abs(fac.residual.reconstruct() * math.sqrt(fac.mu_max) - a).max()

@@ -14,6 +14,7 @@ from lossyboson import (
     ModelViolationError,
     circuit_from_json,
     circuit_to_json,
+    coupler_blocks,
     decompose_losses,
     depth_threshold_algebraic,
     depth_threshold_exponential,
@@ -28,12 +29,34 @@ from lossyboson import (
     thermalization_depth,
     transfer_matrix,
 )
-from lossyboson.circuit import _bs_params_from_block
+from lossyboson.circuit import _bs_params
+
+FIELDS = ("offsets", "gate_mode", "theta", "phi", "tau", "phases", "idle_tau")
 
 
 def _single_coupler_circuit(theta, phi=0.0, tau=1.0, phases=(0.0, 0.0)):
     layer = Layer(couplers=(CouplerGate(0, theta, phi, tau),), phases=phases)
-    return LayeredCircuit(modes=2, layers=(layer,))
+    return LayeredCircuit.from_layers(2, (layer,))
+
+
+def _one_layer(modes, couplers, phases=None, idle_tau=1.0):
+    phases = (0.0,) * modes if phases is None else phases
+    return LayeredCircuit.from_layers(modes, (Layer(couplers, phases, idle_tau),))
+
+
+def _bits(x):
+    """The bytes of an array as int64 words, so equality is bit equality (-0.0 != 0.0)."""
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+
+
+def _assert_same_circuit(c1, c2):
+    assert c1.modes == c2.modes
+    for name in FIELDS:
+        _assert_same_bits(getattr(c1, name), getattr(c2, name))
 
 
 # ---------------------------------------------------------------------------
@@ -42,53 +65,104 @@ def _single_coupler_circuit(theta, phi=0.0, tau=1.0, phases=(0.0, 0.0)):
 
 
 def test_coupler_block_at_zero_angle_is_identity():
-    g = CouplerGate(0, 0.0)
-    assert np.allclose(g.block, np.eye(2))
+    assert np.allclose(coupler_blocks([0.0], [0.0])[0], np.eye(2))
 
 
 def test_coupler_block_is_unitary():
-    g = CouplerGate(0, 0.7, phi=1.3)
-    assert np.allclose(g.block @ g.block.conj().T, np.eye(2), atol=1e-14)
+    block = coupler_blocks([0.7], [1.3])[0]
+    assert np.allclose(block @ block.conj().T, np.eye(2), atol=1e-14)
 
 
 def test_coupler_block_structure():
     theta, phi = 0.4, 0.9
-    g = CouplerGate(0, theta, phi)
     c, s = math.cos(theta), math.sin(theta)
     e = np.exp(1j * phi)
     expected = np.array([[c, e * s], [-np.conj(e) * s, c]])
-    assert np.allclose(g.block, expected)
+    blocks = coupler_blocks([0.0, theta], [0.5, phi])
+    assert blocks.shape == (2, 2, 2)
+    assert np.allclose(blocks[1], expected)
 
 
 def test_coupler_rejects_gain():
     with pytest.raises(ModelViolationError):
-        CouplerGate(0, 0.1, tau=1.0 + 1e-6)
+        _one_layer(2, (CouplerGate(0, 0.1, tau=1.0 + 1e-6),))
 
 
 def test_coupler_rejects_negative_transmission():
-    with pytest.raises(ValueError):
-        CouplerGate(0, 0.1, tau=-0.1)
+    with pytest.raises(ValueError, match="gate transmission"):
+        _one_layer(2, (CouplerGate(0, 0.1, tau=-0.1),))
 
 
 def test_layer_rejects_overlapping_couplers():
-    with pytest.raises(ValueError):
-        Layer(
-            couplers=(CouplerGate(0, 0.1), CouplerGate(1, 0.2)),
-            phases=(0.0, 0.0, 0.0),
-        )
+    with pytest.raises(ValueError, match="overlapping couplers in layer 0 at mode 1"):
+        _one_layer(3, (CouplerGate(0, 0.1), CouplerGate(1, 0.2)))
 
 
 def test_layer_rejects_idle_gain():
     with pytest.raises(ModelViolationError):
-        Layer(couplers=(), phases=(0.0,), idle_tau=1.1)
+        _one_layer(1, (), idle_tau=1.1)
 
 
 def test_layer_covered_modes():
-    layer = Layer(
-        couplers=(CouplerGate(0, 0.1), CouplerGate(3, 0.2)),
-        phases=(0.0,) * 5,
-    )
-    assert layer.covered_modes() == {0, 1, 3, 4}
+    c = _one_layer(5, (CouplerGate(0, 0.1), CouplerGate(3, 0.2)))
+    assert np.flatnonzero(c.covered_modes()[0]).tolist() == [0, 1, 3, 4]
+
+
+@pytest.mark.parametrize("couplers", [
+    (CouplerGate(2, 0.1), CouplerGate(0, 0.2), CouplerGate(1, 0.3)),  # listed out of order
+    (CouplerGate(1, 0.1), CouplerGate(1, 0.2)),  # the same pair twice
+])
+def test_overlap_check_ignores_listing_order(couplers):
+    with pytest.raises(ValueError, match="overlapping"):
+        _one_layer(5, couplers)
+
+
+def test_couplers_may_touch_across_layers():
+    """Layer 0 ends on the last pair and layer 1 starts on the first: no overlap."""
+    layers = (Layer((CouplerGate(2, 0.1),), (0.0,) * 4), Layer((CouplerGate(0, 0.2),), (0.0,) * 4))
+    c = LayeredCircuit.from_layers(4, layers)
+    assert c.offsets.tolist() == [0, 1, 2] and c.gate_mode.tolist() == [2, 0]
+
+
+@pytest.mark.parametrize("mode", [-1, 3])
+def test_coupler_outside_the_modes_is_rejected(mode):
+    with pytest.raises(ValueError, match=f"coupler at mode {mode} does not fit"):
+        _one_layer(4, (CouplerGate(mode, 0.1),))
+
+
+@pytest.mark.parametrize("field,layer", [
+    ("theta", Layer((CouplerGate(0, math.nan),), (0.0, 0.0))),
+    ("phi", Layer((CouplerGate(0, 0.1, -math.inf),), (0.0, 0.0))),
+    ("tau", Layer((CouplerGate(0, 0.1, 0.0, math.nan),), (0.0, 0.0))),
+    ("tau", Layer((CouplerGate(0, 0.1, 0.0, math.inf),), (0.0, 0.0))),
+    ("phases", Layer((), (0.0, math.inf))),
+    ("idle_tau", Layer((), (0.0, 0.0), math.nan)),
+])
+def test_non_finite_values_are_rejected_by_name(field, layer):
+    with pytest.raises(ValueError, match=f"circuit {field}\\[") as info:
+        LayeredCircuit.from_layers(2, (Layer((), (0.0, 0.0)), layer))
+    assert not isinstance(info.value, ModelViolationError)
+
+
+def test_phase_count_must_match_modes():
+    with pytest.raises(ValueError, match="layer 0 has 2 phases for 3 modes"):
+        _one_layer(3, (), phases=(0.0, 0.0))
+
+
+def test_direct_arrays_are_checked_for_shape():
+    with pytest.raises(ValueError, match="offsets"):
+        LayeredCircuit(2, [1], [], [], [], [], [[0.0, 0.0]], [1.0])
+    with pytest.raises(ValueError, match="theta has shape"):
+        LayeredCircuit(2, [0, 1], [0], [0.1, 0.2], [0.0], [1.0], [[0.0, 0.0]], [1.0])
+    with pytest.raises(ValueError, match="phases has shape"):
+        LayeredCircuit(2, [0, 0], [], [], [], [], [0.0, 0.0], [1.0])
+
+
+def test_circuit_arrays_are_read_only():
+    c = random_brickwork(4, 2, 0.9, make_stream(3))
+    for name in FIELDS:
+        with pytest.raises(ValueError):
+            getattr(c, name)[...] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +171,16 @@ def test_layer_covered_modes():
 
 
 def test_empty_circuit_transfer_is_identity():
-    c = LayeredCircuit(modes=3, layers=())
-    assert np.allclose(transfer_matrix(c), np.eye(3))
+    c = LayeredCircuit.from_layers(3, ())
+    assert c.depth == 0 and c.phases.shape == (0, 3)
+    assert np.array_equal(transfer_matrix(c), np.eye(3))
 
 
 def test_single_layer_applies_phases_after_coupler():
     theta, phi = 0.6, 0.2
     phases = (0.3, -0.8)
     c = _single_coupler_circuit(theta, phi, phases=phases)
-    g = CouplerGate(0, theta, phi)
-    expected = np.diag(np.exp(1j * np.array(phases))) @ g.block
+    expected = np.diag(np.exp(1j * np.array(phases))) @ coupler_blocks([theta], [phi])[0]
     assert np.allclose(transfer_matrix(c), expected, atol=1e-14)
 
 
@@ -114,9 +188,9 @@ def test_layers_compose_in_temporal_order():
     """For layers listed first-to-last, the transfer is (last) @ ... @ (first)."""
     l1 = Layer(couplers=(CouplerGate(0, 0.3),), phases=(0.0, 0.0))
     l2 = Layer(couplers=(CouplerGate(0, 1.1, 0.4),), phases=(0.5, 0.0))
-    c = LayeredCircuit(modes=2, layers=(l1, l2))
-    m1 = transfer_matrix(LayeredCircuit(2, (l1,)))
-    m2 = transfer_matrix(LayeredCircuit(2, (l2,)))
+    c = LayeredCircuit.from_layers(2, (l1, l2))
+    m1 = transfer_matrix(LayeredCircuit.from_layers(2, (l1,)))
+    m2 = transfer_matrix(LayeredCircuit.from_layers(2, (l2,)))
     assert np.allclose(transfer_matrix(c), m2 @ m1, atol=1e-14)
 
 
@@ -130,9 +204,7 @@ def test_gate_loss_scales_block_by_sqrt_tau():
 
 
 def test_idle_modes_see_idle_transmission():
-    layer = Layer(couplers=(CouplerGate(0, 0.2),), phases=(0.0,) * 3, idle_tau=0.49)
-    c = LayeredCircuit(modes=3, layers=(layer,))
-    a = transfer_matrix(c)
+    a = transfer_matrix(_one_layer(3, (CouplerGate(0, 0.2),), idle_tau=0.49))
     assert a[2, 2] == pytest.approx(0.7)  # sqrt(0.49)
     assert np.allclose(a[2, :2], 0.0) and np.allclose(a[:2, 2], 0.0)
 
@@ -157,19 +229,24 @@ def test_lossless_copy_strips_loss_only():
 def test_uniform_tau_on_mixed_circuit_raises():
     l1 = Layer(couplers=(CouplerGate(0, 0.3, tau=0.9),), phases=(0.0, 0.0), idle_tau=0.9)
     l2 = Layer(couplers=(CouplerGate(0, 0.3, tau=0.8),), phases=(0.0, 0.0), idle_tau=0.8)
-    c = LayeredCircuit(modes=2, layers=(l1, l2))
-    with pytest.raises(ValueError):
+    c = LayeredCircuit.from_layers(2, (l1, l2))
+    with pytest.raises(ValueError, match=r"not uniform: \[0.8, 0.9\]"):
         c.uniform_tau()
+    assert _one_layer(2, (CouplerGate(0, 0.3, tau=0.7),), idle_tau=0.7).uniform_tau() == 0.7
+    assert LayeredCircuit.from_layers(2, ()).uniform_tau() == 1.0
 
 
 def _dense_transfer(circuit):
     """Reference transfer matrix: one dense M x M layer matrix per layer, multiplied in order."""
     a = np.eye(circuit.modes, dtype=complex)
-    for layer in circuit.layers:
-        mat = np.diag(np.full(circuit.modes, math.sqrt(layer.idle_tau), dtype=complex))
-        for g in layer.couplers:
-            mat[g.mode : g.mode + 2, g.mode : g.mode + 2] = math.sqrt(g.tau) * g.block
-        a = (np.exp(1j * np.asarray(layer.phases))[:, None] * mat) @ a
+    for l in range(circuit.depth):
+        mat = np.diag(np.full(circuit.modes, math.sqrt(circuit.idle_tau[l]), dtype=complex))
+        for g in range(circuit.offsets[l], circuit.offsets[l + 1]):
+            k, c, s = circuit.gate_mode[g], math.cos(circuit.theta[g]), math.sin(circuit.theta[g])
+            e = np.exp(1j * circuit.phi[g])
+            block = np.array([[c, e * s], [-np.conj(e) * s, c]])
+            mat[k : k + 2, k : k + 2] = math.sqrt(circuit.tau[g]) * block
+        a = (np.exp(1j * circuit.phases[l])[:, None] * mat) @ a
     return a
 
 
@@ -190,13 +267,13 @@ def _mixed_circuit(modes, depth, rng, blocking_layer=None):
             gates = [CouplerGate(g.mode, g.theta, g.phi, 0.0) for g in gates]
             idle_tau = 0.0
         layers.append(Layer(tuple(gates), tuple(rng.uniform(-3, 3, modes)), idle_tau))
-    return LayeredCircuit(modes, tuple(layers))
+    return LayeredCircuit.from_layers(modes, tuple(layers))
 
 
 @pytest.mark.parametrize("modes,depth,blocking", [(7, 12, None), (8, 9, None), (5, 6, 3), (1, 3, None)])
 def test_transfer_matrix_matches_dense_layer_product(modes, depth, blocking):
     c = _mixed_circuit(modes, depth, make_stream(40 + modes), blocking_layer=blocking)
-    assert len({l.idle_tau for l in c.layers} | {g.tau for l in c.layers for g in l.couplers}) > 2
+    assert len(set(c.idle_tau.tolist()) | set(c.tau.tolist())) > 2
     a, ref = transfer_matrix(c), _dense_transfer(c)
     assert np.abs(a - ref).max() <= 1e-13
     if blocking is not None:
@@ -242,9 +319,7 @@ def test_decompose_losses_rejects_amplification():
 def test_factor_nonuniform_splits_worst_channel():
     rng = make_stream(10)
     # layered circuit with non-uniform loss: one lossy gate in a 3-mode layer
-    layer = Layer(couplers=(CouplerGate(0, 0.4, tau=0.5),), phases=(0.0,) * 3)
-    c = LayeredCircuit(modes=3, layers=(layer,))
-    a = transfer_matrix(c)
+    a = transfer_matrix(_one_layer(3, (CouplerGate(0, 0.4, tau=0.5),)))
     fac = factor_nonuniform(decompose_losses(a))
     assert fac.mu_max == pytest.approx(1.0)  # the idle mode is lossless
     assert np.allclose(
@@ -386,8 +461,7 @@ def test_json_defaults_for_optional_gate_fields():
         "layers": [{"couplers": [{"mode": 0, "theta": 0.5}], "phases": [0.0, 0.0]}],
     }
     c = circuit_from_json(json.dumps(doc))
-    assert c.layers[0].couplers[0].phi == 0.0
-    assert c.layers[0].couplers[0].tau == 1.0
+    assert c.phi.tolist() == [0.0] and c.tau.tolist() == [1.0]
 
 
 def test_json_rejects_malformed_document():
@@ -409,10 +483,9 @@ def test_save_and_load_circuit(tmp_path):
 def test_brickwork_alternates_gate_offsets():
     rng = make_stream(14)
     c = random_brickwork(6, 4, 1.0, rng)
-    for i, layer in enumerate(c.layers):
-        offsets = sorted(g.mode for g in layer.couplers)
-        expected_start = i % 2
-        assert offsets == list(range(expected_start, 5, 2))
+    for i in range(c.depth):
+        modes = c.gate_mode[c.offsets[i] : c.offsets[i + 1]].tolist()
+        assert modes == list(range(i % 2, 5, 2))
 
 
 def test_brickwork_deterministic_under_seed():
@@ -421,23 +494,125 @@ def test_brickwork_deterministic_under_seed():
     assert circuit_to_json(c1) == circuit_to_json(c2)
 
 
-def _brickwork_per_gate(modes, depth, tau, rng):
-    """Reference brickwork: one haar_unitary(2) draw per gate, in gate order."""
+def _bs_params_from_block(u):
+    """The scalar decomposition random_brickwork used per block before it took whole columns."""
+    (u00, u01), (u10, u11) = u
+    theta = math.atan2(abs(u01), abs(u00))
+    if abs(u00) > 1e-12:
+        a = math.atan2(u00.imag, u00.real)
+        phi = math.atan2(u01.imag, u01.real) - a if abs(u01) > 1e-12 else 0.0
+        b = math.atan2(u11.imag, u11.real) if abs(u11) > 1e-12 else (
+            math.atan2((-u10).imag, (-u10).real) + phi
+        )
+    else:
+        a = 0.0
+        phi = math.atan2(u01.imag, u01.real)
+        b = math.atan2((-u10).imag, (-u10).real) + phi
+    return theta, phi, a, b
+
+
+def _brickwork_from_blocks(modes, depth, tau, blocks):
+    """Reference brickwork: the scalar decomposition per block, in gate order, packed by layer."""
+    blocks = iter(blocks)
     layers = []
     for l in range(depth):
         phases, gates = [0.0] * modes, []
         for k in range(l % 2, modes - 1, 2):
-            theta, phi, pa, pb = _bs_params_from_block(haar_unitary(2, rng))
+            theta, phi, pa, pb = _bs_params_from_block(next(blocks))
             gates.append(CouplerGate(k, theta, phi, tau))
             phases[k] += pa
             phases[k + 1] += pb
         layers.append(Layer(tuple(gates), tuple(phases), tau))
-    return LayeredCircuit(modes, tuple(layers))
+    return LayeredCircuit.from_layers(modes, tuple(layers))
+
+
+def _per_layer_transfer(c):
+    """The transfer matrix as built before blocks were stacked: every block rebuilt layer by layer."""
+    a = np.eye(c.modes, dtype=complex)
+    for l in range(c.depth):
+        lo, hi = c.offsets[l], c.offsets[l + 1]
+        phase = np.exp(1j * np.asarray(c.phases[l].tolist()))
+        idle = np.ones(c.modes, dtype=bool)
+        if hi > lo:
+            pairs = np.array(c.gate_mode[lo:hi].tolist())[:, None] + np.arange(2)
+            theta = np.array(c.theta[lo:hi].tolist())
+            e = np.exp(1j * np.array(c.phi[lo:hi].tolist()))
+            blocks = np.empty((len(pairs), 2, 2), dtype=complex)
+            blocks[:, 0, 0] = blocks[:, 1, 1] = np.cos(theta)
+            blocks[:, 0, 1] = e * np.sin(theta)
+            blocks[:, 1, 0] = -np.conj(e) * np.sin(theta)
+            blocks *= np.sqrt(np.array(c.tau[lo:hi].tolist()))[:, None, None]
+            blocks *= phase[pairs][:, :, None]
+            a[pairs] = blocks @ a[pairs]
+            idle[pairs] = False
+        a[idle] *= (math.sqrt(c.idle_tau[l]) * phase[idle])[:, None]
+    return a
 
 
 @pytest.mark.parametrize("modes,depth", [(1, 3), (2, 1), (7, 5), (6, 0)])
 def test_brickwork_equals_per_gate_draws(modes, depth):
     rng_a, rng_b = make_stream(60 + modes), make_stream(60 + modes)
     c = random_brickwork(modes, depth, 0.93, rng_a)
-    assert c == _brickwork_per_gate(modes, depth, 0.93, rng_b)
+    blocks = iter(lambda: haar_unitary(2, rng_b).tolist(), None)  # one draw per gate, on demand
+    _assert_same_circuit(c, _brickwork_from_blocks(modes, depth, 0.93, blocks))
     assert rng_a.random() == rng_b.random()  # the stream advanced by the same draws
+
+
+# the four benchmark sizes (modes, depth, tau), depth 0, and one and two modes
+BIT_SIZES = [(200, 200, 0.98262), (14, 3, 0.9), (30, 150, 0.97), (8, 4, 0.9),
+             (9, 0, 0.9), (1, 4, 0.8), (2, 5, 0.8), (2, 1, 1.0)]
+
+
+@pytest.mark.parametrize("modes,depth,tau", BIT_SIZES)
+def test_brickwork_and_transfer_bit_identical_to_scalar_reference(modes, depth, tau):
+    c = random_brickwork(modes, depth, tau, make_stream(7 + depth))
+    rng = make_stream(7 + depth)
+    blocks = haar_unitary(2, rng, len(c.theta)).tolist()
+    _assert_same_circuit(c, _brickwork_from_blocks(modes, depth, tau, blocks))
+    _assert_same_bits(transfer_matrix(c), _per_layer_transfer(c))
+
+
+def test_transfer_bit_identical_on_mixed_circuits():
+    for modes, depth, blocking in [(7, 12, None), (8, 9, None), (5, 6, 3), (1, 3, None)]:
+        c = _mixed_circuit(modes, depth, make_stream(90 + modes), blocking_layer=blocking)
+        _assert_same_bits(transfer_matrix(c), _per_layer_transfer(c))
+
+
+def test_bs_params_matches_scalar_branches_bit_for_bit():
+    """Haar draws never reach |u00| <= 1e-12 or |u11| <= 1e-12; hand-built blocks do."""
+    e = np.exp(1j * np.array([0.3, -2.1, 2.9]))
+    blocks = [
+        [[0.0, e[0]], [-e[1], 0.0]],  # fully crossing: u00 = 0
+        [[0.0, -1.0], [1.0, 0.0]],
+        [[-0.0 - 0.0j, 1j], [1j, -0.0]],  # signed zeros reach atan2
+        [[e[2], 0.0], [0.0, e[0]]],  # diagonal: u01 = 0, phi = 0
+        [[2e-12, 1.0], [-1.0, 5e-13j]],  # |u00| above the cut, |u11| below it
+        [[1e-12, 1.0], [-1.0, 1e-12]],  # exactly on the cut: taken as crossing
+        [[math.sqrt(0.5), 1e-13], [-1e-13, math.sqrt(0.5) * 1j]],  # |u01| below the cut
+    ]
+    haar = haar_unitary(2, make_stream(5), 64).tolist()
+    u = np.array(blocks + haar, dtype=complex)
+    got = _bs_params(u)
+    ref = np.array([_bs_params_from_block(b) for b in u.tolist()]).T
+    for got_col, ref_col in zip(got, ref):
+        _assert_same_bits(got_col, ref_col)
+    assert _bits(got[0][:2]).tolist() == _bits(np.full(2, math.pi / 2)).tolist()
+
+
+@pytest.mark.parametrize("modes,depth,tau", BIT_SIZES[1:])
+def test_json_roundtrip_keeps_every_bit(modes, depth, tau):
+    c = random_brickwork(modes, depth, tau, make_stream(3))
+    text = circuit_to_json(c)
+    again = circuit_from_json(text)
+    _assert_same_circuit(c, again)
+    assert circuit_to_json(again) == text
+    mixed = _mixed_circuit(6, 5, make_stream(4), blocking_layer=2)
+    _assert_same_circuit(mixed, circuit_from_json(circuit_to_json(mixed)))
+
+
+def test_lossless_copy_keeps_angles_and_phases():
+    c = random_brickwork(6, 4, 0.8, make_stream(8))
+    lc = c.lossless_copy()
+    for name in ("offsets", "gate_mode", "theta", "phi", "phases"):
+        _assert_same_bits(getattr(lc, name), getattr(c, name))
+    assert lc.tau.tolist() == [1.0] * len(c.tau) and lc.idle_tau.tolist() == [1.0] * 4

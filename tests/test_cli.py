@@ -20,6 +20,7 @@ from lossyboson import (
     save_circuit,
     transfer_matrix,
 )
+from lossyboson import cli
 from lossyboson.cli import _format_rows, main
 
 
@@ -376,6 +377,25 @@ def test_format_rows_matches_json_dumps(fmt):
     assert _format_rows(rows[:0], "mps", fmt) == ""
 
 
+def _per_row_format(rows, regime, fmt):
+    """The row formatter as it was before blocks: one string join per row."""
+    head, tail = ("", "\n") if fmt == "csv" else (
+        '{"n":[', '],"regime":' + json.dumps(regime) + "}\n")
+    return "".join([head + ",".join(map(str, r.tolist())) + tail for r in rows])
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("modes", [1, 8, 200])
+def test_format_rows_bytes_match_per_row_formatter(fmt, modes):
+    step = max(1, cli.FORMAT_BLOCK // modes)  # rows per json.dumps block
+    counts = make_stream(modes).poisson(3.0, (2 * step + 3, modes))
+    counts[0, 0] = 12  # counts of two and more digits
+    counts[-1, -1] = 1003
+    for size in (0, 1, 2, step - 1, step, step + 1, 2 * step, 2 * step + 3):
+        rows = counts[:size]
+        assert _format_rows(rows, "thermal", fmt) == _per_row_format(rows, "thermal", fmt)
+
+
 def _mixed_loss(tmp_path, hi, lo):
     """4-mode, 3-layer brickwork at transmission hi, first coupler of each layer at lo."""
     doc = json.loads(circuit_to_json(random_brickwork(4, 3, hi, make_stream(9))))
@@ -574,6 +594,33 @@ def test_amplifying_circuit_is_model_violation(tmp_path, shallow_lossy, capsys):
     assert "model violation" in capsys.readouterr().err
 
 
+NON_FINITE = [
+    ("tau", lambda doc: doc["layers"][0]["couplers"][0].update(tau=float("nan"))),
+    ("theta", lambda doc: doc["layers"][1]["couplers"][0].update(theta=float("nan"))),
+    ("phi", lambda doc: doc["layers"][0]["couplers"][1].update(phi=-float("inf"))),
+    ("phases", lambda doc: doc["layers"][1]["phases"].__setitem__(2, float("inf"))),
+    ("idle_tau", lambda doc: doc["layers"][1].update(idle_tau=float("nan"))),
+]
+
+
+@pytest.mark.parametrize("field,spoil", NON_FINITE, ids=[f for f, _ in NON_FINITE])
+def test_non_finite_circuit_value_is_usage_error_naming_the_field(tmp_path, shallow_lossy,
+                                                                  capsys, field, spoil):
+    doc = json.loads(Path(shallow_lossy).read_text())
+    spoil(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "s.jsonl"
+    runs = [["plan"]] + [["sample", "--mode", mode] for mode in
+                         ("auto", "thermal", "mps", "oracle", "scattershot")]
+    for run in runs:
+        assert main([*run, "--circuit", str(bad), "--photons", "1", "--seed", "1",
+                     "--samples", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"circuit {field}[" in err and "must be finite" in err and "SVD" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--eps", "nan"], ["--eps", "inf"], ["--eps", "0"],
                                    ["--eps", "-1"], ["--max-bond", "0"], ["--max-bond", "-2"]])
 def test_eps_and_bond_cap_are_checked_for_plan_and_sample(shallow_lossy, tmp_path, capsys,
@@ -600,6 +647,27 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     src = os.path.dirname(os.path.dirname(lossyboson.__file__))
     code = "import sys, lossyboson.cli; assert 'scipy.stats' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_sampling_every_regime_leaves_numpy_ma_and_scipy_unloaded(tmp_path):
+    """Both cost import time on every call: scipy.stats about 0.85 s, numpy.ma (which
+    the first np.unique loads) about 14 ms, and sample needs neither."""
+    src = os.path.dirname(os.path.dirname(lossyboson.__file__))
+    deep = {"brickwork": {"modes": 6, "depth": 30, "tau": 0.8, "seed": 1}}
+    shallow = {"brickwork": {"modes": 4, "depth": 2, "tau": 0.9, "seed": 1}}
+    runs = [(deep, "thermal"), (shallow, "mps"), (shallow, "oracle"), (deep, "scattershot")]
+    code = ["import json, sys", "from lossyboson.cli import main"]
+    for i, (circuit, mode) in enumerate(runs):
+        cfg = {"circuit": circuit, "mode": mode, "photons": 2, "samples": 20, "seed": 3,
+               "out": str(tmp_path / f"{mode}.jsonl")}
+        code.append(f"assert main(['sample', '--config', {str(tmp_path / f'{i}.json')!r}]) == 0")
+        (tmp_path / f"{i}.json").write_text(json.dumps(cfg))
+    code.append("bad = [m for m in sys.modules if m == 'numpy.ma' or m.split('.')[0] == 'scipy']")
+    code.append("assert not bad, bad")
+    subprocess.run([sys.executable, "-c", "\n".join(code)], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+    for _, mode in runs:
+        assert len((tmp_path / f"{mode}.jsonl").read_text().splitlines()) == 20
 
 
 # ---------------------------------------------------------------------------

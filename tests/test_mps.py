@@ -7,13 +7,11 @@ import pytest
 
 from lossyboson import (
     CapacityError,
-    CouplerGate,
-    Layer,
-    LayeredCircuit,
     apply_coupler,
     apply_phase,
     canonical_defect,
     canonicalize,
+    coupler_blocks,
     coupler_fock_amplitudes,
     coupler_mpo,
     fock_output_distribution,
@@ -151,7 +149,7 @@ def test_coupler_mpo_recombines_exactly():
 
 def test_single_photon_splits_by_column_law():
     theta = 0.7
-    block = CouplerGate(0, theta).block
+    block = coupler_blocks([theta], [0.0])[0]
     st = init_input((1, 0), d=1)
     st = apply_coupler(st, 0, coupler_fock_amplitudes(block, 1), max_bond=16)
     assert outcome_probability(st, (1, 0)) == pytest.approx(
