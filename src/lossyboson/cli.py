@@ -303,7 +303,7 @@ def _format_rows(rows: np.ndarray, regime: str, fmt: str) -> str:
     """
     head, tail = ("", "\n") if fmt == "csv" else (
         '{"n":[', '],"regime":' + json.dumps(regime) + "}\n")
-    step = max(1, FORMAT_BLOCK // max(1, rows.shape[1]))
+    step = max(1, FORMAT_BLOCK // rows.shape[1])
     return "".join([
         head
         + (tail + head).join(

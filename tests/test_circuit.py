@@ -117,11 +117,13 @@ def test_overlap_check_ignores_listing_order(couplers):
         _one_layer(5, couplers)
 
 
-def test_couplers_may_touch_across_layers():
-    """Layer 0 ends on the last pair and layer 1 starts on the first: no overlap."""
-    layers = (Layer((CouplerGate(2, 0.1),), (0.0,) * 4), Layer((CouplerGate(0, 0.2),), (0.0,) * 4))
+def test_disjoint_couplers_pass_in_any_order():
+    """Layer 0 lists its pairs backwards and ends on the last pair; layer 1 starts on the first."""
+    layers = (Layer((CouplerGate(2, 0.1), CouplerGate(0, 0.3)), (0.0,) * 4),
+              Layer((CouplerGate(0, 0.2),), (0.0,) * 4))
     c = LayeredCircuit.from_layers(4, layers)
-    assert c.offsets.tolist() == [0, 1, 2] and c.gate_mode.tolist() == [2, 0]
+    assert c.offsets.tolist() == [0, 2, 3] and c.gate_mode.tolist() == [2, 0, 0]
+    assert c.theta.tolist() == [0.1, 0.3, 0.2]
 
 
 @pytest.mark.parametrize("mode", [-1, 3])
