@@ -586,6 +586,7 @@ def test_bs_params_matches_scalar_branches_bit_for_bit():
     blocks = [
         [[0.0, e[0]], [-e[1], 0.0]],  # fully crossing: u00 = 0
         [[0.0, -1.0], [1.0, 0.0]],
+        [[0.0, 1j], [e[2], 0.25]],  # u00 = 0 but u11 != 0: b still comes from u10
         [[-0.0 - 0.0j, 1j], [1j, -0.0]],  # signed zeros reach atan2
         [[e[2], 0.0], [0.0, e[0]]],  # diagonal: u01 = 0, phi = 0
         [[2e-12, 1.0], [-1.0, 5e-13j]],  # |u00| above the cut, |u11| below it
