@@ -45,9 +45,11 @@ def permanent(a: np.ndarray) -> complex | np.ndarray:
     """Permanent of a square matrix, or of each matrix in a (..., n, n) stack.
 
     Glynn formula: perm(a) = 2^{1-n} sum over delta in {+-1}^n with
-    delta_0 = +1 of prod(delta) * prod_j sum_i delta_i a[i, j].  The sign
-    vectors are taken in chunks as one matrix product each, so no
-    intermediate exceeds 128 KiB; the work is O(2^n n^2) per matrix.
+    delta_0 = +1 of prod(delta) * prod_j sum_i delta_i a[i, j].  The stack
+    is laid out by columns (``cols[j]`` holds column j of every matrix), and
+    for a block of matrices and a chunk of sign vectors the n products
+    ``cols[j] @ delta`` are multiplied into one running product in place, so
+    no intermediate exceeds 128 KiB; the work is O(2^n n^2) per matrix.
     A single matrix gives a complex number, a stack an array of the stack's
     shape.  The 0-by-0 permanent is 1 by convention (empty product).
 
@@ -66,22 +68,27 @@ def permanent(a: np.ndarray) -> complex | np.ndarray:
         raise CapacityError(
             f"permanent capped at {PERMANENT_MAX_DIM}x{PERMANENT_MAX_DIM}, got n={n}"
         )
-    stack = a.reshape((int(np.prod(a.shape[:-2])), n, n))
+    size = int(np.prod(a.shape[:-2]))
     if n == 0:
-        total = np.ones(len(stack), dtype=complex)
+        total = np.ones(size, dtype=complex)
     else:
-        total = np.zeros(len(stack), dtype=complex)
+        # cols[j, m, i] = a_m[i, j]: one contiguous (matrices, n) block per column
+        cols = np.ascontiguousarray(np.moveaxis(a.reshape(size, n, n), -1, 0))
+        total = np.zeros(size, dtype=complex)
         count = 1 << (n - 1)
         width = min(count, max(1, PERMANENT_CHUNK // n))  # sign vectors per product
-        per = max(1, PERMANENT_CHUNK // (width * n))  # matrices per product
+        per = max(1, PERMANENT_CHUNK // width)  # matrices per product
         for start in range(0, count, width):
             index = np.arange(start, min(start + width, count))
-            delta = np.ones((len(index), n), dtype=complex)
-            delta[:, 1:] -= 2 * ((index[:, None] >> np.arange(n - 1)) & 1)
-            parity = delta.prod(axis=1)
-            for b in range(0, len(stack), per):
-                sums = delta @ stack[b : b + per]  # (matrices, signs, n) column sums
-                total[b : b + per] += sums.prod(axis=-1) @ parity
+            delta = np.ones((n, len(index)), dtype=complex)
+            delta[1:] -= 2 * ((index >> np.arange(n - 1)[:, None]) & 1)
+            parity = delta.prod(axis=0)
+            for b in range(0, size, per):
+                prod = cols[0, b : b + per] @ delta  # (matrices, signs)
+                term = np.empty_like(prod)
+                for j in range(1, n):
+                    prod *= np.matmul(cols[j, b : b + per], delta, out=term)
+                total[b : b + per] += prod @ parity
         total *= 2.0 ** (1 - n)
     if a.ndim == 2:
         return complex(total[0])

@@ -7,6 +7,7 @@ point is trustworthy numbers to hold the samplers against, not speed.
 from __future__ import annotations
 
 import math
+from itertools import chain, combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -27,6 +28,8 @@ __all__ = [
 
 ORACLE_MAX_PHOTONS = 8
 ORACLE_MAX_MODES = 8
+# Complex entries in one gathered permanent stack: 1 << 18 * 16 B = 4 MiB.
+GATHER_ENTRIES = 1 << 18
 
 
 def enumerate_patterns(total: int, modes: int):
@@ -35,12 +38,7 @@ def enumerate_patterns(total: int, modes: int):
         raise ValueError("need at least one mode")
     if total < 0:
         raise ValueError("photon number must be >= 0")
-    if modes == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in enumerate_patterns(total - first, modes - 1):
-            yield (first,) + rest
+    yield from _outcome_table(total, modes)[0]
 
 
 def _check_caps(total: int, modes: int) -> None:
@@ -64,29 +62,56 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _counts(rows: np.ndarray, modes: int) -> np.ndarray:
+    """Photon counts per mode of each row of a (sets, k) array of mode lists."""
+    flat = rows + modes * np.arange(len(rows))[:, None]
+    return np.bincount(flat.ravel(), minlength=len(rows) * modes).reshape(-1, modes)
+
+
+def _norms(counts: np.ndarray) -> np.ndarray:
+    """prod(counts!) of each row of a count array."""
+    top = int(counts.max(initial=0))
+    factorials = np.array([math.factorial(x) for x in range(top + 1)], dtype=float)
+    return factorials[counts].prod(axis=1)
+
+
 def _outcome_table(total: int, modes: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     """Outcomes of ``total`` photons over ``modes``, their permanent rows and norms.
 
-    Row r of the index array repeats each mode by its count in outcome r;
-    the norm is prod(outcome!).
+    Row r of the index array lists outcome r's occupied modes in ascending
+    order, each repeated by its count; the norm is prod(outcome!).  Sorted
+    mode lists in descending lexicographic order give the count patterns in
+    ascending lexicographic order, which is the order of the outcomes.
     """
-    outcomes = tuple(enumerate_patterns(total, modes))
-    counts = np.array(outcomes, dtype=int).reshape(len(outcomes), modes)
-    rows = np.repeat(np.tile(np.arange(modes), len(outcomes)), counts.ravel())
-    factorials = np.array([math.factorial(x) for x in range(total + 1)], dtype=float)
-    return outcomes, rows.reshape(len(outcomes), total), factorials[counts].prod(axis=1)
+    lists = combinations_with_replacement(range(modes), total)
+    size = math.comb(modes + total - 1, total)
+    rows = np.fromiter(chain.from_iterable(lists), np.intp, size * total)
+    rows = rows.reshape(size, total)[::-1]
+    counts = _counts(rows, modes)
+    return tuple(map(tuple, counts.tolist())), rows, _norms(counts)
 
 
-def _fock_weights(u: np.ndarray, pattern, table: tuple) -> np.ndarray:
-    """Output weights of Fock input ``pattern`` over a table from :func:`_outcome_table`.
+def _summed_weights(u: np.ndarray, table: tuple, inputs: np.ndarray) -> np.ndarray:
+    """Output weights over ``table`` summed over a (sets, k) array of input columns.
 
-    Every outcome's submatrix is gathered into one stack for one permanent call.
+    Each row of ``inputs`` lists the k input modes of one Fock input, each mode
+    repeated by its count; its weight at outcome r is
+    |perm(u[rows[r], input])|^2 / (prod(outcome!) * prod(input!)).  The
+    submatrices of every (input, outcome) pair go to one stacked permanent
+    call, in pieces of at most ``GATHER_ENTRIES`` complex entries.
     """
     _, rows, norms = table
-    cols = np.repeat(np.arange(len(pattern)), pattern)
-    amps = permanent(u[rows[:, :, None], cols])
-    in_norm = math.prod(math.factorial(x) for x in pattern)
-    return np.abs(amps) ** 2 / (in_norm * norms)
+    sets, k = inputs.shape
+    in_norms = _norms(_counts(inputs, u.shape[1]))
+    per = max(1, GATHER_ENTRIES // max(1, len(rows) * k * k))  # inputs per piece
+    acc = np.zeros(len(rows))
+    for s in range(0, sets, per):
+        # cols[c, s, t, r] = u[rows[t, r], inputs[s, c]]: gathered by columns, so
+        # the permanent's column layout is a view of it, not a copy
+        cols = np.take(u.T[inputs[s : s + per].T], rows, axis=2)
+        amps = permanent(np.moveaxis(cols, 0, -1))
+        acc += (np.abs(amps) ** 2 / in_norms[s : s + per, None]).sum(axis=0)
+    return acc / norms
 
 
 def fock_output_distribution(u: np.ndarray, pattern) -> Distribution:
@@ -106,7 +131,8 @@ def fock_output_distribution(u: np.ndarray, pattern) -> Distribution:
     total = sum(pattern)
     _check_caps(total, modes)
     table = _outcome_table(total, modes)
-    return Distribution(outcomes=table[0], weights=_fock_weights(u, pattern, table))
+    inputs = np.repeat(np.arange(modes), pattern)[None, :]
+    return Distribution(outcomes=table[0], weights=_summed_weights(u, table, inputs))
 
 
 def lossy_exact_distribution(
@@ -118,7 +144,9 @@ def lossy_exact_distribution(
     survives the loss channel independently with probability mu, then the
     survivors interfere through the unitary ``u``.  The result is the
     binomial mixture over survival subsets of the exact lossless
-    distributions; outcomes are enumerated once per survivor count.
+    distributions.  For each survivor count k the outcomes are enumerated
+    once, and the submatrices of every (k-subset of inputs, outcome) pair go
+    to one stacked permanent call.
     """
     u = _check_unitary(u)
     modes = u.shape[0]
@@ -131,19 +159,14 @@ def lossy_exact_distribution(
             n and not 0 <= input_modes.min() <= input_modes.max() < modes):
         raise ValueError(f"input_modes must list {n} modes in [0, {modes})")
     _check_caps(n, modes)
-    tables: dict = {}  # survivor count -> outcome table
-    acc: dict = {}  # survivor count -> weights summed over that table
-    for bits in range(1 << n):
-        survivors = np.array([(bits >> i) & 1 for i in range(n)], dtype=bool)
-        k = int(survivors.sum())
+    law: dict = {}
+    for k in range(n + 1):
         weight = mu**k * (1.0 - mu) ** (n - k)
         if weight == 0.0:
             continue
-        if k not in tables:
-            tables[k], acc[k] = _outcome_table(k, modes), 0.0
-        pattern = np.bincount(input_modes[survivors], minlength=modes)
-        acc[k] = acc[k] + weight * _fock_weights(u, pattern, tables[k])
-    law = {o: w for k in tables for o, w in zip(tables[k][0], acc[k])}
+        table = _outcome_table(k, modes)
+        subsets = np.array(list(combinations(range(n), k)), dtype=np.intp)
+        law.update(zip(table[0], weight * _summed_weights(u, table, input_modes[subsets])))
     outcomes = sorted(law)
     return Distribution(
         outcomes=tuple(outcomes), weights=np.array([law[o] for o in outcomes])
@@ -169,23 +192,21 @@ def thermal_exact_distribution(
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     _check_caps(cutoff, modes)
-    acc: dict = {}
+    law: dict = {}
     included = 0.0
     for total in range(cutoff + 1):
-        for partial in enumerate_patterns(total, n):
-            weight = (1.0 - lam) ** n * lam**total
-            if weight == 0.0:
-                continue
-            included += weight
-            pattern = partial + (0,) * (modes - n)
-            sub = fock_output_distribution(u, pattern)
-            for outcome, w in zip(sub.outcomes, sub.weights):
-                acc[outcome] = acc.get(outcome, 0.0) + weight * w
+        weight = (1.0 - lam) ** n * lam**total
+        if weight == 0.0:
+            continue
+        inputs = _outcome_table(total, n)[1]  # every input pattern, as mode lists
+        included += weight * len(inputs)
+        table = _outcome_table(total, modes)
+        law.update(zip(table[0], weight * _summed_weights(u, table, inputs)))
     tail = max(0.0, 1.0 - included)
-    outcomes = sorted(acc)
+    outcomes = sorted(law)
     return Distribution(
         outcomes=tuple(outcomes),
-        weights=np.array([acc[o] for o in outcomes]),
+        weights=np.array([law[o] for o in outcomes]),
         truncation_error=tail,
         subnormal=True,
     )

@@ -48,7 +48,7 @@ def test_permanent_identity_and_ones():
         assert permanent(np.ones((n, n))) == pytest.approx(math.factorial(n))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_permanent_matches_naive_on_random_complex(n):
     rng = make_stream(100 + n)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -1,10 +1,12 @@
 """Tests for the brute-force reference distributions."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
+from lossyboson import oracle
 from lossyboson import (
     CapacityError,
     ModelViolationError,
@@ -148,6 +150,34 @@ def test_lossy_law_places_photons_on_input_modes():
     leading = lossy_exact_distribution(u[:, [1, 3, 0, 2]], 0.6, 2)
     assert placed.outcomes == leading.outcomes
     assert np.allclose(placed.weights, leading.weights, atol=1e-12)
+
+
+def test_lossy_law_keeps_input_norm_for_duplicate_input_modes():
+    """Two photons in one mode: the doubly occupied input carries its 1/2! norm."""
+    dist = lossy_exact_distribution(np.eye(3), 0.5, 2, input_modes=(1, 1))
+    expected = {(0, 0, 0): 0.25, (0, 1, 0): 0.5, (0, 2, 0): 0.25}
+    for outcome, p in dist.as_dict().items():
+        assert p == pytest.approx(expected.get(outcome, 0.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("gather", [oracle.GATHER_ENTRIES, 1])
+def test_lossy_law_is_the_mixture_over_survival_patterns(monkeypatch, gather):
+    """Equals the explicit sum over survival bitmasks of mu^k (1-mu)^(n-k) times
+    the lossless law of the surviving photons; gather 1 puts every input in
+    its own permanent stack."""
+    monkeypatch.setattr(oracle, "GATHER_ENTRIES", gather)
+    u = haar_unitary(8, make_stream(111))
+    mu, input_modes = 0.7, (0, 2, 3, 5, 6, 7)
+    n = len(input_modes)
+    reference: dict = {}
+    for bits in product((0, 1), repeat=n):
+        k = sum(bits)
+        pattern = np.bincount([m for m, b in zip(input_modes, bits) if b], minlength=8)
+        for outcome, p in fock_output_distribution(u, pattern).as_dict().items():
+            reference[outcome] = reference.get(outcome, 0.0) + mu**k * (1 - mu) ** (n - k) * p
+    dist = lossy_exact_distribution(u, mu, n, input_modes=input_modes)
+    assert dist.outcomes == tuple(sorted(reference))
+    assert np.abs(dist.weights - [reference[o] for o in dist.outcomes]).max() < 1e-13
 
 
 @pytest.mark.parametrize("input_modes", [(1,), (1, 2, 3), (0, 4), (-1, 2)])
