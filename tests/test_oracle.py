@@ -160,7 +160,7 @@ def test_lossy_law_keeps_input_norm_for_duplicate_input_modes():
         assert p == pytest.approx(expected.get(outcome, 0.0), abs=1e-15)
 
 
-@pytest.mark.parametrize("gather", [oracle.GATHER_ENTRIES, 1])
+@pytest.mark.parametrize("gather", [oracle.GATHER_ENTRIES, 1], ids=["default", "one-input"])
 def test_lossy_law_is_the_mixture_over_survival_patterns(monkeypatch, gather):
     """Equals the explicit sum over survival bitmasks of mu^k (1-mu)^(n-k) times
     the lossless law of the surviving photons; gather 1 puts every input in
