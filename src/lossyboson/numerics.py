@@ -1,10 +1,10 @@
 """Shared numerical kernels: Haar unitaries, permanents, discrete
-distributions, total-variation distance and input-mode checks.
+distributions over photon-count rows, row grouping and total-variation distance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +16,7 @@ __all__ = [
     "permanent",
     "permanent_naive",
     "Distribution",
+    "row_groups",
     "total_variation",
 ]
 
@@ -116,31 +117,35 @@ def permanent_naive(a: np.ndarray) -> complex:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Discrete distribution with explicit outcome labels.
+    """Discrete distribution over photon-count patterns.
 
-    Outcomes are hashable labels (photon-count tuples throughout this
-    package); weights are non-negative and, unless ``subnormal`` is set,
-    sum to one within 1e-10.  A subnormal distribution carries the missing
-    mass in ``truncation_error``.
+    ``outcomes`` is a read-only (K, M) int array whose rows are distinct
+    count patterns; ``weights`` are their K non-negative probabilities.
+    Weights sum to one within 1e-10, unless ``truncation_error`` is positive:
+    then the law is subnormal, its weights sum to at most one and the
+    declared error covers the missing mass.
     """
 
-    outcomes: tuple
+    outcomes: np.ndarray
     weights: np.ndarray
     truncation_error: float = 0.0
-    subnormal: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        if len(self.outcomes) != w.shape[0]:
+        outcomes = np.array(self.outcomes, dtype=int)  # ValueError for ragged rows
+        if outcomes.ndim != 2 or (outcomes < 0).any():
+            raise ValueError("outcomes must be a 2-D array of non-negative counts")
+        outcomes.flags.writeable = False
+        object.__setattr__(self, "outcomes", outcomes)
+        if len(outcomes) != w.shape[0]:
             raise ValueError("outcomes and weights length mismatch")
         if np.any(w < -1e-12):
             raise ValueError("negative probability weight")
-        if len(set(self.outcomes)) != len(self.outcomes):
-            raise ValueError("duplicate outcome labels")
+        if len({row.tobytes() for row in outcomes}) != len(outcomes):
+            raise ValueError("duplicate outcomes")
         total = float(w.sum())
-        if self.subnormal:
+        if self.truncation_error > 0.0:
             if total > 1.0 + 1e-9:
                 raise ValueError(f"weights sum to {total} > 1")
             if self.truncation_error < (1.0 - total) - 1e-9:
@@ -149,11 +154,29 @@ class Distribution:
             raise ValueError(f"weights must sum to 1, got {total}")
 
     def as_dict(self) -> dict:
-        return dict(zip(self.outcomes, self.weights))
+        return dict(zip(map(tuple, self.outcomes.tolist()), self.weights))
+
+
+def row_groups(rows: np.ndarray) -> tuple:
+    """Distinct rows of a 2-D int array in sorted order and each row's index among them.
+
+    The result of ``np.unique(rows, axis=0, return_inverse=True)``, from one
+    lexsort of the integer columns instead of a sort of structured rows.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    which = np.empty(len(rows), dtype=int)
+    which[order] = np.cumsum(first) - 1
+    return ranked[first], which
 
 
 def total_variation(p: Distribution, q: Distribution) -> float:
-    """Total-variation distance ½ Σ |p(x) − q(x)| over the union of supports."""
-    pd, qd = p.as_dict(), q.as_dict()
-    support = set(pd) | set(qd)
-    return 0.5 * sum(abs(pd.get(x, 0.0) - qd.get(x, 0.0)) for x in support)
+    """Total-variation distance ½ Σ |p(x) − q(x)| over the union of supports.
+
+    Laws over different numbers of modes raise ``ValueError`` when stacked.
+    """
+    _, which = row_groups(np.concatenate([p.outcomes, q.outcomes]))
+    diff = np.bincount(which, weights=np.concatenate([p.weights, -q.weights]))
+    return 0.5 * float(np.abs(diff).sum())

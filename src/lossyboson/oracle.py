@@ -32,13 +32,13 @@ ORACLE_MAX_MODES = 8
 GATHER_ENTRIES = 1 << 18
 
 
-def enumerate_patterns(total: int, modes: int):
-    """All count patterns of ``total`` photons over ``modes``, lexicographic."""
+def enumerate_patterns(total: int, modes: int) -> np.ndarray:
+    """All count patterns of ``total`` photons over ``modes``, as lexicographic rows."""
     if modes < 1:
         raise ValueError("need at least one mode")
     if total < 0:
         raise ValueError("photon number must be >= 0")
-    yield from _outcome_table(total, modes)[0]
+    return _outcome_table(total, modes)[0]
 
 
 def _check_caps(total: int, modes: int) -> None:
@@ -75,20 +75,21 @@ def _norms(counts: np.ndarray) -> np.ndarray:
     return factorials[counts].prod(axis=1)
 
 
-def _outcome_table(total: int, modes: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+def _outcome_table(total: int, modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outcomes of ``total`` photons over ``modes``, their permanent rows and norms.
 
-    Row r of the index array lists outcome r's occupied modes in ascending
-    order, each repeated by its count; the norm is prod(outcome!).  Sorted
-    mode lists in descending lexicographic order give the count patterns in
-    ascending lexicographic order, which is the order of the outcomes.
+    Row r of the (K, M) count array is outcome r.  Row r of the index array
+    lists outcome r's occupied modes in ascending order, each repeated by
+    its count; the norm is prod(outcome!).  Sorted mode lists in descending
+    lexicographic order give the count patterns in ascending lexicographic
+    order, which is the order of the outcomes.
     """
     lists = combinations_with_replacement(range(modes), total)
     size = math.comb(modes + total - 1, total)
     rows = np.fromiter(chain.from_iterable(lists), np.intp, size * total)
     rows = rows.reshape(size, total)[::-1]
     counts = _counts(rows, modes)
-    return tuple(map(tuple, counts.tolist())), rows, _norms(counts)
+    return counts, rows, _norms(counts)
 
 
 def _summed_weights(u: np.ndarray, table: tuple, inputs: np.ndarray) -> np.ndarray:
@@ -159,18 +160,17 @@ def lossy_exact_distribution(
             n and not 0 <= input_modes.min() <= input_modes.max() < modes):
         raise ValueError(f"input_modes must list {n} modes in [0, {modes})")
     _check_caps(n, modes)
-    law: dict = {}
+    parts = []
     for k in range(n + 1):
         weight = mu**k * (1.0 - mu) ** (n - k)
         if weight == 0.0:
             continue
         table = _outcome_table(k, modes)
         subsets = np.array(list(combinations(range(n), k)), dtype=np.intp)
-        law.update(zip(table[0], weight * _summed_weights(u, table, input_modes[subsets])))
-    outcomes = sorted(law)
-    return Distribution(
-        outcomes=tuple(outcomes), weights=np.array([law[o] for o in outcomes])
-    )
+        parts.append((table[0], weight * _summed_weights(u, table, input_modes[subsets])))
+    outcomes, weights = (np.concatenate(x) for x in zip(*parts))
+    order = np.lexsort(outcomes.T[::-1])  # disjoint supports per k: one sort orders all
+    return Distribution(outcomes[order], weights[order])
 
 
 def thermal_exact_distribution(
@@ -192,7 +192,7 @@ def thermal_exact_distribution(
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     _check_caps(cutoff, modes)
-    law: dict = {}
+    parts = []
     included = 0.0
     for total in range(cutoff + 1):
         weight = (1.0 - lam) ** n * lam**total
@@ -201,15 +201,10 @@ def thermal_exact_distribution(
         inputs = _outcome_table(total, n)[1]  # every input pattern, as mode lists
         included += weight * len(inputs)
         table = _outcome_table(total, modes)
-        law.update(zip(table[0], weight * _summed_weights(u, table, inputs)))
-    tail = max(0.0, 1.0 - included)
-    outcomes = sorted(law)
-    return Distribution(
-        outcomes=tuple(outcomes),
-        weights=np.array([law[o] for o in outcomes]),
-        truncation_error=tail,
-        subnormal=True,
-    )
+        parts.append((table[0], weight * _summed_weights(u, table, inputs)))
+    outcomes, weights = (np.concatenate(x) for x in zip(*parts))
+    order = np.lexsort(outcomes.T[::-1])  # disjoint supports per total: one sort orders all
+    return Distribution(outcomes[order], weights[order], max(0.0, 1.0 - included))
 
 
 def constellation_hermite_moments(

@@ -23,6 +23,7 @@ import numpy as np
 from . import circuit as circ
 from . import mps, oracle, thermal
 from .errors import CapacityError, ModelViolationError, ResampleSignal
+from .numerics import row_groups
 from .rng import RandomStream
 
 __all__ = ["MODES", "Sampler", "ThermalSource", "MPSSource", "build_sampler"]
@@ -117,7 +118,7 @@ class MPSSource:
         all their counts.  So the rows depend only on ``rng`` and ``inputs``.
         """
         inputs = np.asarray(inputs, dtype=int)
-        patterns, which = _row_groups(inputs)
+        patterns, which = row_groups(inputs)
         rows = np.bincount(which, minlength=len(patterns))
         at_input = (rows * self.mu ** patterns.sum(axis=1) < 1.0)[which]
         out = np.empty(inputs.shape, dtype=int)
@@ -133,7 +134,7 @@ class MPSSource:
 
         Patterns are visited in sorted order.
         """
-        patterns, which = _row_groups(inputs)
+        patterns, which = row_groups(inputs)
         out = np.empty(inputs.shape, dtype=int)
         for g, pattern in enumerate(patterns):
             rows = np.flatnonzero(which == g)
@@ -158,21 +159,6 @@ class MPSSource:
         )
 
 
-def _row_groups(rows: np.ndarray) -> tuple:
-    """Distinct rows in sorted order and each row's index among them.
-
-    The result of ``np.unique(rows, axis=0, return_inverse=True)``, from one
-    lexsort of the integer columns instead of a sort of structured rows.
-    """
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    which = np.empty(len(rows), dtype=int)
-    which[order] = np.cumsum(first) - 1
-    return ranked[first], which
-
-
 def _zero_one(pattern: tuple, backend: str) -> np.ndarray:
     if any(x > 1 for x in pattern):
         raise ValueError(f"{backend} sampling expects 0/1 input patterns")
@@ -190,10 +176,10 @@ def _oracle_sampler(circuit: circ.LayeredCircuit, pattern: tuple,
             circ.transfer_matrix(circuit.lossless_copy()), tau ** circuit.depth,
             len(input_modes), input_modes=input_modes,
         )
-    outcomes = np.array(dist.outcomes, dtype=int).reshape(-1, circuit.modes)
     weights = dist.weights / dist.weights.sum()
     return Sampler(
-        "oracle", lambda rng, size: outcomes[rng.choice(len(outcomes), size=size, p=weights)],
+        "oracle",
+        lambda rng, size: dist.outcomes[rng.choice(len(weights), size=size, p=weights)],
         decision,
     )
 

@@ -727,7 +727,7 @@ def test_stats_tvd_against_reference(shallow_lossless, tmp_path, capsys):
     exact = fock_output_distribution(u, (1, 1, 0, 0))
     ref = tmp_path / "ref.json"
     ref.write_text(json.dumps({
-        "outcomes": [list(o) for o in exact.outcomes],
+        "outcomes": exact.outcomes.tolist(),
         "weights": list(exact.weights),
     }))
     code = main(["stats", "--in", str(out), "--reference", str(ref)])
@@ -780,6 +780,19 @@ def test_stats_reference_equal_to_own_law_gives_zero_tvd(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["tvd_to_reference"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("outcomes", [[[1, 0], [0, 1]], [[1, 0], [0, 1, 0]],
+                                      [[1, -1, 1], [0, 1, 0]]],
+                         ids=["wrong-width", "ragged", "negative"])
+def test_stats_rejects_malformed_reference(outcomes, tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    path.write_text("1,0,0\n0,1,0\n")
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps({"outcomes": outcomes, "weights": [0.5, 0.5]}))
+    code = main(["stats", "--in", str(path), "--reference", str(ref)])
+    assert code == 1
+    assert "tvd_to_reference" not in capsys.readouterr().out
 
 
 def test_stats_parse_error_names_the_line(tmp_path, capsys):

@@ -151,6 +151,20 @@ def test_distribution_basic_accessors():
     assert d.truncation_error == 0.0
 
 
+def test_distribution_outcomes_are_read_only_count_rows():
+    d = Distribution(outcomes=[[0, 1], [1, 0]], weights=np.array([0.25, 0.75]))
+    assert d.outcomes.shape == (2, 2) and d.outcomes.dtype == int
+    with pytest.raises(ValueError):
+        d.outcomes[0, 0] = 2
+
+
+@pytest.mark.parametrize("outcomes", [[[1, 0], [0, 1, 0]], [0, 1], [[1, -1], [0, 0]]],
+                         ids=["ragged", "one-dimensional", "negative"])
+def test_distribution_rejects_malformed_outcomes(outcomes):
+    with pytest.raises(ValueError):
+        Distribution(outcomes=outcomes, weights=np.array([0.5, 0.5]))
+
+
 def test_distribution_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         Distribution(outcomes=((0,),), weights=np.array([0.5, 0.5]))
@@ -181,7 +195,6 @@ def test_subnormal_distribution_tracks_truncation():
         outcomes=((0,), (1,)),
         weights=np.array([0.5, 0.4]),
         truncation_error=0.1,
-        subnormal=True,
     )
     assert d.truncation_error == pytest.approx(0.1)
 
@@ -192,7 +205,6 @@ def test_subnormal_distribution_rejects_understated_truncation():
             outcomes=((0,), (1,)),
             weights=np.array([0.5, 0.4]),
             truncation_error=0.01,
-            subnormal=True,
         )
 
 
@@ -207,6 +219,22 @@ def test_total_variation_disjoint_supports():
     p = Distribution(outcomes=((0,),), weights=np.array([1.0]))
     q = Distribution(outcomes=((1,),), weights=np.array([1.0]))
     assert total_variation(p, q) == pytest.approx(1.0)
+
+
+def test_total_variation_rejects_different_widths():
+    p = Distribution(outcomes=((0, 1),), weights=np.array([1.0]))
+    q = Distribution(outcomes=((0, 1, 0),), weights=np.array([1.0]))
+    with pytest.raises(ValueError):
+        total_variation(p, q)
+
+
+def test_row_groups_matches_unique():
+    rows = make_stream(3).integers(0, 3, size=(200, 4))
+    patterns, which = numerics.row_groups(rows)
+    ref, inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(patterns, ref)
+    assert np.array_equal(which, inverse.ravel())
+    assert np.array_equal(patterns[which], rows)
 
 
 def test_total_variation_over_union_of_supports():
