@@ -530,7 +530,7 @@ def circuit_from_json(text: str) -> LayeredCircuit:
     if not isinstance(doc, dict) or "modes" not in doc or "layers" not in doc:
         raise ValueError('circuit JSON must be an object with "modes" and "layers"')
     modes = doc["modes"]
-    if not isinstance(modes, int) or modes < 1:
+    if type(modes) is not int or modes < 1:
         raise ValueError(f'"modes" must be a positive integer, got {modes!r}')
     layers = []
     for idx, entry in enumerate(doc["layers"]):
@@ -539,7 +539,9 @@ def circuit_from_json(text: str) -> LayeredCircuit:
         gates = []
         for g in entry["couplers"]:
             try:
-                gates.append(CouplerGate(int(g["mode"]), float(g["theta"]),
+                if type(g["mode"]) is not int:
+                    raise TypeError("coupler mode must be an integer")
+                gates.append(CouplerGate(g["mode"], float(g["theta"]),
                                          float(g.get("phi", 0.0)), float(g.get("tau", 1.0))))
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad coupler in layer {idx}: {g!r}") from exc

@@ -67,8 +67,6 @@ def _build_parser() -> _Parser:
         description="Classical simulation of lossy multiphoton interference.",
     )
     p.add_argument("command", nargs="?", choices=COMMANDS, help="what to run")
-    p.add_argument("--command", dest="command_flag", choices=COMMANDS,
-                   help="alternative to the positional command")
     p.add_argument("--config", help="JSON config file; flags override its entries")
     p.add_argument("--circuit", help="circuit JSON file")
     p.add_argument("--seed", type=int, help="root RNG seed (fixed seed => fixed bytes)")
@@ -124,35 +122,24 @@ def _env_overrides() -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge defaults < config file < environment < flags into one dict.
-
-    Keys the user actually set (config file, environment, or flag — not a
-    built-in default) are recorded in cfg["_explicit"] so commands can tell
-    a deliberate choice apart from a fallback value.
-    """
+    """Merge defaults < config file < environment < flags into one dict."""
     cfg = dict(DEFAULTS)
-    explicit = set()
-    file_cfg = _load_config(args.config)
-    file_over = {k: v for k, v in file_cfg.items() if v is not None}
-    cfg.update(file_over)
-    explicit.update(file_over)
-    env_over = _env_overrides()
-    cfg.update(env_over)
-    explicit.update(env_over)
+    cfg.update({k: v for k, v in _load_config(args.config).items() if v is not None})
+    cfg.update(_env_overrides())
     for key in ("circuit", "seed", "samples", "mode", "out", "format", "eps",
                 "photons", "workers", "max_bond", "herald_lambda", "input",
                 "reference"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-            explicit.add(key)
-    command = args.command_flag or args.command or cfg.get("command")
+    command = args.command or cfg.get("command")
     if command not in COMMANDS:
         raise UsageError(
             f"no command given; choose one of {', '.join(COMMANDS)}"
         )
     cfg["command"] = command
-    cfg["_explicit"] = sorted(explicit)
+    if cfg.get("photons") is not None and type(cfg["photons"]) is not int:
+        raise UsageError(f'"photons" must be an integer, got {cfg["photons"]!r}')
     try:
         k, gamma = float(cfg["density_k"]), float(cfg["density_gamma"])
         eps, max_bond = float(cfg["eps"]), int(cfg["max_bond"])
@@ -196,17 +183,22 @@ def _resolve_circuit(cfg: dict) -> tuple[circ.LayeredCircuit | None, str]:
     raise UsageError("circuit must be a file path or {'brickwork': {...}}")
 
 
+def _counts(row) -> list:
+    """A row of photon counts as read from a file: a list of non-negative ints."""
+    if not isinstance(row, list) or not all(type(x) is int and x >= 0 for x in row):
+        raise ValueError(f"counts must be non-negative integers, got {row!r}")
+    return row
+
+
 def _input_pattern(cfg: dict, modes: int) -> tuple:
     if "pattern" in cfg:
-        pattern = tuple(int(x) for x in cfg["pattern"])
+        pattern = tuple(_counts(cfg["pattern"]))
         if len(pattern) != modes:
             raise UsageError(
                 f"pattern covers {len(pattern)} modes, circuit has {modes}"
             )
-        if any(x < 0 for x in pattern):
-            raise UsageError("pattern entries must be >= 0")
         return pattern
-    n = int(cfg.get("photons") or 0)
+    n = cfg.get("photons") or 0
     if n <= 0:
         raise UsageError('give "photons" or an explicit "pattern"')
     if n > modes:
@@ -455,7 +447,7 @@ def run_validate(cfg: dict) -> int:
     )
     checks.append(_check("poisson_bernoulli_tvd_bound", worst, 0.0))
 
-    photons = int(cfg.get("photons") or 2)
+    photons = cfg.get("photons") or 2
     if photons > oracle.ORACLE_MAX_PHOTONS:
         checks.append({
             "name": "mps_matches_oracle",
@@ -494,7 +486,8 @@ def run_validate(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_samples(path: str, fmt_hint: str | None) -> tuple[np.ndarray, list]:
+def _read_samples(path: str) -> tuple[np.ndarray, list]:
+    """Count rows and regime tags of a sample file, JSONL or CSV as its first line shows."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -502,16 +495,16 @@ def _read_samples(path: str, fmt_hint: str | None) -> tuple[np.ndarray, list]:
         raise UsageError(f"cannot read samples {path}: {exc}") from exc
     if not lines:
         raise UsageError(f"sample file {path} is empty")
-    fmt = fmt_hint or ("jsonl" if lines[0].lstrip().startswith("{") else "csv")
+    fmt = "jsonl" if lines[0].startswith("{") else "csv"
     counts, regimes = [], []
     for lineno, ln in enumerate(lines, start=1):
         try:
             if fmt == "jsonl":
                 doc = json.loads(ln)
-                counts.append([int(x) for x in doc["n"]])
+                counts.append(_counts(doc["n"]))
                 regimes.append(doc.get("regime", "?"))
             else:
-                counts.append([int(x) for x in ln.split(",")])
+                counts.append(_counts([int(x) for x in ln.split(",")]))
                 regimes.append("?")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(
@@ -527,11 +520,7 @@ def run_stats(cfg: dict) -> int:
     path = cfg.get("input") or cfg.get("out")
     if not path:
         raise UsageError("stats needs --in (or an out path in the config)")
-    # only honor the format as a parse hint when the user actually set it;
-    # otherwise sniff jsonl-vs-csv from the first line
-    explicit = cfg.get("_explicit", ())
-    fmt_hint = cfg["format"] if "format" in explicit else None
-    arr, regimes = _read_samples(path, fmt_hint)
+    arr, regimes = _read_samples(path)
     totals, freq = np.unique(arr.sum(axis=1), return_counts=True)
     report = {
         "samples": int(arr.shape[0]),
@@ -545,7 +534,7 @@ def run_stats(cfg: dict) -> int:
         try:
             with open(ref_path, "r", encoding="utf-8") as fh:
                 ref = json.load(fh)
-            ref_dist = Distribution(ref["outcomes"], ref["weights"],
+            ref_dist = Distribution([_counts(row) for row in ref["outcomes"]], ref["weights"],
                                     float(ref.get("truncation_error", 0.0)))
         except (OSError, KeyError, TypeError, json.JSONDecodeError, ValueError) as exc:
             raise UsageError(f"bad reference distribution {ref_path}: {exc}") from exc

@@ -133,9 +133,10 @@ class Distribution:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
-        outcomes = np.array(self.outcomes, dtype=int)  # ValueError for ragged rows
-        if outcomes.ndim != 2 or (outcomes < 0).any():
-            raise ValueError("outcomes must be a 2-D array of non-negative counts")
+        outcomes = np.array(self.outcomes)  # ValueError for ragged rows
+        if outcomes.ndim != 2 or outcomes.dtype.kind not in "iu" or (outcomes < 0).any():
+            raise ValueError("outcomes must be a 2-D array of non-negative integer counts")
+        outcomes = outcomes.astype(int, copy=False)
         outcomes.flags.writeable = False
         object.__setattr__(self, "outcomes", outcomes)
         if len(outcomes) != w.shape[0]:

@@ -139,11 +139,12 @@ def fock_output_distribution(u: np.ndarray, pattern) -> Distribution:
 def lossy_exact_distribution(
     u: np.ndarray, mu: float, n: int, input_modes=None
 ) -> Distribution:
-    """Exact outcome law for n single photons with uniform transmission mu.
+    """Exact outcome law for n input photons with uniform transmission mu.
 
-    Input photons occupy ``input_modes`` (default: the first n modes); each
-    survives the loss channel independently with probability mu, then the
-    survivors interfere through the unitary ``u``.  The result is the
+    Input photons occupy ``input_modes`` (default: the first n modes, one
+    photon each; a mode listed k times holds k photons).  Each survives the
+    loss channel independently with probability mu, then the survivors
+    interfere through the unitary ``u``.  The result is the
     binomial mixture over survival subsets of the exact lossless
     distributions.  For each survivor count k the outcomes are enumerated
     once, and the submatrices of every (k-subset of inputs, outcome) pair go
@@ -153,7 +154,7 @@ def lossy_exact_distribution(
     modes = u.shape[0]
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {mu}")
-    if not 0 <= n <= modes:
+    if n < 0 or input_modes is None and n > modes:
         raise ValueError(f"need 0 <= photons <= modes, got n={n}, modes={modes}")
     input_modes = np.arange(n) if input_modes is None else np.asarray(input_modes, dtype=int)
     if input_modes.shape != (n,) or (

@@ -167,30 +167,20 @@ def _zero_one(pattern: tuple, backend: str) -> np.ndarray:
 
 def _oracle_sampler(circuit: circ.LayeredCircuit, pattern: tuple,
                     decision: circ.SimulationPlan) -> Sampler:
-    if circuit.is_lossless():
-        dist = oracle.fock_output_distribution(circ.transfer_matrix(circuit), pattern)
-    else:
-        tau = circuit.uniform_tau()  # raises ValueError for mixed loss
-        input_modes = np.flatnonzero(_zero_one(pattern, "lossy oracle"))
-        dist = oracle.lossy_exact_distribution(
-            circ.transfer_matrix(circuit.lossless_copy()), tau ** circuit.depth,
-            len(input_modes), input_modes=input_modes,
-        )
+    """Rows drawn from the exact law: every input photon, repeated by its count,
+    survives uniform loss tau**depth on its own (tau is 1 on a lossless circuit)."""
+    tau = circuit.uniform_tau()  # raises ValueError for mixed loss
+    input_modes = np.repeat(np.arange(circuit.modes), pattern)
+    dist = oracle.lossy_exact_distribution(
+        circ.transfer_matrix(circuit.lossless_copy()), tau ** circuit.depth,
+        len(input_modes), input_modes=input_modes,
+    )
     weights = dist.weights / dist.weights.sum()
     return Sampler(
         "oracle",
         lambda rng, size: dist.outcomes[rng.choice(len(weights), size=size, p=weights)],
         decision,
     )
-
-
-def _herald(modes: int, lam: float, rng: RandomStream) -> np.ndarray:
-    """The first collision-free scattershot herald, as a 0/1 input row."""
-    for _ in range(100_000):
-        herald = thermal.scattershot_herald(modes, lam, rng)
-        if herald.max() <= 1:
-            return herald
-    raise CapacityError("scattershot rejection did not find a collision-free herald")
 
 
 def _uniform_loss(circuit: circ.LayeredCircuit) -> bool:
@@ -234,8 +224,7 @@ def build_sampler(
         regime = decision.regime or "thermal"  # only the thermal source takes mixed loss
 
         def inputs(rng: RandomStream, size: int) -> np.ndarray:
-            heralds = (_herald(circuit.modes, herald_lambda, rng) for _ in range(size))
-            return np.fromiter(heralds, dtype=np.dtype((int, circuit.modes)), count=size)
+            return thermal.scattershot_herald(circuit.modes, herald_lambda, rng, size)
     else:
         regime, row = mode, _zero_one(pattern, mode)
 

@@ -247,15 +247,16 @@ def thermal_vs_erasure_distance(lam: float, mu: float) -> float:
     return 0.5 * (lam * lam + abs(mu - lam) + abs(lam * (1.0 - lam) - mu))
 
 
-def scattershot_herald(m_modes: int, lam: float, rng: RandomStream) -> np.ndarray:
-    """Herald photon numbers for M two-mode-squeezed sources.
+def scattershot_herald(m_modes: int, lam: float, rng: RandomStream, size: int) -> np.ndarray:
+    """``size`` collision-free heralds of M two-mode-squeezed sources, as (size, M) 0/1 rows.
 
-    Each entry is geometric with P(n) = (1 - lam) lam^n, n >= 0.  Callers
-    filter for collision-free patterns (all entries <= 1) before using the
-    pattern as an interferometer input.
+    Each source heralds n photons with P(n) = (1 - lam) lam^n.  Given that no
+    source heralds two or more, the modes stay independent and each is 1 with
+    probability lam / (1 + lam), so a herald h has P(h) proportional to
+    lam^|h|; the rows are drawn from that law in one call.
     """
     if m_modes < 1:
         raise ValueError("mode count must be >= 1")
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
-    return rng.geometric(1.0 - lam, size=m_modes) - 1
+    return rng.binomial(1, lam / (1.0 + lam), size=(size, m_modes))

@@ -783,8 +783,9 @@ def test_stats_reference_equal_to_own_law_gives_zero_tvd(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("outcomes", [[[1, 0], [0, 1]], [[1, 0], [0, 1, 0]],
-                                      [[1, -1, 1], [0, 1, 0]]],
-                         ids=["wrong-width", "ragged", "negative"])
+                                      [[1, -1, 1], [0, 1, 0]], [[1.9, 0, 0], [0, 1, 0]],
+                                      [[True, 0, 0], [0, 1, 0]]],
+                         ids=["wrong-width", "ragged", "negative", "fractional", "boolean"])
 def test_stats_rejects_malformed_reference(outcomes, tmp_path, capsys):
     path = tmp_path / "s.csv"
     path.write_text("1,0,0\n0,1,0\n")
@@ -801,3 +802,55 @@ def test_stats_parse_error_names_the_line(tmp_path, capsys):
     code = main(["stats", "--in", str(path)])
     assert code == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("s.jsonl", '{"n":[1,0,0]}\n{"n":[1.9,0,0]}\n'),
+    ("s.jsonl", '{"n":[1,0,0]}\n{"n":[true,0,0]}\n'),
+    ("s.jsonl", '{"n":[1,0,0]}\n{"n":[-1,2,0]}\n'),
+    ("s.csv", "1,0,0\n-1,2,0\n"),
+], ids=["jsonl-fractional", "jsonl-boolean", "jsonl-negative", "csv-negative"])
+def test_stats_rejects_non_integer_counts(name, text, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["stats", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path} line 2" in captured.err
+
+
+def test_stats_detects_jsonl_whatever_the_format_setting(tmp_path, capsys):
+    path = tmp_path / "x.jsonl"
+    path.write_text('{"n":[1,0],"regime":"mps"}\n{"n":[0,1],"regime":"mps"}\n')
+    assert main(["stats", "--format", "csv", "--in", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["regimes"] == ["mps"]
+
+
+@pytest.mark.parametrize("modes, field, value", [
+    (3, "mode", 1.5), (3, "mode", True), (1, "modes", True),
+], ids=["mode-fractional", "mode-boolean", "modes-boolean"])
+def test_circuit_file_with_non_integer_mode_is_input_error(modes, field, value, tmp_path, capsys):
+    doc = json.loads(circuit_to_json(random_brickwork(modes, 1, 1.0, make_stream(6))))
+    if field == "modes":
+        doc["modes"] = value
+    else:
+        doc["layers"][0]["couplers"][0]["mode"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["sample", "--circuit", str(path), "--photons", "1", "--samples", "2"])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, entry", [
+    ("sample", {"pattern": [1.5, 0, 1, 0]}), ("sample", {"pattern": [True, 0, 1, 0]}),
+    ("sample", {"pattern": [-1, 0, 1, 0]}), ("sample", {"photons": 2.7}),
+    ("sample", {"photons": True}), ("validate", {"photons": 2.7}),
+], ids=["pattern-fractional", "pattern-boolean", "pattern-negative", "photons-fractional",
+        "photons-boolean", "validate-photons-fractional"])
+def test_config_with_non_integer_photon_counts_is_input_error(command, entry, shallow_lossless,
+                                                               tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"circuit": shallow_lossless, "mode": "mps", **entry}))
+    assert main([command, "--config", str(cfg), "--samples", "2"]) == 1
+    assert capsys.readouterr().out == ""

@@ -158,8 +158,9 @@ def test_distribution_outcomes_are_read_only_count_rows():
         d.outcomes[0, 0] = 2
 
 
-@pytest.mark.parametrize("outcomes", [[[1, 0], [0, 1, 0]], [0, 1], [[1, -1], [0, 0]]],
-                         ids=["ragged", "one-dimensional", "negative"])
+@pytest.mark.parametrize("outcomes", [[[1, 0], [0, 1, 0]], [0, 1], [[1, -1], [0, 0]],
+                                      [[1.9, 0], [0, 1]], [[True, False], [False, True]]],
+                         ids=["ragged", "one-dimensional", "negative", "fractional", "boolean"])
 def test_distribution_rejects_malformed_outcomes(outcomes):
     with pytest.raises(ValueError):
         Distribution(outcomes=outcomes, weights=np.array([0.5, 0.5]))

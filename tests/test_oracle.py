@@ -160,6 +160,19 @@ def test_lossy_law_keeps_input_norm_for_duplicate_input_modes():
         assert p == pytest.approx(expected.get(outcome, 0.0), abs=1e-15)
 
 
+@pytest.mark.parametrize("pattern", [(1, 1, 0, 1), (2, 0, 1, 0), (0, 3, 0, 2), (0, 0, 0, 0)],
+                         ids=["single", "doubled", "more-photons-than-modes", "vacuum"])
+def test_lossless_law_with_repeated_input_modes_is_the_fock_law_bit_for_bit(pattern):
+    """At mu = 1 only the all-survivor term is left, so the oracle sampler's one
+    law call gives the lossless reference's outcomes and weights exactly."""
+    u = haar_unitary(4, make_stream(100))
+    input_modes = np.repeat(np.arange(4), pattern)
+    dist = lossy_exact_distribution(u, 1.0, len(input_modes), input_modes=input_modes)
+    ref = fock_output_distribution(u, pattern)
+    assert np.array_equal(dist.outcomes, ref.outcomes)
+    assert dist.weights.tobytes() == ref.weights.tobytes()
+
+
 @pytest.mark.parametrize("gather", [oracle.GATHER_ENTRIES, 1], ids=["default", "one-input"])
 def test_lossy_law_is_the_mixture_over_survival_patterns(monkeypatch, gather):
     """Equals the explicit sum over survival bitmasks of mu^k (1-mu)^(n-k) times

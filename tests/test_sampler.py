@@ -147,3 +147,24 @@ def test_scattershot_draw_matches_exact_heralded_law():
     for outcome, p in exact.items():
         sigma = math.sqrt(n * p * (1.0 - p))
         assert abs(counts.get(outcome, 0) - n * p) <= 3.0 * sigma + 1e-9
+
+
+def test_oracle_draw_thins_each_photon_of_a_multi_photon_pattern():
+    """On a uniformly lossy circuit each of the pattern's photons survives on its
+    own: the law is the mixture over per-mode survivor counts of the lossless laws."""
+    circuit = random_brickwork(4, 2, 0.8, make_stream(50))
+    pattern, n, mu = (2, 0, 1, 0), 20000, 0.8**2
+    sampler = build_sampler("oracle", circuit, pattern, eps=0.05)
+    outcomes, freq = np.unique(sampler.draw(make_stream(51), n), axis=0, return_counts=True)
+    counts = {tuple(int(x) for x in o): int(c) for o, c in zip(outcomes, freq)}
+    u = transfer_matrix(circuit.lossless_copy())
+    exact: dict = {}
+    for s0, s2 in itertools.product(range(3), range(2)):
+        weight = math.comb(2, s0) * mu ** (s0 + s2) * (1 - mu) ** (3 - s0 - s2)
+        for outcome, p in fock_output_distribution(u, (s0, 0, s2, 0)).as_dict().items():
+            exact[outcome] = exact.get(outcome, 0.0) + weight * p
+    assert set(counts) <= set(exact) and len(exact) == 35
+    assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
+    for outcome, p in exact.items():
+        sigma = math.sqrt(n * p * (1.0 - p))
+        assert abs(counts.get(outcome, 0) - n * p) <= 3.0 * sigma + 1e-9

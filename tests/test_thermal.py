@@ -1,5 +1,6 @@
 """Tests for the thermal-replacement sampling pipeline."""
 
+import itertools
 import math
 
 import numpy as np
@@ -275,11 +276,17 @@ def test_distance_hand_value_off_diagonal():
     assert thermal_vs_erasure_distance(lam, mu) == pytest.approx(expected)
 
 
-def test_scattershot_herald_follows_geometric_law():
-    lam = 0.3
-    rng = make_stream(41)
-    draws = np.concatenate([scattershot_herald(8, lam, rng) for _ in range(3000)])
-    # P(k) = (1 - lam) * lam^k, mean lam/(1-lam)
-    assert draws.mean() == pytest.approx(lam / (1 - lam), abs=0.02)
-    p0 = np.mean(draws == 0)
-    assert p0 == pytest.approx(1 - lam, abs=0.02)
+def test_scattershot_herald_follows_collision_free_law():
+    """Collision-free heralds: i.i.d. Bernoulli(lam/(1+lam)) entries, so P(h) is
+    proportional to lam**|h|."""
+    lam, size = 0.3, 20000
+    p = lam / (1 + lam)
+    draws = scattershot_herald(8, lam, make_stream(41), 3000)
+    assert draws.shape == (3000, 8) and set(np.unique(draws).tolist()) == {0, 1}
+    assert np.abs(draws.mean(axis=0) - p).max() <= 3 * math.sqrt(p * (1 - p) / 3000)
+    rows = scattershot_herald(3, lam, make_stream(42), size)
+    heralds = list(itertools.product((0, 1), repeat=3))
+    norm = sum(lam ** sum(h) for h in heralds)
+    for h in heralds:
+        q = lam ** sum(h) / norm
+        assert abs(np.mean((rows == h).all(axis=1)) - q) <= 3 * math.sqrt(q * (1 - q) / size)
