@@ -200,7 +200,9 @@ def sample_output(
     Both draws are exact, so the sample follows the thermal surrogate's law.
     All normals are drawn first, in row-major order of the occupied entries;
     the Poisson counts follow in blocks of :data:`DRAW_BLOCK` rows, also in
-    row-major order, so the rows do not depend on the block size.
+    row-major order, so the rows do not depend on the block size.  Each
+    block propagates only the columns of ``a`` that some of its rows
+    occupy, so a row costs O(M * N_occ), not O(M^2).
 
     Parameters
     ----------
@@ -225,9 +227,10 @@ def sample_output(
     for start in range(0, len(inputs), DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, len(inputs))
         block = slice(ends[start], ends[stop])
-        alpha = np.zeros((stop - start, a.shape[1]), dtype=complex)
-        alpha[rows[block] - start, modes[block]] = amplitudes[block]
-        beta = propagate(a, alpha.T).T
+        cols, col = np.unique(modes[block], return_inverse=True)
+        alpha = np.zeros((len(cols), stop - start), dtype=complex)
+        alpha[col, rows[block] - start] = amplitudes[block]
+        beta = propagate(a[:, cols], alpha).T
         out[start:stop] = rng.poisson(np.abs(beta) ** 2)
     return out
 

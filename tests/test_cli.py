@@ -387,13 +387,31 @@ def _per_row_format(rows, regime, fmt):
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 @pytest.mark.parametrize("modes", [1, 8, 200])
 def test_format_rows_bytes_match_per_row_formatter(fmt, modes):
-    step = max(1, cli.FORMAT_BLOCK // modes)  # rows per json.dumps block
-    counts = make_stream(modes).poisson(3.0, (2 * step + 3, modes))
-    counts[0, 0] = 12  # counts of two and more digits
-    counts[-1, -1] = 1003
-    for size in (0, 1, 2, step - 1, step, step + 1, 2 * step, 2 * step + 3):
-        rows = counts[:size]
-        assert _format_rows(rows, "thermal", fmt) == _per_row_format(rows, "thermal", fmt)
+    # a block holds FORMAT_BLOCK byte slots of rows sized for the widest count (1003)
+    widest = _per_row_format(np.full((1, modes), 1003), "thermal", fmt)
+    step = max(1, cli.FORMAT_BLOCK // len(widest))
+    counts = make_stream(modes).integers(0, 10, (5 * step + 3, modes))
+    # block widths 1, 2, 2, 3, 4: 9 next to 10 and 99 next to 100 across block ends
+    counts[step - 1, -1], counts[step, 0] = 9, 10
+    counts[3 * step - 1, -1], counts[3 * step, 0] = 99, 100
+    counts[4 * step, -1] = 1003
+    lines = _per_row_format(counts, "thermal", fmt).splitlines(keepends=True)
+    for size in (0, 1, 2, step - 1, step, step + 1, 3 * step, 4 * step + 1, 5 * step + 3):
+        assert _format_rows(counts[:size], "thermal", fmt) == "".join(lines[:size])
+
+
+@pytest.mark.parametrize("mode", ["thermal", "oracle"])
+def test_sample_one_row_over_two_workers_writes_one_row(mode, tmp_path):
+    """The second stream draws no rows; the writer must add nothing for it."""
+    out = tmp_path / "one.jsonl"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "circuit": {"brickwork": {"modes": 4, "depth": 3, "tau": 0.3, "seed": 1}},
+        "photons": 2, "mode": mode, "samples": 1, "workers": 2, "seed": 9, "out": str(out)}))
+    assert main(["sample", "--config", str(cfg)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["regime"] == mode
+    assert len(json.loads(lines[0])["n"]) == 4
 
 
 def _mixed_loss(tmp_path, hi, lo):
@@ -854,3 +872,23 @@ def test_config_with_non_integer_photon_counts_is_input_error(command, entry, sh
     cfg.write_text(json.dumps({"circuit": shallow_lossless, "mode": "mps", **entry}))
     assert main([command, "--config", str(cfg), "--samples", "2"]) == 1
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("sample", "samples", 2.5), ("sample", "workers", 1.5), ("sample", "max_bond", 8.0),
+    ("sample", "modes", 4.9), ("sample", "depth", 2.5), ("sample", "seed", 1.5),
+    ("plan", "modes", 4.5), ("plan", "depth", 2.5),
+], ids=["samples", "workers", "max_bond", "brickwork-modes", "brickwork-depth",
+        "brickwork-seed", "plan-modes", "plan-depth"])
+def test_config_with_non_integer_setting_is_input_error(command, key, value, tmp_path, capsys):
+    brickwork = {"modes": 4, "depth": 2, "tau": 0.8, "seed": 1}
+    if command == "plan":
+        doc = {"modes": 4, "depth": 2, "tau": 0.8, "photons": 2}
+    else:
+        doc = {"circuit": {"brickwork": brickwork}, "photons": 2, "mode": "mps", "samples": 2}
+    (brickwork if command == "sample" and key in brickwork else doc)[key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f'"{key}" must be an integer, got {value}' in captured.err

@@ -232,6 +232,39 @@ def test_sample_output_rows_do_not_depend_on_block_size(monkeypatch):
     assert rows[7].shape == (300, 5) and np.array_equal(rows[7], rows[300])
 
 
+def _dense_sample_output(a, params, inputs, rng):
+    """sample_output before occupied columns: every block propagates all M columns of a."""
+    a = np.asarray(a, dtype=complex)
+    rows, modes = np.nonzero(inputs)
+    amplitudes = rng.standard_normal(2 * len(rows)).view(complex)
+    amplitudes *= math.sqrt(params.variance / 2.0)
+    ends = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(inputs)))))
+    out = np.empty(inputs.shape, dtype=np.int64)
+    for start in range(0, len(inputs), thermal.DRAW_BLOCK):
+        stop = min(start + thermal.DRAW_BLOCK, len(inputs))
+        block = slice(ends[start], ends[stop])
+        alpha = np.zeros((stop - start, a.shape[1]), dtype=complex)
+        alpha[rows[block] - start, modes[block]] = amplitudes[block]
+        beta = propagate(a, alpha.T).T
+        out[start:stop] = rng.poisson(np.abs(beta) ** 2)
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 7, 32, 210])
+def test_sample_output_matches_dense_reference(block, monkeypatch):
+    """Propagating only a block's occupied columns keeps every count of the dense draw."""
+    a = 0.95 * haar_unitary(12, make_stream(42))
+    inputs = make_stream(43).binomial(1, 0.25, size=(210, 12))  # heralded rows
+    inputs[[3, 50]] = 0
+    inputs[42:49] = 0  # a whole 7-row block with no input
+    inputs[[4, 100, 101]] = 1  # rows that cover every mode
+    monkeypatch.setattr(thermal, "DRAW_BLOCK", block)
+    params = ThermalParams(0.6)
+    counts = sample_output(a, params, inputs, make_stream(44))
+    assert counts.sum() > 200 and (counts[inputs.sum(axis=1) == 0] == 0).all()
+    assert np.array_equal(counts, _dense_sample_output(a, params, inputs, make_stream(44)))
+
+
 def test_sample_output_means_near_unit_transmission():
     """At lam = 0.99 the per-mode means are sum_j |a_ij|^2 * lam / (1 - lam).
 
