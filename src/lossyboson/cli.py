@@ -37,7 +37,7 @@ __all__ = ["main", "run_plan", "run_sample", "run_validate", "run_stats"]
 COMMANDS = ("plan", "sample", "validate", "stats")
 FORMATS = ("jsonl", "csv")
 ENV_PREFIX = "LOSSYBOSON_"
-FORMAT_BLOCK = 1 << 16  # byte slots per written block of sample rows
+FORMAT_BLOCK = 1 << 14  # byte slots per written block of sample rows
 
 DEFAULTS = {
     "eps": 0.05,
@@ -146,7 +146,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             f"no command given; choose one of {', '.join(COMMANDS)}"
         )
     cfg["command"] = command
-    for key in ("photons", "samples", "workers", "max_bond"):
+    for key in ("photons", "samples", "workers", "max_bond", "seed"):
         if cfg.get(key) is not None:
             _integer(cfg[key], key)
     try:

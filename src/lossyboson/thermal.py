@@ -227,10 +227,10 @@ def sample_output(
     for start in range(0, len(inputs), DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, len(inputs))
         block = slice(ends[start], ends[stop])
-        cols, col = np.unique(modes[block], return_inverse=True)
-        alpha = np.zeros((len(cols), stop - start), dtype=complex)
-        alpha[col, rows[block] - start] = amplitudes[block]
-        beta = propagate(a[:, cols], alpha).T
+        alpha = np.zeros((stop - start, a.shape[1]), dtype=complex)
+        alpha[rows[block] - start, modes[block]] = amplitudes[block]
+        cols = np.flatnonzero(inputs[start:stop].any(axis=0))  # the block's occupied modes
+        beta = propagate(a[:, cols], alpha[:, cols].T).T
         out[start:stop] = rng.poisson(np.abs(beta) ** 2)
     return out
 

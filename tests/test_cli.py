@@ -874,19 +874,20 @@ def test_config_with_non_integer_photon_counts_is_input_error(command, entry, sh
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("command, key, value", [
-    ("sample", "samples", 2.5), ("sample", "workers", 1.5), ("sample", "max_bond", 8.0),
-    ("sample", "modes", 4.9), ("sample", "depth", 2.5), ("sample", "seed", 1.5),
-    ("plan", "modes", 4.5), ("plan", "depth", 2.5),
-], ids=["samples", "workers", "max_bond", "brickwork-modes", "brickwork-depth",
+@pytest.mark.parametrize("command, where, key, value", [
+    ("sample", "config", "samples", 2.5), ("sample", "config", "workers", 1.5),
+    ("sample", "config", "max_bond", 8.0), ("sample", "config", "seed", 2.5),
+    ("sample", "brickwork", "modes", 4.9), ("sample", "brickwork", "depth", 2.5),
+    ("sample", "brickwork", "seed", 1.5), ("plan", "config", "modes", 4.5),
+    ("plan", "config", "depth", 2.5),
+], ids=["samples", "workers", "max_bond", "seed", "brickwork-modes", "brickwork-depth",
         "brickwork-seed", "plan-modes", "plan-depth"])
-def test_config_with_non_integer_setting_is_input_error(command, key, value, tmp_path, capsys):
+def test_config_with_non_integer_setting_is_input_error(command, where, key, value, tmp_path,
+                                                        capsys):
     brickwork = {"modes": 4, "depth": 2, "tau": 0.8, "seed": 1}
-    if command == "plan":
-        doc = {"modes": 4, "depth": 2, "tau": 0.8, "photons": 2}
-    else:
-        doc = {"circuit": {"brickwork": brickwork}, "photons": 2, "mode": "mps", "samples": 2}
-    (brickwork if command == "sample" and key in brickwork else doc)[key] = value
+    doc = ({"modes": 4, "depth": 2, "tau": 0.8, "photons": 2} if command == "plan" else
+           {"circuit": {"brickwork": brickwork}, "photons": 2, "mode": "mps", "samples": 2})
+    (brickwork if where == "brickwork" else doc)[key] = value
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert main([command, "--config", str(cfg)]) == 1
