@@ -229,7 +229,7 @@ def sample_output(
         block = slice(ends[start], ends[stop])
         alpha = np.zeros((stop - start, a.shape[1]), dtype=complex)
         alpha[rows[block] - start, modes[block]] = amplitudes[block]
-        cols = np.flatnonzero(inputs[start:stop].any(axis=0))  # the block's occupied modes
+        cols = np.flatnonzero(inputs[start:stop].any(axis=0))
         beta = propagate(a[:, cols], alpha[:, cols].T).T
         out[start:stop] = rng.poisson(np.abs(beta) ** 2)
     return out
