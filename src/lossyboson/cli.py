@@ -303,24 +303,24 @@ def _row_bytes(head: bytes, tail: bytes, modes: int, width: int) -> int:
     return len(head) + modes * (width + 1) + len(tail) - 1
 
 
-def _format_rows(rows: np.ndarray, regime: str, fmt: str) -> str:
-    """One line per row: bare CSV counts, or JSONL as compact sorted ``json.dumps`` writes it.
+def _write_rows(out, rows: np.ndarray, regime: str, fmt: str) -> None:
+    """Write one line per row to ``out``: bare CSV counts, or JSONL as compact sorted
+    ``json.dumps`` writes it.
 
-    Rows are written as one uint8 array per block of at most ``FORMAT_BLOCK``
-    byte slots, sized by the widest count of all rows.  In a block whose
-    largest count has w digits, every count gets a slot of w digit bytes
-    and a separator; the digits are right-aligned, so the k-th from the
-    right is ``count // 10**k % 10``, and a ``"0"`` pad fills the slot's
-    left.  Head and tail are broadcast columns, and one boolean mask drops
-    the pad bytes.
+    Each block of at most ``FORMAT_BLOCK`` byte slots is made as one uint8
+    array and written before the next is made; blocks are sized by the
+    widest count of all rows.  In a block whose largest count has w digits,
+    every count gets a slot of w digit bytes and a separator; the digits are
+    right-aligned, so the k-th from the right is ``count // 10**k % 10``,
+    and a ``"0"`` pad fills the slot's left.  Head and tail are broadcast
+    columns, and one boolean mask drops the pad bytes.
     """
     if not rows.size:
-        return ""
+        return
     head, tail = (b"", b"\n") if fmt == "csv" else (
         b'{"n":[', b'],"regime":' + json.dumps(regime).encode() + b"}\n")
     modes = rows.shape[1]
     step = max(1, FORMAT_BLOCK // _row_bytes(head, tail, modes, len(str(rows.max()))))
-    parts = []
     for start in range(0, len(rows), step):
         block = rows[start:start + step, :, None]
         width = len(str(block.max()))
@@ -335,8 +335,7 @@ def _format_rows(rows: np.ndarray, regime: str, fmt: str) -> str:
         slots[:, :, width] = ord(",")
         slots[:, -1, width] = tail[0]
         keep[:, counts].reshape(slots.shape)[:, :, :width - 1] = block >= powers[:-1]
-        parts.append(buf[keep].tobytes().decode("ascii"))
-    return "".join(parts)
+        out.write(buf[keep].tobytes().decode("ascii"))
 
 
 def _config_hash(cfg: dict, circuit_text: str) -> str:
@@ -374,16 +373,20 @@ def run_sample(cfg: dict) -> int:
     )
     streams = split_stream(make_stream(cfg.get("seed")), workers)
     base, extra = divmod(n_samples, workers)
-    fmt = cfg["format"]
-    text = "".join(
-        _format_rows(sampler.draw(stream, base + (1 if w < extra else 0)), sampler.regime, fmt)
-        for w, stream in enumerate(streams)
-    )
+    fmt, out_path = cfg["format"], cfg.get("out")
+    out = None
+    try:
+        for w, stream in enumerate(streams):
+            rows = sampler.draw(stream, base + (1 if w < extra else 0))
+            if out is None:  # a run whose first draw fails leaves no file
+                out = (open(out_path, "w", encoding="utf-8", newline="\n") if out_path
+                       else sys.stdout)
+            _write_rows(out, rows, sampler.regime, fmt)
+    finally:
+        if out is not None and out is not sys.stdout:
+            out.close()
 
-    out_path = cfg.get("out")
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
         meta = {
             "command": "sample",
             "config_hash": _config_hash(cfg, circuit_text),
@@ -402,8 +405,6 @@ def run_sample(cfg: dict) -> int:
         }
         with open(out_path + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_json_out(meta) + "\n")
-    else:
-        sys.stdout.write(text)
     return 0
 
 

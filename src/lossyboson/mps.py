@@ -18,6 +18,12 @@ Losses are handled by the caller.  Uniform loss mu = tau**depth commutes with
 the lossless blocks, so it may be applied at either end: Bernoulli-thin the
 input pattern (``lossy_input_sample``) and evolve the survivors, or evolve
 the whole pattern and thin each output count binomially.
+
+Rows are drawn from a canonical state by the chain rule over modes.  The
+law of mode i's count depends only on the counts of modes 0..i-1, so
+``sample`` works it out once per distinct prefix: products of at most
+:data:`SAMPLE_BLOCK` prefixes at a time, one ``rng.random(size)`` draw per
+mode in mode order.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ __all__ = [
     "ZERO_CUTOFF",
     "DEFAULT_MAX_BOND",
     "SAMPLE_BLOCK",
+    "DRAW_CHUNK",
     "init_input",
     "coupler_fock_amplitudes",
     "coupler_mpo",
@@ -58,7 +65,8 @@ ZERO_CUTOFF = 1e-12
 
 DEFAULT_MAX_BOND = 4096
 
-SAMPLE_BLOCK = 64  # rows per chain-rule pass in sample; bounds its (rows, q, chi) temporaries
+SAMPLE_BLOCK = 64  # prefix groups per product in sample; bounds its (groups, q, chi) temporaries
+DRAW_CHUNK = 1 << 10  # rows per CDF inversion in sample; bounds its (rows, q) temporaries
 
 
 @dataclass
@@ -359,16 +367,34 @@ def canonicalize(state: MPSState) -> MPSState:
     )
 
 
+def _block_vectors(prefix: np.ndarray, mat: np.ndarray, q: int, start: int) -> np.ndarray:
+    """Carried vectors ``start:start + SAMPLE_BLOCK`` times one site's (chi_l, q * chi_r) matrix,
+    as (groups, q, chi_r)."""
+    block = prefix[start:start + SAMPLE_BLOCK] @ mat
+    return block.reshape(len(block), q, -1)
+
+
 def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
     """Draw ``size`` photon-count patterns by the chain rule over modes.
 
     Requires canonical form (run ``canonicalize`` once before drawing); the
     conditional for each mode then only involves the prefix contraction.
-    All uniforms are drawn first as ``rng.random((modes, size))``, the stream
-    order of one ``rng.random(size)`` per mode; rows are then drawn in
-    blocks of :data:`SAMPLE_BLOCK`, each picking its counts mode by mode by
-    inverting the cumulative conditional law, so the rows do not depend on
-    the block size.  Returns a (size, modes) int array.
+    It depends only on the counts drawn so far, so rows with the same prefix
+    form one group with one carried vector, one weight and one underflow
+    flag.  At each mode:
+
+    * the conditional law of every group is worked out once, from products
+      of :data:`SAMPLE_BLOCK` groups' carried vectors with the site tensor;
+    * the mode's uniforms are one ``rng.random(size)`` draw, so the stream
+      order is that of one ``rng.random((modes, size))`` call;
+    * each row inverts its group's cumulative law with its own uniform, in
+      chunks of :data:`DRAW_CHUNK` rows;
+    * the (group, count) pairs that occur become the next mode's groups, in
+      key order, and each block's product is taken again to pick their
+      carried vectors, so no more than one block's products are held.
+
+    The rows do not depend on the block or chunk size.  Returns a
+    (size, modes) int array.
 
     Raises
     ------
@@ -376,39 +402,59 @@ def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
         If some rows' prefix probability underflows (< 1e-300); the signal
         carries all rows and the mask of the untrustworthy ones.
     """
-    uniforms = rng.random((state.modes, size))
-    # per mode: Gamma with the right Schmidt weights folded in, as (chi_l, q * chi_r)
-    mats = []
-    for i in range(state.modes):
-        g = state.gammas[i] * _right_weights(state, i)[None, None, :]
-        mats.append((g.transpose(1, 0, 2).reshape(g.shape[1], -1), g.shape[2]))
-    counts = np.empty((size, state.modes), dtype=int)
-    bad = np.zeros(size, dtype=bool)
     q = state.local_dim
-    for start in range(0, size, SAMPLE_BLOCK):
-        block = slice(start, min(start + SAMPLE_BLOCK, size))
-        rows = np.arange(block.stop - start)
-        prefix = np.ones((len(rows), 1), dtype=complex)  # unit rows over the current bond
-        weight = np.ones(len(rows))
-        for i, (mat, chi_r) in enumerate(mats):
-            vecs = (prefix @ mat).reshape(len(rows), q, chi_r)
-            parts = vecs.view(np.float64)  # real and imaginary parts side by side
-            probs = np.einsum("snb,snb->sn", parts, parts)
-            cdf = np.cumsum(probs, axis=1)
-            total = cdf[:, -1]
+    counts = np.empty((size, state.modes), dtype=int)
+    uniforms = np.empty(size)
+    group = np.zeros(size, dtype=np.intp)  # each row's prefix group, then its (group, count) key
+    prefix = np.ones((min(size, 1), 1), dtype=complex)  # one carried vector per group
+    weight = np.ones(len(prefix))
+    bad = np.zeros(len(prefix), dtype=bool)
+    for i in range(state.modes):
+        # Gamma with the right Schmidt weights folded in, as (chi_l, q * chi_r)
+        g = state.gammas[i] * _right_weights(state, i)[None, None, :]
+        mat = g.transpose(1, 0, 2).reshape(g.shape[1], -1)
+        blocks = range(0, len(prefix), SAMPLE_BLOCK)
+        probs = np.empty((len(prefix), q))
+        for start in blocks:
+            parts = _block_vectors(prefix, mat, q, start).view(np.float64)  # real, imaginary
+            probs[start:start + SAMPLE_BLOCK] = np.einsum("snb,snb->sn", parts, parts)
+        cdf = np.cumsum(probs, axis=1)
+        total = cdf[:, -1]
+        rng.random(out=uniforms)
+        occurs = np.zeros(probs.size, dtype=bool)
+        for start in range(0, size, DRAW_CHUNK):
+            rows = slice(start, start + DRAW_CHUNK)
+            which = group[rows]
             # rows with total > 0 never pick a zero-probability count; the clip
             # only keeps rows already flagged as underflowed in range
-            n = np.minimum((cdf <= (uniforms[i, block] * total)[:, None]).sum(axis=1), q - 1)
-            counts[block, i] = n
-            chosen = probs[rows, n]
-            weight = weight * (chosen / np.where(total > 0.0, total, 1.0))
-            bad[block] |= (total < 1e-300) | (weight < 1e-300)
-            # renormalize the carried vectors to keep magnitudes O(1)
-            norm = np.sqrt(chosen)
-            prefix = vecs[rows, n] / np.where(norm > 0.0, norm, 1.0)[:, None]
-    if bad.any():
+            n = np.minimum((cdf[which] <= (uniforms[rows] * total[which])[:, None]).sum(axis=1),
+                           q - 1)
+            counts[rows, i] = n
+            group[rows] = which * q + n
+            occurs[group[rows]] = True
+        keys = np.flatnonzero(occurs)  # the next groups, in key order
+        ids = np.empty(len(occurs), dtype=np.intp)
+        ids[keys] = np.arange(len(keys))
+        parent, n = keys // q, keys % q
+        chosen, total = probs[parent, n], total[parent]
+        weight = weight[parent] * (chosen / np.where(total > 0.0, total, 1.0))
+        bad = bad[parent] | (total < 1e-300) | (weight < 1e-300)
+        # renormalize the carried vectors to keep magnitudes O(1)
+        norm = np.sqrt(chosen)
+        norm = np.where(norm > 0.0, norm, 1.0)[:, None]
+        carried = np.empty((len(keys), g.shape[2]), dtype=complex)
+        ends = np.searchsorted(parent, [*blocks, len(prefix)])
+        for start, lo, hi in zip(blocks, ends, ends[1:]):
+            carried[lo:hi] = _block_vectors(prefix, mat, q, start)[
+                parent[lo:hi] - start, n[lo:hi]] / norm[lo:hi]
+        prefix = carried
+        for start in range(0, size, DRAW_CHUNK):
+            rows = slice(start, start + DRAW_CHUNK)
+            group[rows] = ids[group[rows]]
+    flagged = bad[group]
+    if flagged.any():
         raise ResampleSignal(
-            "prefix probability underflow; redraw the flagged rows", counts, bad
+            "prefix probability underflow; redraw the flagged rows", counts, flagged
         )
     return counts
 

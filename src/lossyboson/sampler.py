@@ -114,32 +114,39 @@ class MPSSource:
 
         Rows thinned at the input go first: their occupied entries are thinned
         in row-major order by one call, then their lossless rows are drawn.
-        The other rows' lossless rows follow, then one binomial thinning of
-        all their counts.  So the rows depend only on ``rng`` and ``inputs``.
+        The other rows' lossless rows follow, drawn into place from this
+        draw's one grouping of ``inputs``, then one binomial thinning of all
+        their counts in row order.  Both sides visit their patterns in sorted
+        order, so the rows depend only on ``rng`` and ``inputs``.
         """
         inputs = np.asarray(inputs, dtype=int)
         patterns, which = row_groups(inputs)
         rows = np.bincount(which, minlength=len(patterns))
-        at_input = (rows * self.mu ** patterns.sum(axis=1) < 1.0)[which]
+        at_output = rows * self.mu ** patterns.sum(axis=1) >= 1.0
+        at_input = ~at_output[which]
         out = np.empty(inputs.shape, dtype=int)
         thinned = inputs[at_input]
         thinned[thinned.astype(bool)] = mps.lossy_input_sample(
             np.count_nonzero(thinned), self.mu, rng)
-        out[at_input] = self._lossless_rows(thinned, rng)
-        out[~at_input] = rng.binomial(self._lossless_rows(inputs[~at_input], rng), self.mu)
+        thinned_patterns, thinned_which = row_groups(thinned)
+        lossless = np.empty(thinned.shape, dtype=int)
+        self._lossless_rows(thinned_patterns, thinned_which, range(len(thinned_patterns)),
+                            rng, lossless)
+        out[at_input] = lossless
+        self._lossless_rows(patterns, which, np.flatnonzero(at_output), rng, out)
+        out[~at_input] = rng.binomial(out[~at_input], self.mu)
         return out
 
-    def _lossless_rows(self, inputs: np.ndarray, rng: RandomStream) -> np.ndarray:
-        """One lossless chain-rule row per input row, each distinct pattern in one call.
+    def _lossless_rows(self, patterns: np.ndarray, which: np.ndarray, groups,
+                       rng: RandomStream, out: np.ndarray) -> None:
+        """Into ``out``, one lossless chain-rule row per row of each group in ``groups``.
 
-        Patterns are visited in sorted order.
+        ``patterns, which`` are a :func:`numerics.row_groups` result; each
+        group is drawn by one call, in the order of ``groups``.
         """
-        patterns, which = row_groups(inputs)
-        out = np.empty(inputs.shape, dtype=int)
-        for g, pattern in enumerate(patterns):
+        for g in groups:
             rows = np.flatnonzero(which == g)
-            out[rows] = self._sample(tuple(int(x) for x in pattern), rng, len(rows))
-        return out
+            out[rows] = self._sample(tuple(int(x) for x in patterns[g]), rng, len(rows))
 
     def _sample(self, pattern: tuple, rng: RandomStream, size: int) -> np.ndarray:
         """Chain-rule rows of one pattern; underflowed rows are redrawn a bounded number of times."""

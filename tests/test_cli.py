@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -21,7 +23,7 @@ from lossyboson import (
     transfer_matrix,
 )
 from lossyboson import cli
-from lossyboson.cli import _format_rows, main
+from lossyboson.cli import _write_rows, main
 
 
 @pytest.fixture
@@ -365,6 +367,13 @@ def test_config_hash_tracks_circuit_file_bytes_and_brickwork_seed(shallow_lossy,
     assert seeds[0] == seeds[1] != seeds[2]
 
 
+def _format_rows(rows, regime, fmt):
+    """Everything ``_write_rows`` writes for ``rows``, one write per block."""
+    out = io.StringIO()
+    _write_rows(out, rows, regime, fmt)
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_format_rows_matches_json_dumps(fmt):
     rows = np.array([[0, 3, 12], [1, 0, 0]])
@@ -400,18 +409,46 @@ def test_format_rows_bytes_match_per_row_formatter(fmt, modes):
         assert _format_rows(counts[:size], "thermal", fmt) == "".join(lines[:size])
 
 
-@pytest.mark.parametrize("mode", ["thermal", "oracle"])
+@pytest.mark.parametrize("mode", ["thermal", "oracle", "mps", "scattershot"])
 def test_sample_one_row_over_two_workers_writes_one_row(mode, tmp_path):
-    """The second stream draws no rows; the writer must add nothing for it."""
+    """The second stream draws no rows; the writer must add nothing for it.
+    Scattershot at tau = 0.9 draws from its MPS source (N * mu**2 > eps)."""
     out = tmp_path / "one.jsonl"
     cfg = tmp_path / "cfg.json"
+    tau, tag = (0.9, "mps") if mode == "scattershot" else (0.3, mode)
     cfg.write_text(json.dumps({
-        "circuit": {"brickwork": {"modes": 4, "depth": 3, "tau": 0.3, "seed": 1}},
+        "circuit": {"brickwork": {"modes": 4, "depth": 3, "tau": tau, "seed": 1}},
         "photons": 2, "mode": mode, "samples": 1, "workers": 2, "seed": 9, "out": str(out)}))
     assert main(["sample", "--config", str(cfg)]) == 0
     lines = out.read_text().splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["regime"] == mode
+    assert len(lines) == 1 and json.loads(lines[0])["regime"] == tag
     assert len(json.loads(lines[0])["n"]) == 4
+
+
+# Sample SHA-256 of three small MPS runs, recorded when chain-rule draws began to
+# share prefixes; a change to these bytes must be deliberate and recorded.
+MPS_SAMPLE_SHA256 = {
+    "output side": ({}, "29731cc8b0807ce5558bf7c00893d4542d5051bddea4ee1765145b279a3fb253"),
+    "input side": ({"circuit": {"brickwork": {"modes": 8, "depth": 2, "tau": 0.5, "seed": 5}},
+                    "photons": 4, "samples": 20},
+                   "e830ec7bb617dbbb0e695e2eb0981bd7b0d2314e4f72c13a3eeb37c6f10c8b21"),
+    "three workers": ({"workers": 3},
+                      "4f474e7a81a8319fd12691e69bf0220b43a52a3f1957d999711afb86c81beb32"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MPS_SAMPLE_SHA256))
+def test_mps_sample_bytes_are_pinned(case, tmp_path):
+    """301 rows of 3 photons at mu = 0.81 are thinned at the output, 20 rows of 4
+    photons at mu = 0.25 at the input."""
+    settings, digest = MPS_SAMPLE_SHA256[case]
+    out = tmp_path / "s.jsonl"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "circuit": {"brickwork": {"modes": 8, "depth": 2, "tau": 0.9, "seed": 5}},
+        "photons": 3, "mode": "mps", "samples": 301, "seed": 4, "out": str(out), **settings}))
+    assert main(["sample", "--config", str(cfg)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def _mixed_loss(tmp_path, hi, lo):
@@ -651,13 +688,14 @@ def test_eps_and_bond_cap_are_checked_for_plan_and_sample(shallow_lossy, tmp_pat
     assert not out.exists()
 
 
-def test_tiny_bond_cap_is_capacity_error(shallow_lossless, capsys):
-    code = main([
-        "sample", "--circuit", shallow_lossless, "--photons", "2", "--seed", "1",
-        "--samples", "1", "--mode", "mps", "--max-bond", "1",
-    ])
-    assert code == 3
-    assert "capacity" in capsys.readouterr().err
+def test_tiny_bond_cap_is_capacity_error(shallow_lossless, tmp_path, capsys):
+    argv = ["sample", "--circuit", shallow_lossless, "--photons", "2", "--seed", "1",
+            "--samples", "1", "--mode", "mps", "--max-bond", "1"]
+    for out in ([], ["--out", str(tmp_path / "s.jsonl")]):
+        assert main(argv + out) == 3
+        captured = capsys.readouterr()
+        assert "capacity" in captured.err and captured.out == ""
+    assert not (tmp_path / "s.jsonl").exists()  # the first draw failed, so no file
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -27,6 +27,7 @@ from lossyboson import (
     transfer_matrix,
 )
 from lossyboson import mps
+from lossyboson.errors import ResampleSignal
 
 BS5050 = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
 
@@ -340,6 +341,86 @@ def test_sample_rows_do_not_depend_on_block_size(monkeypatch):
     assert rows[1].shape == (size, 5) and (rows[1].sum(axis=1) == 3).all()
     for block_rows in rows.values():
         assert np.array_equal(block_rows, rows[1])
+
+
+def _per_row_sample(state, rng, size):
+    """sample before prefix groups: every row works out every conditional of its own."""
+    uniforms = rng.random((state.modes, size))
+    mats = []
+    for i in range(state.modes):
+        g = state.gammas[i] * mps._right_weights(state, i)[None, None, :]
+        mats.append((g.transpose(1, 0, 2).reshape(g.shape[1], -1), g.shape[2]))
+    counts = np.empty((size, state.modes), dtype=int)
+    bad = np.zeros(size, dtype=bool)
+    q = state.local_dim
+    for start in range(0, size, 64):
+        block = slice(start, min(start + 64, size))
+        rows = np.arange(block.stop - start)
+        prefix = np.ones((len(rows), 1), dtype=complex)
+        weight = np.ones(len(rows))
+        for i, (mat, chi_r) in enumerate(mats):
+            vecs = (prefix @ mat).reshape(len(rows), q, chi_r)
+            parts = vecs.view(np.float64)
+            probs = np.einsum("snb,snb->sn", parts, parts)
+            cdf = np.cumsum(probs, axis=1)
+            total = cdf[:, -1]
+            n = np.minimum((cdf <= (uniforms[i, block] * total)[:, None]).sum(axis=1), q - 1)
+            counts[block, i] = n
+            chosen = probs[rows, n]
+            weight = weight * (chosen / np.where(total > 0.0, total, 1.0))
+            bad[block] |= (total < 1e-300) | (weight < 1e-300)
+            norm = np.sqrt(chosen)
+            prefix = vecs[rows, n] / np.where(norm > 0.0, norm, 1.0)[:, None]
+    if bad.any():
+        raise ResampleSignal("prefix probability underflow", counts, bad)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def shallow_state():
+    """The 7-photon state of a 14-mode, depth-3 brickwork: bonds up to 28, q = 8."""
+    circuit = random_brickwork(14, 3, 1.0, make_stream(85))
+    return canonicalize(simulate_circuit(circuit, (1,) * 7 + (0,) * 7))
+
+
+@pytest.mark.parametrize("block, chunk", [(64, 1024), (5, 1024), (64, 100), (1, 1)])
+def test_grouped_sample_matches_per_row_sample(shallow_state, block, chunk, monkeypatch):
+    monkeypatch.setattr(mps, "SAMPLE_BLOCK", block)
+    monkeypatch.setattr(mps, "DRAW_CHUNK", chunk)
+    size = 3000 if block > 1 else 300
+    rows = sample(shallow_state, make_stream(86), size)
+    # later modes hold more distinct prefixes than one product takes
+    assert len({r.tobytes() for r in rows[:, :6]}) > 2 * mps.SAMPLE_BLOCK
+    assert np.array_equal(rows, _per_row_sample(shallow_state, make_stream(86), size))
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_grouped_sample_matches_per_row_sample_on_tiny_draws(shallow_state, size):
+    rows = sample(shallow_state, make_stream(87), size)
+    assert rows.shape == (size, 14)
+    assert np.array_equal(rows, _per_row_sample(shallow_state, make_stream(87), size))
+
+
+def test_grouped_sample_flags_the_same_underflowed_rows():
+    """Site 0 reads 0 or 1 photons with probability 1/2 each.  After a 1, site 1's
+    amplitudes are scaled by 1e-160, so its conditional law sums to about 1e-320:
+    those rows still draw their count from it and are flagged, the others are not."""
+    g0 = np.zeros((2, 1, 2), dtype=complex)
+    g0[0, 0, 0] = g0[1, 0, 1] = 1.0
+    g1 = np.zeros((2, 2, 1), dtype=complex)
+    g1[:, 0, 0] = g1[:, 1, 0] = [0.6, 0.8]
+    g1[:, 1, 0] *= 1e-160
+    st = mps.MPSState(modes=2, local_dim=2, gammas=[g0, g1], schmidts=[np.sqrt([0.5, 0.5])])
+    signals = []
+    for draw in (sample, _per_row_sample):
+        with pytest.raises(ResampleSignal) as info:
+            draw(st, make_stream(89), 500)
+        signals.append(info.value)
+    rows, bad = signals[0].rows, signals[0].bad
+    assert np.array_equal(bad, rows[:, 0] == 1) and bad.any() and not bad.all()
+    assert set(rows[bad, 1].tolist()) == {0, 1}  # counts drawn from the underflowed law
+    assert np.array_equal(bad, signals[1].bad)
+    assert np.array_equal(rows, signals[1].rows)
 
 
 def test_lossy_input_thinning_statistics():

@@ -13,6 +13,7 @@ from lossyboson import (
     canonicalize,
     fock_output_distribution,
     lossy_exact_distribution,
+    lossy_input_sample,
     make_stream,
     outcome_probability,
     random_brickwork,
@@ -20,7 +21,9 @@ from lossyboson import (
     simulate_circuit,
     transfer_matrix,
 )
+from lossyboson.numerics import row_groups
 from lossyboson.sampler import MPSSource, build_sampler
+from lossyboson.thermal import scattershot_herald
 
 
 def _two_mode_state(dead_weight: float) -> MPSState:
@@ -126,6 +129,43 @@ def test_mps_draw_handles_empty_requests():
         make_stream(1), 0).shape == (0, 4)
     vacuum = build_sampler("mps", circuit, (0, 0, 0, 0), eps=0.05).draw(make_stream(1), 3)
     assert np.array_equal(vacuum, np.zeros((3, 4), dtype=int))
+
+
+def _regrouping_draw(source, inputs, rng):
+    """MPSSource.draw before it reused its grouping: the output-side rows are
+    gathered and grouped a second time."""
+
+    def lossless_rows(rows_in):
+        patterns, which = row_groups(rows_in)
+        out = np.empty(rows_in.shape, dtype=int)
+        for g, pattern in enumerate(patterns):
+            rows = np.flatnonzero(which == g)
+            out[rows] = source._sample(tuple(int(x) for x in pattern), rng, len(rows))
+        return out
+
+    patterns, which = row_groups(inputs)
+    rows = np.bincount(which, minlength=len(patterns))
+    at_input = (rows * source.mu ** patterns.sum(axis=1) < 1.0)[which]
+    out = np.empty(inputs.shape, dtype=int)
+    thinned = inputs[at_input]
+    thinned[thinned.astype(bool)] = lossy_input_sample(np.count_nonzero(thinned), source.mu, rng)
+    out[at_input] = lossless_rows(thinned)
+    out[~at_input] = rng.binomial(lossless_rows(inputs[~at_input]), source.mu)
+    return out
+
+
+def test_mps_draw_keeps_the_stream_order_of_regrouping_draw():
+    """Heralded inputs, some thinned at the input and some at the output: the
+    draw takes uniforms and binomials in the same order as before."""
+    circuit = random_brickwork(6, 2, 0.8, make_stream(52))
+    inputs = scattershot_herald(6, 0.25, make_stream(53), 400)
+    patterns, which = row_groups(inputs)
+    rows = np.bincount(which)
+    at_output = rows * 0.64 ** patterns.sum(axis=1) >= 1.0
+    assert at_output.any() and not at_output.all()
+    got = MPSSource(circuit, max_bond=4096).draw(inputs, make_stream(54))
+    want = _regrouping_draw(MPSSource(circuit, max_bond=4096), inputs, make_stream(54))
+    assert np.array_equal(got, want)
 
 
 def test_scattershot_draw_matches_exact_heralded_law():
