@@ -390,8 +390,9 @@ def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
     * each row inverts its group's cumulative law with its own uniform, in
       chunks of :data:`DRAW_CHUNK` rows;
     * the (group, count) pairs that occur become the next mode's groups, in
-      key order, and each block's product is taken again to pick their
-      carried vectors, so no more than one block's products are held.
+      key order, without a sort.  Their carried vectors are picked from the
+      blocks' products, taken again for every block but the last, so no
+      more than one block's products are held.
 
     The rows do not depend on the block or chunk size.  Returns a
     (size, modes) int array.
@@ -405,7 +406,8 @@ def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
     q = state.local_dim
     counts = np.empty((size, state.modes), dtype=int)
     uniforms = np.empty(size)
-    group = np.zeros(size, dtype=np.intp)  # each row's prefix group, then its (group, count) key
+    key = np.zeros(size, dtype=np.intp)  # each row's (group, count) key at the last mode
+    ids = np.zeros(1, dtype=np.intp)  # each key's group at this mode
     prefix = np.ones((min(size, 1), 1), dtype=complex)  # one carried vector per group
     weight = np.ones(len(prefix))
     bad = np.zeros(len(prefix), dtype=bool)
@@ -416,7 +418,8 @@ def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
         blocks = range(0, len(prefix), SAMPLE_BLOCK)
         probs = np.empty((len(prefix), q))
         for start in blocks:
-            parts = _block_vectors(prefix, mat, q, start).view(np.float64)  # real, imaginary
+            vecs = _block_vectors(prefix, mat, q, start)
+            parts = vecs.view(np.float64)  # real and imaginary parts side by side
             probs[start:start + SAMPLE_BLOCK] = np.einsum("snb,snb->sn", parts, parts)
         cdf = np.cumsum(probs, axis=1)
         total = cdf[:, -1]
@@ -424,14 +427,14 @@ def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
         occurs = np.zeros(probs.size, dtype=bool)
         for start in range(0, size, DRAW_CHUNK):
             rows = slice(start, start + DRAW_CHUNK)
-            which = group[rows]
+            which = ids[key[rows]]
             # rows with total > 0 never pick a zero-probability count; the clip
             # only keeps rows already flagged as underflowed in range
             n = np.minimum((cdf[which] <= (uniforms[rows] * total[which])[:, None]).sum(axis=1),
                            q - 1)
             counts[rows, i] = n
-            group[rows] = which * q + n
-            occurs[group[rows]] = True
+            key[rows] = which * q + n
+            occurs[key[rows]] = True
         keys = np.flatnonzero(occurs)  # the next groups, in key order
         ids = np.empty(len(occurs), dtype=np.intp)
         ids[keys] = np.arange(len(keys))
@@ -444,14 +447,13 @@ def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
         norm = np.where(norm > 0.0, norm, 1.0)[:, None]
         carried = np.empty((len(keys), g.shape[2]), dtype=complex)
         ends = np.searchsorted(parent, [*blocks, len(prefix)])
-        for start, lo, hi in zip(blocks, ends, ends[1:]):
-            carried[lo:hi] = _block_vectors(prefix, mat, q, start)[
-                parent[lo:hi] - start, n[lo:hi]] / norm[lo:hi]
+        for b in reversed(range(len(blocks))):  # the last block's product is still at hand
+            start, lo, hi = blocks[b], ends[b], ends[b + 1]
+            if b < len(blocks) - 1:
+                vecs = _block_vectors(prefix, mat, q, start)
+            carried[lo:hi] = vecs[parent[lo:hi] - start, n[lo:hi]] / norm[lo:hi]
         prefix = carried
-        for start in range(0, size, DRAW_CHUNK):
-            rows = slice(start, start + DRAW_CHUNK)
-            group[rows] = ids[group[rows]]
-    flagged = bad[group]
+    flagged = bad[ids[key]]
     if flagged.any():
         raise ResampleSignal(
             "prefix probability underflow; redraw the flagged rows", counts, flagged
