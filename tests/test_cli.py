@@ -428,11 +428,11 @@ def test_sample_one_row_over_two_workers_writes_one_row(mode, tmp_path):
 # Sample SHA-256 of three small MPS runs, recorded when chain-rule draws began to
 # share prefixes; a change to these bytes must be deliberate and recorded.
 MPS_SAMPLE_SHA256 = {
-    "output side": ({}, "29731cc8b0807ce5558bf7c00893d4542d5051bddea4ee1765145b279a3fb253"),
-    "input side": ({"circuit": {"brickwork": {"modes": 8, "depth": 2, "tau": 0.5, "seed": 5}},
+    "output_side": ({}, "29731cc8b0807ce5558bf7c00893d4542d5051bddea4ee1765145b279a3fb253"),
+    "input_side": ({"circuit": {"brickwork": {"modes": 8, "depth": 2, "tau": 0.5, "seed": 5}},
                     "photons": 4, "samples": 20},
                    "e830ec7bb617dbbb0e695e2eb0981bd7b0d2314e4f72c13a3eeb37c6f10c8b21"),
-    "three workers": ({"workers": 3},
+    "three_workers": ({"workers": 3},
                       "4f474e7a81a8319fd12691e69bf0220b43a52a3f1957d999711afb86c81beb32"),
 }
 
