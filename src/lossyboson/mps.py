@@ -1,18 +1,24 @@
 """Exact matrix-product-state evolution for shallow interferometers.
 
-The state of M modes with at most d photons per mode is held in canonical
-(Schmidt) form: per-site tensors Gamma[i] of shape (d+1, chi_left, chi_right)
-and per-bond Schmidt vectors lambda[i], so the amplitude of a count pattern
-(n_0, ..., n_{M-1}) is the matrix product
+The state of M modes with at most d photons per mode is held as
+right-canonical site tensors B[i] of shape (d+1, chi_left, chi_right) next
+to the Schmidt vectors lambda[i] of its bonds.  The amplitude of a count
+pattern (n_0, ..., n_{M-1}) is the matrix product
 
-    Gamma[0][n_0] @ diag(lambda[0]) @ Gamma[1][n_1] @ ... @ Gamma[M-1][n_{M-1}].
+    B[0][n_0] @ B[1][n_1] @ ... @ B[M-1][n_{M-1}],
+
+every site is a right isometry, sum_n B[i][n] B[i][n]^dagger = 1, and
+lambda[i] are the singular values of the chain cut after site i.  (In
+Vidal's Gamma-lambda notation B[i] = Gamma[i] lambda[i]; the last site has
+no bond to its right.)
 
 Gates never truncate: each coupler's two-mode Fock-space unitary is
-contracted with its two-site block and the touched bond is re-orthogonalized
-with one SVD, as in TEBD; only singular values below 1e-12 of the largest
-(exact zeros up to rounding) are dropped.  With local dimension d+1 covering the total photon
-number, the simulation is exact and the bond dimension is bounded by
-(d+1)^(2*depth).
+contracted with its two-site block, and one SVD of that block with the left
+Schmidt weights in front re-splits the touched bond without dividing by any
+weight (Hastings, J. Math. Phys. 50, 095207 (2009)); only singular values
+below 1e-12 of the largest (exact zeros up to rounding) are dropped.  With
+local dimension d+1 covering the total photon number, the simulation is
+exact and the bond dimension is bounded by (d+1)^(2*depth).
 
 Losses are handled by the caller.  Uniform loss mu = tau**depth commutes with
 the lossless blocks, so it may be applied at either end: Bernoulli-thin the
@@ -71,11 +77,16 @@ DRAW_CHUNK = 1 << 10  # rows per CDF inversion in sample; bounds its (rows, q) t
 
 @dataclass
 class MPSState:
-    """Canonical-form MPS over ``modes`` sites with local dimension ``local_dim``."""
+    """MPS over ``modes`` sites with local dimension ``local_dim``.
+
+    ``tensors[i]`` is site i's right-canonical tensor B[i], shape
+    (local_dim, chi_left, chi_right); ``schmidts[i]`` is the Schmidt vector
+    of the bond between sites i and i+1.
+    """
 
     modes: int
     local_dim: int
-    gammas: list
+    tensors: list
     schmidts: list
     peak_bond: int = 1
 
@@ -96,14 +107,14 @@ def init_input(pattern, d: int) -> MPSState:
     if max(pattern) > d:
         raise ValueError(f"pattern entry {max(pattern)} exceeds cutoff d={d}")
     q = d + 1
-    gammas = []
+    tensors = []
     for n in pattern:
-        g = np.zeros((q, 1, 1), dtype=complex)
-        g[n, 0, 0] = 1.0
-        gammas.append(g)
+        t = np.zeros((q, 1, 1), dtype=complex)
+        t[n, 0, 0] = 1.0
+        tensors.append(t)
     schmidts = [np.ones(1) for _ in range(len(pattern) - 1)]
     return MPSState(
-        modes=len(pattern), local_dim=q, gammas=gammas, schmidts=schmidts, peak_bond=1
+        modes=len(pattern), local_dim=q, tensors=tensors, schmidts=schmidts, peak_bond=1
     )
 
 
@@ -153,6 +164,14 @@ def coupler_fock_amplitudes(block: np.ndarray, d: int) -> np.ndarray:
     return c
 
 
+def _kept_svd(mat: np.ndarray) -> tuple:
+    """Thin SVD of ``mat`` without the singular values below :data:`ZERO_CUTOFF`
+    of the largest; one is kept even if all are zero."""
+    u, sv, vh = np.linalg.svd(mat, full_matrices=False)
+    keep = sv >= ZERO_CUTOFF * sv[0] if sv[0] > 0 else slice(0, 1)
+    return u[:, keep], sv[keep], vh[keep]
+
+
 @dataclass(frozen=True)
 class CouplerMPO:
     """Two-site operator split: c[p,s,n,m] = sum_g x_left[p,n,g] sigmas[g] x_right[s,m,g]."""
@@ -179,9 +198,7 @@ def coupler_mpo(block: np.ndarray, d: int) -> CouplerMPO:
     c = coupler_fock_amplitudes(block, d)
     q = c.shape[0]
     mat = c.transpose(0, 2, 1, 3).reshape(q * q, q * q)  # rows (p, n0), cols (s, n1)
-    u, sig, vh = np.linalg.svd(mat, full_matrices=False)
-    keep = sig >= ZERO_CUTOFF * sig[0] if sig[0] > 0 else slice(0, 1)
-    u, sig, vh = u[:, keep], sig[keep], vh[keep]
+    u, sig, vh = _kept_svd(mat)
     x_left = u.reshape(q, q, -1)
     x_right = vh.T.reshape(q, q, -1)
     return CouplerMPO(x_left=x_left, sigmas=sig, x_right=x_right)
@@ -197,35 +214,26 @@ def apply_phase(state: MPSState, mode: int, theta: float) -> MPSState:
     if not 0 <= mode < state.modes:
         raise ValueError(f"mode {mode} out of range for {state.modes} modes")
     factor = np.exp(1j * theta * np.arange(state.local_dim))
-    state.gammas[mode] = state.gammas[mode] * factor[:, None, None]
+    state.tensors[mode] = state.tensors[mode] * factor[:, None, None]
     return state
-
-
-def _left_weights(state: MPSState, site: int) -> np.ndarray:
-    return state.schmidts[site - 1] if site > 0 else np.ones(1)
-
-
-def _right_weights(state: MPSState, site: int) -> np.ndarray:
-    return state.schmidts[site] if site < state.modes - 1 else np.ones(1)
 
 
 def apply_coupler(
     state: MPSState, mode: int, gate: np.ndarray, max_bond: int | None = DEFAULT_MAX_BOND
 ) -> MPSState:
-    """Apply a two-mode coupler on (mode, mode+1) in place and re-orthogonalize the bond.
+    """Apply a two-mode coupler on (mode, mode+1) in place and re-split the bond.
 
     ``gate`` is the Fock tensor c[p, s, n0, n1] from
     :func:`coupler_fock_amplitudes` at the state's cutoff.  It is contracted
-    with the two-site block Gamma[k] lambda[k] Gamma[k+1], and one SVD of
-    that block (with the neighbour Schmidt weights folded in) restores
-    canonical form on the bond.  Singular values below 1e-12 of the largest
-    are dropped as exact zeros; the Schmidt vector is stored as returned by
-    the SVD, so the state norm is preserved to rounding and can be asserted
-    by callers.
-
-    New site tensors are extracted without dividing by the neighbour Schmidt
-    weights (only by the kept new singular values), which keeps the update
-    stable when neighbouring bonds carry small weights.
+    with the two-site block theta = B[k] B[k+1], and one SVD
+    lambda[k-1] theta' = U S V^dagger of the gated block with the left
+    Schmidt weights in front gives the new bond: lambda[k] = S,
+    B[k+1] = V^dagger and B[k] = theta' V (Hastings' inverse-free update).
+    Nothing is divided by a singular value or a neighbour weight, so the
+    update stays stable when bonds carry small weights.  Singular values
+    below 1e-12 of the largest are dropped as exact zeros; the Schmidt
+    vector is stored as returned by the SVD, so the state norm is preserved
+    to rounding and can be asserted by callers.
     """
     k = mode
     if not 0 <= k < state.modes - 1:
@@ -235,34 +243,24 @@ def apply_coupler(
         raise ValueError(
             f"gate tensor shape {gate.shape} does not match local dimension {q}"
         )
-    a, b = state.gammas[k], state.gammas[k + 1]
-    lam_l = _left_weights(state, k)
-    lam_r = _right_weights(state, k + 1)
+    a, b = state.tensors[k], state.tensors[k + 1]
     c_l, c_r = a.shape[1], b.shape[2]
 
     # two-site block theta[a, (n0, n1), c], then the gate on the physical pair
-    left = (a * state.schmidts[k][None, None, :]).transpose(1, 0, 2).reshape(c_l * q, -1)
+    left = a.transpose(1, 0, 2).reshape(c_l * q, -1)
     theta = (left @ b.transpose(1, 0, 2).reshape(-1, q * c_r)).reshape(c_l, q * q, c_r)
     core = (gate.reshape(q * q, q * q) @ theta).reshape(c_l * q, q * c_r)  # (a, p), (s, c)
 
-    w_l, w_r = lam_l.repeat(q)[:, None], np.tile(lam_r, q)[None, :]
-    no_left, no_right = core * w_r, w_l * core
-    u, sv, vh = np.linalg.svd(w_l * no_left, full_matrices=False)
-    keep = sv >= ZERO_CUTOFF * sv[0] if sv[0] > 0 else np.arange(len(sv)) < 1
-    u, sv, vh = u[:, keep], sv[keep], vh[keep]
+    lam_l = state.schmidts[k - 1] if k > 0 else np.ones(1)
+    _, sv, vh = _kept_svd(lam_l.repeat(q)[:, None] * core)
     chi_new = len(sv)
     if max_bond is not None and chi_new > max_bond:
         raise CapacityError(
             f"bond dimension {chi_new} exceeds the configured maximum {max_bond}"
         )
 
-    g_left = ((no_left @ vh.conj().T) / sv).reshape(c_l, q, chi_new).transpose(1, 0, 2)
-    g_right = (
-        ((u.conj().T @ no_right) / sv[:, None]).reshape(chi_new, q, c_r).transpose(1, 0, 2)
-    )
-
-    state.gammas[k] = g_left
-    state.gammas[k + 1] = g_right
+    state.tensors[k] = (core @ vh.conj().T).reshape(c_l, q, chi_new).transpose(1, 0, 2)
+    state.tensors[k + 1] = vh.reshape(chi_new, q, c_r).transpose(1, 0, 2)
     state.schmidts[k] = sv
     state.peak_bond = max(state.peak_bond, chi_new)
     return state
@@ -277,35 +275,34 @@ def outcome_probability(state: MPSState, pattern) -> float:
         raise ValueError("photon counts must be non-negative")
     if max(pattern) >= state.local_dim:
         return 0.0  # beyond the cutoff nothing has support
-    vec = state.gammas[0][pattern[0], 0, :]
+    vec = state.tensors[0][pattern[0], 0, :]
     for i in range(1, state.modes):
-        vec = (vec * state.schmidts[i - 1]) @ state.gammas[i][pattern[i]]
-    amp = vec[0]
-    return float(abs(amp) ** 2)
+        vec = vec @ state.tensors[i][pattern[i]]
+    return float(abs(vec[0]) ** 2)
 
 
 def state_norm(state: MPSState) -> float:
     """<psi|psi> by direct transfer-matrix contraction (no canonicity assumed)."""
     rho = np.ones((1, 1), dtype=complex)
-    for i in range(state.modes):
-        g = state.gammas[i]
-        if i < state.modes - 1:
-            g = g * state.schmidts[i][None, None, :]
-        rho = np.einsum("ab,nac,nbd->cd", rho, g.conj(), g)
+    for t in state.tensors:
+        rho = np.einsum("ab,nac,nbd->cd", rho, t.conj(), t)
     return float(rho[0, 0].real)
 
 
 def canonical_defect(state: MPSState) -> float:
-    """Largest deviation of the canonical-form isometry conditions from identity."""
+    """Largest deviation of the canonical-form isometry conditions.
+
+    Every site must be a right isometry, sum_n B[n] B[n]^dagger = 1, and a
+    left isometry once its bond weights are taken out,
+    sum_n B[n]^dagger diag(lambda_left**2) B[n] = diag(lambda_right**2).
+    """
+    weights = [np.ones(1), *state.schmidts, np.ones(1)]
     worst = 0.0
-    for i in range(state.modes):
-        g = state.gammas[i]
-        right = g * _right_weights(state, i)[None, None, :]
-        gram = np.einsum("nac,nbc->ab", right, right.conj())
+    for t, lam_l, lam_r in zip(state.tensors, weights, weights[1:]):
+        gram = np.einsum("nac,nbc->ab", t, t.conj())
         worst = max(worst, float(np.abs(gram - np.eye(gram.shape[0])).max()))
-        left = g * _left_weights(state, i)[None, :, None]
-        gram = np.einsum("nac,nad->cd", left.conj(), left)
-        worst = max(worst, float(np.abs(gram - np.eye(gram.shape[0])).max()))
+        gram = np.einsum("nac,a,nad->cd", t.conj(), lam_l**2, t)
+        worst = max(worst, float(np.abs(gram - np.diag(lam_r**2)).max()))
     return worst
 
 
@@ -313,55 +310,38 @@ def canonicalize(state: MPSState) -> MPSState:
     """Full two-sweep re-orthogonalization into exact canonical form.
 
     A left-to-right QR sweep makes the chain left-orthonormal and isolates
-    the norm; a right-to-left SVD sweep then extracts the Schmidt vectors.
+    the norm; a right-to-left SVD sweep then extracts the Schmidt vectors
+    and leaves every site right-canonical, so its tensors are the result's.
     The result is normalized.
     """
     m, q = state.modes, state.local_dim
-    raw = []
-    for i in range(m):
-        g = state.gammas[i]
-        if i < m - 1:
-            g = g * state.schmidts[i][None, None, :]
-        raw.append(g.astype(complex))
+    tensors = [t.astype(complex) for t in state.tensors]
 
     for i in range(m - 1):
-        g = raw[i]
-        cl, cr = g.shape[1], g.shape[2]
-        mat = g.transpose(1, 0, 2).reshape(cl * q, cr)
-        qmat, rmat = np.linalg.qr(mat)
-        rk = qmat.shape[1]
-        raw[i] = qmat.reshape(cl, q, rk).transpose(1, 0, 2)
-        raw[i + 1] = np.einsum("rb,nbc->nrc", rmat, raw[i + 1])
+        t = tensors[i]
+        cl, cr = t.shape[1], t.shape[2]
+        qmat, rmat = np.linalg.qr(t.transpose(1, 0, 2).reshape(cl * q, cr))
+        tensors[i] = qmat.reshape(cl, q, -1).transpose(1, 0, 2)
+        tensors[i + 1] = np.einsum("rb,nbc->nrc", rmat, tensors[i + 1])
 
-    norm = np.linalg.norm(raw[m - 1])
+    norm = np.linalg.norm(tensors[m - 1])
     if norm == 0.0:
         raise ValueError("cannot canonicalize the zero state")
-    raw[m - 1] = raw[m - 1] / norm
+    tensors[m - 1] = tensors[m - 1] / norm
 
     schmidts: list = [None] * (m - 1)
     for i in range(m - 1, 0, -1):
-        g = raw[i]
-        cl, cr = g.shape[1], g.shape[2]
-        mat = g.transpose(1, 0, 2).reshape(cl, q * cr)
-        u, sv, vh = np.linalg.svd(mat, full_matrices=False)
-        keep = sv >= ZERO_CUTOFF * sv[0] if sv[0] > 0 else np.arange(len(sv)) < 1
-        u, sv, vh = u[:, keep], sv[keep], vh[keep]
-        raw[i] = vh.reshape(-1, q, cr).transpose(1, 0, 2)
+        t = tensors[i]
+        cl, cr = t.shape[1], t.shape[2]
+        u, sv, vh = _kept_svd(t.transpose(1, 0, 2).reshape(cl, q * cr))
+        tensors[i] = vh.reshape(-1, q, cr).transpose(1, 0, 2)
         schmidts[i - 1] = sv / np.linalg.norm(sv)
-        raw[i - 1] = np.einsum("nab,br->nar", raw[i - 1], u * sv[None, :])
+        tensors[i - 1] = np.einsum("nab,br->nar", tensors[i - 1], u * sv[None, :])
 
-    # raw[i] now holds B-form tensors (Gamma with the right Schmidt vector
-    # absorbed); divide it back out, entries below the zero cutoff never occur
-    gammas = []
-    for i in range(m):
-        if i < m - 1:
-            gammas.append(raw[i] / schmidts[i][None, None, :])
-        else:
-            gammas.append(raw[i])
     return MPSState(
         modes=m,
         local_dim=q,
-        gammas=gammas,
+        tensors=tensors,
         schmidts=schmidts,
         peak_bond=max(state.peak_bond, max((len(s) for s in schmidts), default=1)),
     )
@@ -412,9 +392,8 @@ def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
     weight = np.ones(len(prefix))
     bad = np.zeros(len(prefix), dtype=bool)
     for i in range(state.modes):
-        # Gamma with the right Schmidt weights folded in, as (chi_l, q * chi_r)
-        g = state.gammas[i] * _right_weights(state, i)[None, None, :]
-        mat = g.transpose(1, 0, 2).reshape(g.shape[1], -1)
+        t = state.tensors[i]
+        mat = t.transpose(1, 0, 2).reshape(t.shape[1], -1)  # (chi_l, q * chi_r)
         blocks = range(0, len(prefix), SAMPLE_BLOCK)
         probs = np.empty((len(prefix), q))
         for start in blocks:
@@ -445,7 +424,7 @@ def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
         # renormalize the carried vectors to keep magnitudes O(1)
         norm = np.sqrt(chosen)
         norm = np.where(norm > 0.0, norm, 1.0)[:, None]
-        carried = np.empty((len(keys), g.shape[2]), dtype=complex)
+        carried = np.empty((len(keys), t.shape[2]), dtype=complex)
         ends = np.searchsorted(parent, [*blocks, len(prefix)])
         for b in reversed(range(len(blocks))):  # the last block's product is still at hand
             start, lo, hi = blocks[b], ends[b], ends[b + 1]

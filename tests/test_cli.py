@@ -80,6 +80,15 @@ def test_plan_without_circuit_uses_explicit_geometry(tmp_path, capsys):
     assert doc["regime"] == "thermal"
 
 
+@pytest.mark.parametrize("modes", [-3, 0])
+def test_plan_without_circuit_rejects_non_positive_modes(tmp_path, capsys, modes):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"modes": modes, "depth": 2, "tau": 0.9, "density_gamma": 0.5}))
+    assert main(["plan", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: plan needs modes >= 1" in err and f"got {modes}," in err
+
+
 def test_plan_reports_thermalization_depth_reference(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

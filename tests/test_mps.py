@@ -260,6 +260,24 @@ def test_canonicalize_restores_form_and_unit_norm():
         )
 
 
+def test_canonical_defect_sees_each_broken_condition():
+    circuit = random_brickwork(4, 2, 1.0, make_stream(66))
+    st = canonicalize(simulate_circuit(circuit, (1, 1, 0, 0)))
+    assert canonical_defect(st) < 1e-12 and len(st.schmidts[1]) > 1
+    wrong_weights = canonicalize(st)
+    wrong_weights.schmidts[1] = wrong_weights.schmidts[1][::-1]
+    assert canonical_defect(wrong_weights) > 0.01
+    # site 1 has no amplitude after site 0's second branch: it is no right isometry,
+    # while the weights miss by only that branch's 1e-3
+    schmidt = np.sqrt([1.0 - 1e-3, 1e-3])
+    b0 = np.zeros((2, 1, 2), dtype=complex)
+    b0[0, 0, 0], b0[1, 0, 1] = schmidt
+    b1 = np.zeros((2, 2, 1), dtype=complex)
+    b1[1, 0, 0] = 1.0
+    dead = mps.MPSState(modes=2, local_dim=2, tensors=[b0, b1], schmidts=[schmidt])
+    assert canonical_defect(dead) > 0.5
+
+
 # ---------------------------------------------------------------------------
 # full-circuit simulation against the permanent oracle
 # ---------------------------------------------------------------------------
@@ -346,10 +364,7 @@ def test_sample_rows_do_not_depend_on_block_size(monkeypatch):
 def _per_row_sample(state, rng, size):
     """sample before prefix groups: every row works out every conditional of its own."""
     uniforms = rng.random((state.modes, size))
-    mats = []
-    for i in range(state.modes):
-        g = state.gammas[i] * mps._right_weights(state, i)[None, None, :]
-        mats.append((g.transpose(1, 0, 2).reshape(g.shape[1], -1), g.shape[2]))
+    mats = [(t.transpose(1, 0, 2).reshape(t.shape[1], -1), t.shape[2]) for t in state.tensors]
     counts = np.empty((size, state.modes), dtype=int)
     bad = np.zeros(size, dtype=bool)
     q = state.local_dim
@@ -405,12 +420,13 @@ def test_grouped_sample_flags_the_same_underflowed_rows():
     """Site 0 reads 0 or 1 photons with probability 1/2 each.  After a 1, site 1's
     amplitudes are scaled by 1e-160, so its conditional law sums to about 1e-320:
     those rows still draw their count from it and are flagged, the others are not."""
-    g0 = np.zeros((2, 1, 2), dtype=complex)
-    g0[0, 0, 0] = g0[1, 0, 1] = 1.0
-    g1 = np.zeros((2, 2, 1), dtype=complex)
-    g1[:, 0, 0] = g1[:, 1, 0] = [0.6, 0.8]
-    g1[:, 1, 0] *= 1e-160
-    st = mps.MPSState(modes=2, local_dim=2, gammas=[g0, g1], schmidts=[np.sqrt([0.5, 0.5])])
+    schmidt = np.sqrt([0.5, 0.5])
+    b0 = np.zeros((2, 1, 2), dtype=complex)
+    b0[0, 0, 0], b0[1, 0, 1] = schmidt
+    b1 = np.zeros((2, 2, 1), dtype=complex)
+    b1[:, 0, 0] = b1[:, 1, 0] = [0.6, 0.8]
+    b1[:, 1, 0] *= 1e-160
+    st = mps.MPSState(modes=2, local_dim=2, tensors=[b0, b1], schmidts=[schmidt])
     signals = []
     for draw in (sample, _per_row_sample):
         with pytest.raises(ResampleSignal) as info:
@@ -421,6 +437,35 @@ def test_grouped_sample_flags_the_same_underflowed_rows():
     assert set(rows[bad, 1].tolist()) == {0, 1}  # counts drawn from the underflowed law
     assert np.array_equal(bad, signals[1].bad)
     assert np.array_equal(rows, signals[1].rows)
+
+
+class _ZeroUniforms:
+    """A stream whose every uniform is 0, so each mode draws its lowest count with support."""
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
+
+
+@pytest.mark.parametrize("modes, flagged", [(7, False), (8, True)])
+def test_sample_flags_rows_whose_prefix_weight_underflows(modes, flagged):
+    """Each mode reads 0 photons with probability 1e-40 and has a normalized law, so no
+    mode's total underflows; the all-zero row's probability 1e-40**modes falls below
+    1e-300 only at 8 modes, and then every row is flagged by its weight alone."""
+    site = np.zeros((2, 1, 1), dtype=complex)
+    site[:, 0, 0] = [1e-20, math.sqrt(1.0 - 1e-40)]
+    st = mps.MPSState(modes=modes, local_dim=2, tensors=[site] * modes,
+                      schmidts=[np.ones(1)] * (modes - 1))
+    assert canonical_defect(st) < 1e-15  # every conditional total is 1
+    for draw in (sample, _per_row_sample):
+        if not flagged:
+            assert not draw(st, _ZeroUniforms(), 50).any()
+            continue
+        with pytest.raises(ResampleSignal) as info:
+            draw(st, _ZeroUniforms(), 50)
+        assert info.value.bad.all() and not info.value.rows.any()
 
 
 def test_lossy_input_thinning_statistics():

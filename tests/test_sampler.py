@@ -32,12 +32,12 @@ def _two_mode_state(dead_weight: float) -> MPSState:
     Site 0 reads 0 or 1 photons with probabilities (1 - w, w); after a 1 the
     second site has no amplitude at all, so that prefix has probability zero.
     """
-    g0 = np.zeros((2, 1, 2), dtype=complex)
-    g0[0, 0, 0] = g0[1, 0, 1] = 1.0
-    g1 = np.zeros((2, 2, 1), dtype=complex)
-    g1[1, 0, 0] = 1.0
     schmidt = np.sqrt([1.0 - dead_weight, dead_weight])
-    return MPSState(modes=2, local_dim=2, gammas=[g0, g1], schmidts=[schmidt])
+    b0 = np.zeros((2, 1, 2), dtype=complex)
+    b0[0, 0, 0], b0[1, 0, 1] = schmidt
+    b1 = np.zeros((2, 2, 1), dtype=complex)
+    b1[1, 0, 0] = 1.0
+    return MPSState(modes=2, local_dim=2, tensors=[b0, b1], schmidts=[schmidt])
 
 
 def _lossless_source(state: MPSState) -> MPSSource:
