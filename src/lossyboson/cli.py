@@ -244,10 +244,11 @@ def run_plan(cfg: dict) -> int:
             if key not in cfg:
                 raise UsageError(f'plan needs "{key}" (or a circuit file)')
         modes, depth = _integer(cfg["modes"], "modes"), _integer(cfg["depth"], "depth")
+        if modes < 1:
+            raise UsageError(f"plan needs modes >= 1, got {modes}")
         tau = float(cfg["tau"])
-        if modes < 1 or depth < 0 or not 0.0 < tau <= 1.0:
-            raise UsageError(f"plan needs modes >= 1, depth >= 0 and tau in (0, 1], "
-                             f"got {modes}, {depth}, {tau}")
+        if depth < 0 or not 0.0 < tau <= 1.0:
+            raise UsageError(f"plan needs depth >= 0 and tau in (0, 1], got {depth}, {tau}")
     if "pattern" not in cfg and not cfg.get("photons"):
         cfg = dict(cfg, photons=max(1, round(k * modes**gamma)))
     pattern = _input_pattern(cfg, modes)

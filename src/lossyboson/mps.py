@@ -1,24 +1,17 @@
 """Exact matrix-product-state evolution for shallow interferometers.
 
-The state of M modes with at most d photons per mode is held as
-right-canonical site tensors B[i] of shape (d+1, chi_left, chi_right) next
-to the Schmidt vectors lambda[i] of its bonds.  The amplitude of a count
-pattern (n_0, ..., n_{M-1}) is the matrix product
-
-    B[0][n_0] @ B[1][n_1] @ ... @ B[M-1][n_{M-1}],
-
-every site is a right isometry, sum_n B[i][n] B[i][n]^dagger = 1, and
-lambda[i] are the singular values of the chain cut after site i.  (In
-Vidal's Gamma-lambda notation B[i] = Gamma[i] lambda[i]; the last site has
-no bond to its right.)
+The state of M modes with at most d photons per mode is a list of
+right-canonical site tensors B[i] = Gamma[i] lambda[i] (Vidal's notation),
+shape (d+1, chi_left, chi_right), and the bonds' Schmidt vectors lambda[i].
+A count pattern's amplitude is B[0][n_0] @ ... @ B[M-1][n_{M-1}].
 
 Gates never truncate: each coupler's two-mode Fock-space unitary is
 contracted with its two-site block, and one SVD of that block with the left
-Schmidt weights in front re-splits the touched bond without dividing by any
-weight (Hastings, J. Math. Phys. 50, 095207 (2009)); only singular values
-below 1e-12 of the largest (exact zeros up to rounding) are dropped.  With
-local dimension d+1 covering the total photon number, the simulation is
-exact and the bond dimension is bounded by (d+1)^(2*depth).
+Schmidt weights in front re-splits the bond without dividing by any weight
+(Hastings, J. Math. Phys. 50, 095207 (2009)); only singular values below
+1e-12 of the largest (exact zeros up to rounding) are dropped.  With local
+dimension d+1 covering the total photon number, the simulation is exact and
+the bond dimension is bounded by (d+1)^(2*depth).
 
 Losses are handled by the caller.  Uniform loss mu = tau**depth commutes with
 the lossless blocks, so it may be applied at either end: Bernoulli-thin the

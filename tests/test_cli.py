@@ -86,7 +86,7 @@ def test_plan_without_circuit_rejects_non_positive_modes(tmp_path, capsys, modes
     cfg.write_text(json.dumps({"modes": modes, "depth": 2, "tau": 0.9, "density_gamma": 0.5}))
     assert main(["plan", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "usage error: plan needs modes >= 1" in err and f"got {modes}," in err
+    assert f"usage error: plan needs modes >= 1, got {modes}" in err
 
 
 def test_plan_reports_thermalization_depth_reference(tmp_path, capsys):
