@@ -8,151 +8,27 @@ accurate where:
 * a thermal-replacement sampler for deep, lossy circuits,
 * a matrix-product-state sampler for shallow circuits, and
 * a brute-force permanent oracle for desk-scale cross-validation.
+
+The top level holds the documented API; lower-level pieces are reached
+through their submodules (``lossyboson.thermal``, ``lossyboson.mps``, ...).
 """
 
-from .circuit import (
-    AlgebraicThreshold,
-    CouplerGate,
-    Layer,
-    LayeredCircuit,
-    LossDecomposition,
-    NonuniformFactorization,
-    SimulationPlan,
-    circuit_from_json,
-    circuit_to_json,
-    coupler_blocks,
-    decompose_losses,
-    depth_threshold_algebraic,
-    depth_threshold_exponential,
-    factor_nonuniform,
-    load_circuit,
-    plan,
-    random_brickwork,
-    save_circuit,
-    simulability_condition,
-    thermalization_depth,
-    transfer_matrix,
-)
-from .errors import (
-    CapacityError,
-    DegenerateCircuitError,
-    ModelViolationError,
-    ResampleSignal,
-)
-from .mps import (
-    MPSState,
-    apply_coupler,
-    apply_phase,
-    canonical_defect,
-    canonicalize,
-    coupler_fock_amplitudes,
-    coupler_mpo,
-    fock_gates,
-    init_input,
-    lossy_input_sample,
-    outcome_probability,
-    sample,
-    simulate_circuit,
-    state_norm,
-)
-from .numerics import (
-    Distribution,
-    haar_unitary,
-    permanent,
-    permanent_naive,
-    total_variation,
-)
-from .oracle import (
-    chi2_constellation,
-    constellation_hermite_moments,
-    enumerate_patterns,
-    fock_output_distribution,
-    lossy_exact_distribution,
-    thermal_exact_distribution,
-)
-from .rng import RandomStream, make_stream, split_stream
+from .circuit import CouplerGate, Layer, LayeredCircuit, plan, random_brickwork
+from .errors import CapacityError, ModelViolationError
+from .rng import make_stream
 from .sampler import build_sampler
-from .thermal import (
-    Constellation,
-    ThermalParams,
-    bernoulli_trials_count,
-    constellation_size,
-    gauss_hermite_constellation,
-    propagate,
-    sample_output,
-    sample_poisson_bernoulli,
-    sample_thermal_coherent,
-    scattershot_herald,
-    thermal_vs_erasure_distance,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraicThreshold",
-    "CapacityError",
-    "Constellation",
-    "CouplerGate",
-    "DegenerateCircuitError",
-    "Distribution",
-    "Layer",
-    "LayeredCircuit",
-    "LossDecomposition",
-    "MPSState",
-    "ModelViolationError",
-    "NonuniformFactorization",
-    "RandomStream",
-    "ResampleSignal",
-    "SimulationPlan",
-    "ThermalParams",
-    "apply_coupler",
-    "apply_phase",
-    "bernoulli_trials_count",
     "build_sampler",
-    "canonical_defect",
-    "canonicalize",
-    "chi2_constellation",
-    "circuit_from_json",
-    "circuit_to_json",
-    "constellation_hermite_moments",
-    "constellation_size",
-    "coupler_blocks",
-    "coupler_fock_amplitudes",
-    "coupler_mpo",
-    "decompose_losses",
-    "depth_threshold_algebraic",
-    "depth_threshold_exponential",
-    "enumerate_patterns",
-    "factor_nonuniform",
-    "fock_gates",
-    "fock_output_distribution",
-    "gauss_hermite_constellation",
-    "haar_unitary",
-    "init_input",
-    "load_circuit",
-    "lossy_exact_distribution",
-    "lossy_input_sample",
     "make_stream",
-    "outcome_probability",
-    "permanent",
-    "permanent_naive",
     "plan",
-    "propagate",
     "random_brickwork",
-    "sample",
-    "sample_output",
-    "sample_poisson_bernoulli",
-    "sample_thermal_coherent",
-    "save_circuit",
-    "scattershot_herald",
-    "simulability_condition",
-    "simulate_circuit",
-    "split_stream",
-    "state_norm",
-    "thermal_exact_distribution",
-    "thermal_vs_erasure_distance",
-    "thermalization_depth",
-    "total_variation",
-    "transfer_matrix",
+    "LayeredCircuit",
+    "Layer",
+    "CouplerGate",
+    "CapacityError",
+    "ModelViolationError",
     "__version__",
 ]

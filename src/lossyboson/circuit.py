@@ -39,21 +39,18 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .errors import DegenerateCircuitError, ModelViolationError
+from .errors import ModelViolationError
 from .rng import RandomStream
 
 __all__ = [
     "CouplerGate",
     "Layer",
     "LayeredCircuit",
-    "LossDecomposition",
-    "NonuniformFactorization",
     "AlgebraicThreshold",
     "SimulationPlan",
     "coupler_blocks",
     "transfer_matrix",
     "decompose_losses",
-    "factor_nonuniform",
     "random_brickwork",
     "simulability_condition",
     "thermalization_depth",
@@ -62,8 +59,6 @@ __all__ = [
     "plan",
     "circuit_to_json",
     "circuit_from_json",
-    "save_circuit",
-    "load_circuit",
 ]
 
 SINGULAR_CLIP_TOLERANCE = 1e-9
@@ -240,20 +235,11 @@ def transfer_matrix(circuit: LayeredCircuit) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class LossDecomposition:
-    """a = v @ diag(sqrt(transmissions)) @ w with v, w unitary."""
+def decompose_losses(a: np.ndarray) -> np.ndarray:
+    """Transmissions of a transfer matrix: its squared singular values, largest first.
 
-    v: np.ndarray
-    transmissions: np.ndarray
-    w: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.v * np.sqrt(self.transmissions)) @ self.w
-
-
-def decompose_losses(a: np.ndarray) -> LossDecomposition:
-    """Split a transfer matrix into interferometer / loss / interferometer.
+    A = V diag(sqrt(mu)) W with V, W unitary; only mu is kept.  The thermal
+    surrogate reads its largest entry mu_max and the matrix A / sqrt(mu_max).
 
     Raises
     ------
@@ -265,36 +251,13 @@ def decompose_losses(a: np.ndarray) -> LossDecomposition:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"transfer matrix must be square, got shape {a.shape}")
-    v, s, w = np.linalg.svd(a, full_matrices=False)
+    _, s, _ = np.linalg.svd(a, full_matrices=False)
     if np.any(s > 1.0 + SINGULAR_CLIP_TOLERANCE):
         raise ModelViolationError(
             f"singular value {s.max():.12g} exceeds 1: not a passive circuit"
         )
     np.clip(s, None, 1.0, out=s)
-    return LossDecomposition(v=v, transmissions=s * s, w=w)
-
-
-@dataclass(frozen=True)
-class NonuniformFactorization:
-    """Uniform loss floor pulled out of a non-uniform decomposition."""
-
-    mu_max: float
-    residual: LossDecomposition
-
-
-def factor_nonuniform(dec: LossDecomposition) -> NonuniformFactorization:
-    """Factor out the largest transmission as a uniform input-side loss.
-
-    The residual decomposition has transmissions mu_i / mu_max, so its
-    largest residual transmission is exactly 1 and the original matrix is
-    recovered as residual @ (sqrt(mu_max) * I).
-    """
-    mu = np.asarray(dec.transmissions, dtype=float)
-    mu_max = float(mu.max()) if mu.size else 0.0
-    if mu_max <= 0.0:
-        raise DegenerateCircuitError("all transmissions are zero; nothing to factor")
-    residual = LossDecomposition(v=dec.v, transmissions=mu / mu_max, w=dec.w)
-    return NonuniformFactorization(mu_max=mu_max, residual=residual)
+    return s * s
 
 
 def _angle(z: np.ndarray) -> np.ndarray:
@@ -363,7 +326,8 @@ def simulability_condition(mu: float, n: int, eps: float) -> bool:
     """True when transmission mu admits the thermal replacement of n photons.
 
     The n-photon output distribution is within total-variation eps of the
-    thermal surrogate whenever n * mu**2 <= eps, tested as mu <= sqrt(eps / n).
+    thermal surrogate whenever n * mu**2 <= eps, tested as written, so the
+    verdict agrees with the ``surrogate_error`` that :func:`plan` records.
     Vacuum (n = 0) always passes.
     """
     if not 0.0 <= mu <= 1.0:
@@ -372,7 +336,7 @@ def simulability_condition(mu: float, n: int, eps: float) -> bool:
         raise ValueError("photon number must be >= 0")
     if eps <= 0:
         raise ValueError("error budget must be positive")
-    return n == 0 or mu <= math.sqrt(eps / n)
+    return n * mu * mu <= eps
 
 
 def thermalization_depth(n: int, eps: float, x: float) -> float:
@@ -548,14 +512,3 @@ def circuit_from_json(text: str) -> LayeredCircuit:
         layers.append(Layer(gates, [float(p) for p in entry["phases"]],
                             float(entry.get("idle_tau", 1.0))))
     return LayeredCircuit.from_layers(modes, layers)
-
-
-def save_circuit(circuit: LayeredCircuit, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(circuit_to_json(circuit))
-        fh.write("\n")
-
-
-def load_circuit(path) -> LayeredCircuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        return circuit_from_json(fh.read())

@@ -8,7 +8,6 @@ separately from bad input.
 __all__ = [
     "ModelViolationError",
     "CapacityError",
-    "DegenerateCircuitError",
     "ResampleSignal",
 ]
 
@@ -29,14 +28,6 @@ class CapacityError(RuntimeError):
     maximum, by the MPS sampler when chain-rule draws keep underflowing after
     a fixed number of redraws, and by the thermal constellation when the
     required order is beyond the supported quadrature size.
-    """
-
-
-class DegenerateCircuitError(ValueError):
-    """The circuit is degenerate for the requested operation.
-
-    Raised e.g. when every transmission eigenvalue is zero, so the loss
-    factorization has no leading channel to normalize against.
     """
 
 

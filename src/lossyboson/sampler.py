@@ -3,9 +3,10 @@
 ``build_sampler`` turns a mode, a circuit and an input pattern into a
 :class:`Sampler` whose ``draw(rng, size)`` returns a ``(size, M)`` array of
 photon counts.  Circuit-level work is done once per sampler: the transfer
-matrix and loss SVD, which both :func:`circuit.plan` and the thermal
-surrogate read, the lossless copy and the gate tensors and evolved-state
-cache for MPS, the exact law for the oracle.
+matrix A and its largest transmission mu_max, which :func:`circuit.plan`
+reads and the thermal surrogate turns into A / sqrt(mu_max); the lossless
+copy and the gate tensors and evolved-state cache for MPS; the exact law for
+the oracle.
 Every source draws whole arrays: ``draw(inputs, rng)`` takes a (rows, M) 0/1
 array that marks each row's occupied input modes.  A fixed-input sampler
 passes its pattern broadcast to every row; scattershot first draws one
@@ -14,6 +15,7 @@ collision-free herald per row into that array.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -52,21 +54,17 @@ class Sampler:
 class ThermalSource:
     """Thermal surrogate of one circuit, drawn for any set of occupied input modes.
 
-    The largest transmission of the loss SVD becomes the thermal parameter of
-    every input; the residual matrix carries the rest of the loss.
+    The largest transmission mu_max of the transfer matrix A becomes the
+    thermal parameter of every input; the residual A / sqrt(mu_max) carries the
+    rest of the loss.  A fully blocking circuit (mu_max = 0) keeps A, whose
+    rows are all zero, so every input is absorbed.
     """
 
-    def __init__(self, decomposition: circ.LossDecomposition):
-        self.residual = None
-        if decomposition.transmissions.max() == 0.0:
-            return  # fully blocking circuit: every input is absorbed
-        factored = circ.factor_nonuniform(decomposition)
-        self.params = thermal.ThermalParams(min(factored.mu_max, 1.0 - 1e-9))
-        self.residual = factored.residual.reconstruct()
+    def __init__(self, a: np.ndarray, mu_max: float):
+        self.params = thermal.ThermalParams(min(mu_max, 1.0 - 1e-9))
+        self.residual = a / math.sqrt(mu_max) if mu_max > 0.0 else a
 
     def draw(self, inputs: np.ndarray, rng: RandomStream) -> np.ndarray:
-        if self.residual is None:
-            return np.zeros(inputs.shape, dtype=int)
         return thermal.sample_output(self.residual, self.params, inputs, rng)
 
 
@@ -209,7 +207,7 @@ def build_sampler(
     """Sampler for ``pattern`` through ``circuit`` in one of :data:`MODES`.
 
     The pattern is planned with :func:`circuit.plan` on the largest
-    transmission of the loss SVD; ``auto`` takes the plan's regime and
+    transmission of the transfer matrix; ``auto`` takes the plan's regime and
     raises :class:`ModelViolationError` when it has none.  ``scattershot``
     heralds a collision-free input per row with squeezing ``herald_lambda``;
     the pattern's plan only steers its thermal-or-MPS inner source.  A
@@ -218,9 +216,9 @@ def build_sampler(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose one of {', '.join(MODES)}")
     pattern = tuple(int(x) for x in pattern)
-    loss = circ.decompose_losses(circ.transfer_matrix(circuit))
-    decision = circ.plan(float(loss.transmissions.max()), sum(pattern), eps,
-                         exact_backend=_uniform_loss(circuit))
+    a = circ.transfer_matrix(circuit)
+    mu_max = float(circ.decompose_losses(a).max())
+    decision = circ.plan(mu_max, sum(pattern), eps, exact_backend=_uniform_loss(circuit))
     if mode == "auto":
         if decision.regime is None:
             raise ModelViolationError(decision.rationale)
@@ -238,7 +236,7 @@ def build_sampler(
         def inputs(rng: RandomStream, size: int) -> np.ndarray:
             return np.broadcast_to(row, (size, circuit.modes))
     if regime == "thermal":
-        source = ThermalSource(loss)
+        source = ThermalSource(a, mu_max)
         if not decision.thermal_valid:
             warnings.warn(f"{decision.rationale}; sampling anyway because {mode} mode "
                           "was requested")

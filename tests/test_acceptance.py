@@ -12,39 +12,43 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from lossyboson import (
+from lossyboson.circuit import (
     CouplerGate,
-    Distribution,
     Layer,
     LayeredCircuit,
-    ThermalParams,
-    canonicalize,
-    chi2_constellation,
-    constellation_hermite_moments,
-    coupler_mpo,
+    circuit_to_json,
     decompose_losses,
     depth_threshold_algebraic,
-    factor_nonuniform,
-    fock_output_distribution,
-    gauss_hermite_constellation,
-    haar_unitary,
-    lossy_exact_distribution,
-    lossy_input_sample,
-    make_stream,
-    outcome_probability,
     random_brickwork,
-    sample,
-    sample_output,
-    save_circuit,
     simulability_condition,
-    simulate_circuit,
-    thermal_exact_distribution,
-    thermal_vs_erasure_distance,
     thermalization_depth,
-    total_variation,
     transfer_matrix,
 )
 from lossyboson.cli import main as cli_main
+from lossyboson.mps import (
+    canonicalize,
+    coupler_mpo,
+    lossy_input_sample,
+    outcome_probability,
+    sample,
+    simulate_circuit,
+)
+from lossyboson.numerics import Distribution, haar_unitary, total_variation
+from lossyboson.oracle import (
+    chi2_constellation,
+    constellation_hermite_moments,
+    fock_output_distribution,
+    lossy_exact_distribution,
+    thermal_exact_distribution,
+)
+from lossyboson.rng import make_stream
+from lossyboson.sampler import ThermalSource
+from lossyboson.thermal import (
+    ThermalParams,
+    gauss_hermite_constellation,
+    sample_output,
+    thermal_vs_erasure_distance,
+)
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = ""):
@@ -228,17 +232,18 @@ def test_acceptance_11_loss_model_uniform_and_nonuniform():
     worst = 0.0
     for depth in range(1, 6):
         circuit = random_brickwork(6, depth, 0.9, rng)
-        dec = decompose_losses(transfer_matrix(circuit))
-        worst = max(worst, float(np.abs(dec.transmissions - 0.9**depth).max()))
+        mu = decompose_losses(transfer_matrix(circuit))
+        worst = max(worst, float(np.abs(mu - 0.9**depth).max()))
     layer = Layer(couplers=(CouplerGate(0, 0.4, tau=0.5),), phases=(0.0,) * 3)
     a = transfer_matrix(LayeredCircuit.from_layers(3, (layer,)))
-    fac = factor_nonuniform(decompose_losses(a))
-    recombine_dev = float(
-        np.abs(fac.residual.reconstruct() * math.sqrt(fac.mu_max) - a).max()
-    )
+    mu_max = float(decompose_losses(a).max())
+    residual = ThermalSource(a, mu_max).residual
+    recombine_dev = float(np.abs(residual * math.sqrt(mu_max) - a).max())
+    top_dev = abs(float(decompose_losses(residual).max()) - 1.0)
     _verdict(11, "uniform loss = tau^D and nonuniform recombines",
-             worst <= 1e-10 and recombine_dev <= 1e-12,
-             f"max |mu - tau^D| = {worst:.1e} recombine dev = {recombine_dev:.1e}")
+             worst <= 1e-10 and recombine_dev <= 1e-12 and top_dev <= 1e-12,
+             f"max |mu - tau^D| = {worst:.1e} recombine dev = {recombine_dev:.1e} "
+             f"residual top dev = {top_dev:.1e}")
 
 
 def test_acceptance_12_algebraic_threshold_reference():
@@ -250,7 +255,7 @@ def test_acceptance_12_algebraic_threshold_reference():
 
 def test_acceptance_13_sampling_is_deterministic(tmp_path):
     circuit_path = tmp_path / "c.json"
-    save_circuit(random_brickwork(4, 2, 0.9, make_stream(1006)), str(circuit_path))
+    circuit_path.write_text(circuit_to_json(random_brickwork(4, 2, 0.9, make_stream(1006))))
     argv = ["sample", "--circuit", str(circuit_path), "--photons", "2",
             "--seed", "123", "--samples", "50", "--workers", "1"]
     out1, out2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"

@@ -13,37 +13,31 @@ import numpy as np
 import pytest
 
 import lossyboson.circuit
-from lossyboson import (
-    circuit_to_json,
-    fock_output_distribution,
-    lossy_exact_distribution,
-    make_stream,
-    random_brickwork,
-    save_circuit,
-    transfer_matrix,
-)
 from lossyboson import cli
+from lossyboson.circuit import circuit_to_json, random_brickwork, transfer_matrix
 from lossyboson.cli import _write_rows, main
+from lossyboson.oracle import fock_output_distribution, lossy_exact_distribution
+from lossyboson.rng import make_stream
 
 
 @pytest.fixture
 def shallow_lossless(tmp_path):
     path = tmp_path / "shallow.json"
-    save_circuit(random_brickwork(4, 2, 1.0, make_stream(1)), str(path))
+    path.write_text(circuit_to_json(random_brickwork(4, 2, 1.0, make_stream(1))))
     return str(path)
 
 
 @pytest.fixture
 def shallow_lossy(tmp_path):
     path = tmp_path / "lossy.json"
-    save_circuit(random_brickwork(4, 2, 0.8, make_stream(2)), str(path))
+    path.write_text(circuit_to_json(random_brickwork(4, 2, 0.8, make_stream(2))))
     return str(path)
 
 
 @pytest.fixture
 def deep_lossy(tmp_path):
     path = tmp_path / "deep.json"
-    save_circuit(random_brickwork(4, 30, 0.7, make_stream(3)), str(path))
+    path.write_text(circuit_to_json(random_brickwork(4, 30, 0.7, make_stream(3))))
     return str(path)
 
 
@@ -296,7 +290,7 @@ def test_sample_oracle_hom_never_coincides(tmp_path, capsys):
 
 def test_sample_thermal_blocked_circuit_gives_vacuum(tmp_path, capsys):
     blocked = tmp_path / "blocked.json"
-    save_circuit(random_brickwork(3, 1, 0.0, make_stream(8)), str(blocked))
+    blocked.write_text(circuit_to_json(random_brickwork(3, 1, 0.0, make_stream(8))))
     code = main([
         "sample", "--circuit", str(blocked), "--photons", "2", "--seed", "1",
         "--samples", "10", "--mode", "thermal",
@@ -435,7 +429,13 @@ def test_sample_one_row_over_two_workers_writes_one_row(mode, tmp_path):
 
 
 # Sample SHA-256 of three small MPS runs, recorded when chain-rule draws began to
-# share prefixes; a change to these bytes must be deliberate and recorded.
+# share prefixes, and of thermal, scattershot and oracle runs, recorded before the
+# thermal set-up dropped its loss factorisation.  scattershot_light_cone is the one
+# digest that changed then: its circuit is too shallow to connect every pair of
+# modes, A / sqrt(mu_max) keeps A's exact zeros where V diag(sqrt(mu)) W left
+# ~1e-16, and a Poisson(0) draw takes no random numbers.  A change to these bytes
+# must be deliberate and recorded.
+MIXED_LOSS = "mixed"  # stands for _mixed_loss(tmp_path, 0.5, 0.4): mu_max <= 0.125
 MPS_SAMPLE_SHA256 = {
     "output_side": ({}, "29731cc8b0807ce5558bf7c00893d4542d5051bddea4ee1765145b279a3fb253"),
     "input_side": ({"circuit": {"brickwork": {"modes": 8, "depth": 2, "tau": 0.5, "seed": 5}},
@@ -443,14 +443,28 @@ MPS_SAMPLE_SHA256 = {
                    "e830ec7bb617dbbb0e695e2eb0981bd7b0d2314e4f72c13a3eeb37c6f10c8b21"),
     "three_workers": ({"workers": 3},
                       "4f474e7a81a8319fd12691e69bf0220b43a52a3f1957d999711afb86c81beb32"),
+    "thermal_mixed_loss": ({"circuit": MIXED_LOSS, "mode": "thermal"},
+                           "253545282d799ca4ff8571ff8efcec000f9d3d563f73596792883979d6554de0"),
+    "scattershot": ({"circuit": {"brickwork": {"modes": 8, "depth": 8, "tau": 0.75, "seed": 5}},
+                     "mode": "scattershot", "herald_lambda": 0.3},
+                    "36f5f100e0f20aa5b3820f46d19670cb93e9c8f37a6db2be644416dab7a529bb"),
+    "scattershot_light_cone": ({"circuit": {"brickwork": {"modes": 8, "depth": 3, "tau": 0.5,
+                                                          "seed": 5}},
+                                "mode": "scattershot", "herald_lambda": 0.3},
+                               "e6c8a3a714cd8bba7190deb4719171b50ad241365e4e7a2bcef1bfb26743080c"),
+    "oracle": ({"mode": "oracle"},
+               "c4bf25b223bfbe7c4410fe90b2422754dd48f94a586ed92fe4b02011001e454e"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MPS_SAMPLE_SHA256))
 def test_mps_sample_bytes_are_pinned(case, tmp_path):
     """301 rows of 3 photons at mu = 0.81 are thinned at the output, 20 rows of 4
-    photons at mu = 0.25 at the input."""
+    photons at mu = 0.25 at the input.  The thermal, scattershot and oracle cases
+    pin the other modes' bytes."""
     settings, digest = MPS_SAMPLE_SHA256[case]
+    if settings.get("circuit") == MIXED_LOSS:
+        settings = {**settings, "circuit": _mixed_loss(tmp_path, 0.5, 0.4)}
     out = tmp_path / "s.jsonl"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -818,7 +832,7 @@ def test_stats_zero_samples_give_zero_means(tmp_path, capsys):
 def test_stats_thermal_single_mode_mean(tmp_path, capsys):
     """One thermal mode at lam=0.2 has mean count lam/(1-lam) = 0.25."""
     circuit = tmp_path / "one.json"
-    save_circuit(random_brickwork(1, 1, 0.2, make_stream(44)), str(circuit))
+    circuit.write_text(circuit_to_json(random_brickwork(1, 1, 0.2, make_stream(44))))
     out = tmp_path / "one.jsonl"
     main([
         "sample", "--circuit", circuit.as_posix(), "--photons", "1",

@@ -1,7 +1,9 @@
-"""Every exported name resolves, and the benchmark's traced run finds what it wraps."""
+"""Every exported name resolves, README's quick start runs on the exports, and the
+benchmark's traced run finds what it wraps."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -16,6 +18,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def test_package_exports_resolve():
     missing = [name for name in lossyboson.__all__ if not hasattr(lossyboson, name)]
     assert missing == []
+
+
+def test_readme_quick_start_runs_on_the_exports():
+    """The "Library quick start" block runs as written and uses only exported names."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    code = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    used = set(re.findall(r"\blb\.(\w+)", code))
+    assert used and used <= set(lossyboson.__all__)
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 @pytest.mark.parametrize("name", MODULES)

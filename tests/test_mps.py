@@ -5,29 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from lossyboson import (
-    CapacityError,
+from lossyboson import mps
+from lossyboson.circuit import coupler_blocks, random_brickwork, transfer_matrix
+from lossyboson.errors import CapacityError, ResampleSignal
+from lossyboson.mps import (
     apply_coupler,
     apply_phase,
     canonical_defect,
     canonicalize,
-    coupler_blocks,
     coupler_fock_amplitudes,
     coupler_mpo,
-    fock_output_distribution,
-    haar_unitary,
     init_input,
     lossy_input_sample,
-    make_stream,
     outcome_probability,
-    random_brickwork,
     sample,
     simulate_circuit,
     state_norm,
-    transfer_matrix,
 )
-from lossyboson import mps
-from lossyboson.errors import ResampleSignal
+from lossyboson.numerics import haar_unitary
+from lossyboson.oracle import fock_output_distribution
+from lossyboson.rng import make_stream
 
 BS5050 = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
 
@@ -88,7 +85,6 @@ def test_balanced_coupler_two_photon_amplitudes():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_coupler_amplitudes_unitary_per_photon_sector(d):
     rng = make_stream(50 + d)
-    from lossyboson import haar_unitary
 
     block = haar_unitary(2, rng)
     c = coupler_fock_amplitudes(block, d)
@@ -134,7 +130,6 @@ def test_coupler_amplitudes_match_term_by_term_expansion(d):
 
 def test_coupler_mpo_recombines_exactly():
     rng = make_stream(55)
-    from lossyboson import haar_unitary
 
     block = haar_unitary(2, rng)
     d = 3
@@ -171,7 +166,6 @@ def test_two_photon_interference_on_balanced_coupler():
 
 def test_coupler_then_inverse_restores_product_state():
     rng = make_stream(60)
-    from lossyboson import haar_unitary
 
     block = haar_unitary(2, rng)
     st = init_input((1, 1, 0), d=2)
@@ -185,7 +179,6 @@ def test_coupler_then_inverse_restores_product_state():
 
 def test_apply_coupler_preserves_norm():
     rng = make_stream(61)
-    from lossyboson import haar_unitary
 
     st = init_input((1, 1, 1, 0), d=3)
     for k in (0, 1, 2, 0, 1, 2):
@@ -195,7 +188,6 @@ def test_apply_coupler_preserves_norm():
 
 def test_apply_coupler_respects_bond_cap():
     rng = make_stream(62)
-    from lossyboson import haar_unitary
 
     st = init_input((2, 2), d=4)
     with pytest.raises(CapacityError):
@@ -214,7 +206,6 @@ def test_apply_phase_rotates_amplitudes_only():
 
 def test_bond_growth_bounded_by_mpo_rank():
     rng = make_stream(63)
-    from lossyboson import haar_unitary
 
     d = 2
     st = init_input((1, 1, 0, 0), d=d)
@@ -234,7 +225,6 @@ def test_bond_growth_bounded_by_mpo_rank():
 
 def test_updates_keep_canonical_form():
     rng = make_stream(64)
-    from lossyboson import haar_unitary
 
     st = init_input((1, 0, 1, 0), d=2)
     for k in (0, 2, 1, 0, 2):
@@ -244,7 +234,6 @@ def test_updates_keep_canonical_form():
 
 def test_canonicalize_restores_form_and_unit_norm():
     rng = make_stream(65)
-    from lossyboson import haar_unitary
 
     st = init_input((1, 1, 0), d=2)
     for k in (0, 1, 0):

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from lossyboson import numerics
-from lossyboson import (
-    CapacityError,
+from lossyboson.errors import CapacityError
+from lossyboson.numerics import (
     Distribution,
     haar_unitary,
-    make_stream,
     permanent,
     permanent_naive,
     total_variation,
 )
+from lossyboson.rng import make_stream
 
 
 def test_permanent_empty_matrix_is_one():

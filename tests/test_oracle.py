@@ -7,19 +7,18 @@ import numpy as np
 import pytest
 
 from lossyboson import oracle
-from lossyboson import (
-    CapacityError,
-    ModelViolationError,
+from lossyboson.errors import CapacityError, ModelViolationError
+from lossyboson.numerics import haar_unitary
+from lossyboson.oracle import (
     chi2_constellation,
     constellation_hermite_moments,
     enumerate_patterns,
     fock_output_distribution,
-    gauss_hermite_constellation,
-    haar_unitary,
     lossy_exact_distribution,
-    make_stream,
     thermal_exact_distribution,
 )
+from lossyboson.rng import make_stream
+from lossyboson.thermal import gauss_hermite_constellation
 
 BS5050 = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
 

@@ -6,22 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from lossyboson import (
-    CapacityError,
+from lossyboson.circuit import random_brickwork, transfer_matrix
+from lossyboson.errors import CapacityError, ResampleSignal
+from lossyboson.mps import (
     MPSState,
-    ResampleSignal,
     canonicalize,
-    fock_output_distribution,
-    lossy_exact_distribution,
     lossy_input_sample,
-    make_stream,
     outcome_probability,
-    random_brickwork,
     sample,
     simulate_circuit,
-    transfer_matrix,
 )
 from lossyboson.numerics import row_groups
+from lossyboson.oracle import fock_output_distribution, lossy_exact_distribution
+from lossyboson.rng import make_stream
 from lossyboson.sampler import MPSSource, build_sampler
 from lossyboson.thermal import scattershot_herald
 

@@ -7,20 +7,20 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from lossyboson import (
-    CapacityError,
+from lossyboson import thermal
+from lossyboson.errors import CapacityError
+from lossyboson.numerics import haar_unitary
+from lossyboson.rng import make_stream
+from lossyboson.thermal import (
     ThermalParams,
     bernoulli_trials_count,
     constellation_size,
     gauss_hermite_constellation,
-    haar_unitary,
-    make_stream,
     propagate,
     sample_output,
     sample_poisson_bernoulli,
     sample_thermal_coherent,
     scattershot_herald,
-    thermal,
     thermal_vs_erasure_distance,
 )
 
