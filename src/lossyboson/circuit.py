@@ -52,7 +52,6 @@ __all__ = [
     "transfer_matrix",
     "decompose_losses",
     "random_brickwork",
-    "simulability_condition",
     "thermalization_depth",
     "depth_threshold_exponential",
     "depth_threshold_algebraic",
@@ -187,15 +186,12 @@ class LayeredCircuit:
         """Same interference pattern with every transmission set to 1."""
         return replace(self, tau=np.ones_like(self.tau), idle_tau=np.ones_like(self.idle_tau))
 
-    def uniform_tau(self) -> float:
-        """The common transmission if every gate and idle path shares one, else error."""
+    def uniform_tau(self) -> float | None:
+        """The transmission every gate and idle path shares, or None for mixed loss."""
         taus = np.concatenate([self.idle_tau, self.tau])
         if not taus.size:
             return 1.0
-        if (taus != taus[0]).any():
-            raise ValueError(
-                f"circuit transmissions are not uniform: {sorted(set(taus.tolist()))}")
-        return float(taus[0])
+        return None if (taus != taus[0]).any() else float(taus[0])
 
 
 def coupler_blocks(theta, phi) -> np.ndarray:
@@ -322,23 +318,6 @@ def random_brickwork(
 # ---------------------------------------------------------------------------
 
 
-def simulability_condition(mu: float, n: int, eps: float) -> bool:
-    """True when transmission mu admits the thermal replacement of n photons.
-
-    The n-photon output distribution is within total-variation eps of the
-    thermal surrogate whenever n * mu**2 <= eps, tested as written, so the
-    verdict agrees with the ``surrogate_error`` that :func:`plan` records.
-    Vacuum (n = 0) always passes.
-    """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"transmission must lie in [0, 1], got {mu}")
-    if n < 0:
-        raise ValueError("photon number must be >= 0")
-    if eps <= 0:
-        raise ValueError("error budget must be positive")
-    return n * mu * mu <= eps
-
-
 def thermalization_depth(n: int, eps: float, x: float) -> float:
     """Depth at which per-layer loss x makes N photons thermally simulable.
 
@@ -445,10 +424,17 @@ def plan(mu_max: float, photons: int, eps: float, exact_backend: bool) -> Simula
 
     Thermal when N * mu_max**2 <= eps (boundary inclusive); otherwise exact
     tensor-network evolution when ``exact_backend`` (uniform loss) is
-    available; otherwise no regime, and the rationale says why.
+    available; otherwise no regime, and the rationale says why.  Raises
+    ``ValueError`` for mu_max outside [0, 1], N < 0 or eps <= 0.
     """
-    thermal_valid = simulability_condition(mu_max, photons, eps)
+    if not 0.0 <= mu_max <= 1.0:
+        raise ValueError(f"transmission must lie in [0, 1], got {mu_max}")
+    if photons < 0:
+        raise ValueError("photon number must be >= 0")
+    if eps <= 0:
+        raise ValueError("error budget must be positive")
     surrogate_error = photons * mu_max * mu_max
+    thermal_valid = surrogate_error <= eps
     ledger = (f"N*mu_max^2 = {surrogate_error:.4g} {'<=' if thermal_valid else 'exceeds'} "
               f"eps = {eps:.4g}")
     if thermal_valid:

@@ -229,16 +229,13 @@ def run_plan(cfg: dict) -> int:
     With a circuit the plan is the auto sampler's own.  Without one, the
     geometry ``modes``/``depth``/``tau`` gives mu_max = tau**depth.  With
     neither photons nor a pattern, N follows the density law k * M**gamma.
+    An infinite depth (no loss) is reported as null, as JSON has no infinity.
     """
     eps = float(cfg["eps"])
     k, gamma = float(cfg["density_k"]), float(cfg["density_gamma"])
     circuit, _ = _resolve_circuit(cfg)
     if circuit is not None:
-        modes, depth = circuit.modes, circuit.depth
-        try:
-            tau = circuit.uniform_tau()
-        except ValueError:
-            tau = None
+        modes, depth, tau = circuit.modes, circuit.depth, circuit.uniform_tau()
     else:
         for key in ("modes", "depth", "tau"):
             if key not in cfg:
@@ -249,7 +246,7 @@ def run_plan(cfg: dict) -> int:
         tau = float(cfg["tau"])
         if depth < 0 or not 0.0 < tau <= 1.0:
             raise UsageError(f"plan needs depth >= 0 and tau in (0, 1], got {depth}, {tau}")
-    if "pattern" not in cfg and not cfg.get("photons"):
+    if "pattern" not in cfg and cfg.get("photons") is None:
         cfg = dict(cfg, photons=max(1, round(k * modes**gamma)))
     pattern = _input_pattern(cfg, modes)
     if circuit is not None:
@@ -288,7 +285,7 @@ def run_plan(cfg: dict) -> int:
             "gamma_beta_ratio": result.gamma_beta_ratio,
             "efficient": result.efficient,
         }
-    print(_json_out(report))
+    print(_json_out({key: None if v == math.inf else v for key, v in report.items()}))
     return 0
 
 
@@ -361,7 +358,6 @@ def run_sample(cfg: dict) -> int:
     if circuit is None:
         raise UsageError("sample needs a circuit (file path or brickwork spec)")
     pattern = _input_pattern(cfg, circuit.modes)
-    photons = int(sum(x for x in pattern if x > 0))
     n_samples = cfg["samples"]
     if n_samples < 1:
         raise UsageError("samples must be >= 1")
@@ -398,7 +394,7 @@ def run_sample(cfg: dict) -> int:
             "regime": sampler.regime,
             "format": fmt,
             "modes": circuit.modes,
-            "photons": photons,
+            "photons": sampler.plan.photons,
             "eps": float(cfg["eps"]),
             "thresholds": {
                 "mu_effective": sampler.plan.mu_max,
@@ -484,6 +480,8 @@ def run_validate(cfg: dict) -> int:
     checks.append(_check("poisson_bernoulli_tvd_bound", worst, 0.0))
 
     photons = cfg.get("photons") or 2
+    if photons < 0:
+        raise UsageError(f"photons must be >= 0, got {photons}")
     if photons > oracle.ORACLE_MAX_PHOTONS:
         checks.append({
             "name": "mps_matches_oracle",
@@ -491,9 +489,10 @@ def run_validate(cfg: dict) -> int:
                        f"{oracle.ORACLE_MAX_PHOTONS}",
         })
     else:
-        test_c = circ.random_brickwork(4, 2, 1.0, rng)
+        modes = max(4, photons)
+        test_c = circ.random_brickwork(modes, 2, 1.0, rng)
         u = circ.transfer_matrix(test_c)
-        pattern = (1,) * photons + (0,) * (4 - photons)
+        pattern = (1,) * photons + (0,) * (modes - photons)
         exact = oracle.fock_output_distribution(u, pattern)
         state = mps.simulate_circuit(test_c, pattern)
         probs = np.array([mps.outcome_probability(state, o) for o in exact.outcomes])

@@ -4,9 +4,9 @@
 :class:`Sampler` whose ``draw(rng, size)`` returns a ``(size, M)`` array of
 photon counts.  Circuit-level work is done once per sampler: the transfer
 matrix A and its largest transmission mu_max, which :func:`circuit.plan`
-reads and the thermal surrogate turns into A / sqrt(mu_max); the lossless
-copy and the gate tensors and evolved-state cache for MPS; the exact law for
-the oracle.
+reads and the thermal surrogate turns into A / sqrt(mu_max); the uniform
+loss mu = tau**depth that the MPS and oracle sources are given; the MPS
+lossless copy, gate tensors and evolved-state cache; the oracle's exact law.
 Every source draws whole arrays: ``draw(inputs, rng)`` takes a (rows, M) 0/1
 array that marks each row's occupied input modes.  A fixed-input sampler
 passes its pattern broadcast to every row; scattershot first draws one
@@ -71,7 +71,8 @@ class ThermalSource:
 class MPSSource:
     """Exact MPS sampling of one uniform-loss circuit, for any occupied input modes.
 
-    Uniform loss mu = tau**depth commutes with the lossless circuit, so each
+    ``mu`` = tau**depth is the uniform loss read by ``build_sampler`` from
+    ``circuit.uniform_tau()``; it commutes with the lossless circuit, so each
     input pattern of a draw takes the cheaper end for its loss.  With r rows
     of an n-photon pattern and r * mu**n >= 1 the all-survivor pattern is
     expected among the thinned inputs, so its n-photon state would be evolved
@@ -85,8 +86,8 @@ class MPSSource:
     the smaller cutoff.
     """
 
-    def __init__(self, circuit: circ.LayeredCircuit, max_bond: int):
-        self.mu = circuit.uniform_tau() ** circuit.depth  # raises ValueError for mixed loss
+    def __init__(self, circuit: circ.LayeredCircuit, mu: float, max_bond: int):
+        self.mu = mu
         self.lossless = circuit.lossless_copy()
         self.max_bond = max_bond
         self.gates: list = []  # Fock tensor of every coupler at cutoff self.gate_cutoff
@@ -170,30 +171,19 @@ def _zero_one(pattern: tuple, backend: str) -> np.ndarray:
     return np.array(pattern, dtype=int)
 
 
-def _oracle_sampler(circuit: circ.LayeredCircuit, pattern: tuple,
+def _oracle_sampler(circuit: circ.LayeredCircuit, mu: float, pattern: tuple,
                     decision: circ.SimulationPlan) -> Sampler:
     """Rows drawn from the exact law: every input photon, repeated by its count,
-    survives uniform loss tau**depth on its own (tau is 1 on a lossless circuit)."""
-    tau = circuit.uniform_tau()  # raises ValueError for mixed loss
+    survives the uniform loss mu on its own (mu is 1 on a lossless circuit)."""
     input_modes = np.repeat(np.arange(circuit.modes), pattern)
-    dist = oracle.lossy_exact_distribution(
-        circ.transfer_matrix(circuit.lossless_copy()), tau ** circuit.depth,
-        len(input_modes), input_modes=input_modes,
-    )
+    dist = oracle.lossy_exact_distribution(circ.transfer_matrix(circuit.lossless_copy()), mu,
+                                           len(input_modes), input_modes=input_modes)
     weights = dist.weights / dist.weights.sum()
     return Sampler(
         "oracle",
         lambda rng, size: dist.outcomes[rng.choice(len(weights), size=size, p=weights)],
         decision,
     )
-
-
-def _uniform_loss(circuit: circ.LayeredCircuit) -> bool:
-    try:
-        circuit.uniform_tau()
-    except ValueError:
-        return False
-    return True
 
 
 def build_sampler(
@@ -211,20 +201,26 @@ def build_sampler(
     raises :class:`ModelViolationError` when it has none.  ``scattershot``
     heralds a collision-free input per row with squeezing ``herald_lambda``;
     the pattern's plan only steers its thermal-or-MPS inner source.  A
-    thermal sampler outside the bound N * mu_max**2 <= eps warns once.
+    thermal sampler outside the bound N * mu_max**2 <= eps warns once;
+    ``mps`` or ``oracle`` on mixed loss raises ``ValueError``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose one of {', '.join(MODES)}")
     pattern = tuple(int(x) for x in pattern)
     a = circ.transfer_matrix(circuit)
     mu_max = float(circ.decompose_losses(a).max())
-    decision = circ.plan(mu_max, sum(pattern), eps, exact_backend=_uniform_loss(circuit))
+    tau = circuit.uniform_tau()
+    decision = circ.plan(mu_max, sum(pattern), eps, exact_backend=tau is not None)
     if mode == "auto":
         if decision.regime is None:
             raise ModelViolationError(decision.rationale)
         mode = decision.regime
+    if mode in ("mps", "oracle") and tau is None:
+        raise ValueError(f"{mode} sampling needs uniform loss; circuit transmissions are "
+                         f"{sorted(set(circuit.tau.tolist() + circuit.idle_tau.tolist()))}")
+    mu = None if tau is None else tau ** circuit.depth
     if mode == "oracle":
-        return _oracle_sampler(circuit, pattern, decision)
+        return _oracle_sampler(circuit, mu, pattern, decision)
     if mode == "scattershot":
         regime = decision.regime or "thermal"  # only the thermal source takes mixed loss
 
@@ -241,5 +237,5 @@ def build_sampler(
             warnings.warn(f"{decision.rationale}; sampling anyway because {mode} mode "
                           "was requested")
     else:
-        source = MPSSource(circuit, max_bond)
+        source = MPSSource(circuit, mu, max_bond)
     return Sampler(regime, lambda rng, size: source.draw(inputs(rng, size), rng), decision)

@@ -56,10 +56,6 @@ class ThermalParams:
             raise ValueError(f"thermal parameter must lie in [0, 1), got {self.lam}")
 
     @property
-    def mean_photons(self) -> float:
-        return self.lam / (1.0 - self.lam)
-
-    @property
     def variance(self) -> float:
         """Variance of the Gaussian phase-space weight; equals the mean photon number."""
         return self.lam / (1.0 - self.lam)

@@ -19,8 +19,8 @@ from lossyboson.circuit import (
     circuit_to_json,
     decompose_losses,
     depth_threshold_algebraic,
+    plan,
     random_brickwork,
-    simulability_condition,
     thermalization_depth,
     transfer_matrix,
 )
@@ -70,7 +70,7 @@ def test_acceptance_02_distance_identity_and_simulability():
     )
     n, eps = 100, 0.02
     equivalence = all(
-        simulability_condition(float(mu), n, eps) == (n * mu * mu <= eps)
+        plan(float(mu), n, eps, exact_backend=True).thermal_valid == (n * mu * mu <= eps)
         for mu in grid
     )
     both_branches = any(n * mu * mu <= eps for mu in grid) and any(

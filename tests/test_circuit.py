@@ -18,7 +18,6 @@ from lossyboson.circuit import (
     depth_threshold_exponential,
     plan,
     random_brickwork,
-    simulability_condition,
     thermalization_depth,
     transfer_matrix,
     _bs_params,
@@ -224,12 +223,10 @@ def test_lossless_copy_strips_loss_only():
     assert np.allclose(transfer_matrix(c), scale * transfer_matrix(lc), atol=1e-12)
 
 
-def test_uniform_tau_on_mixed_circuit_raises():
+def test_uniform_tau_on_mixed_circuit_is_none():
     l1 = Layer(couplers=(CouplerGate(0, 0.3, tau=0.9),), phases=(0.0, 0.0), idle_tau=0.9)
     l2 = Layer(couplers=(CouplerGate(0, 0.3, tau=0.8),), phases=(0.0, 0.0), idle_tau=0.8)
-    c = LayeredCircuit.from_layers(2, (l1, l2))
-    with pytest.raises(ValueError, match=r"not uniform: \[0.8, 0.9\]"):
-        c.uniform_tau()
+    assert LayeredCircuit.from_layers(2, (l1, l2)).uniform_tau() is None
     assert _one_layer(2, (CouplerGate(0, 0.3, tau=0.7),), idle_tau=0.7).uniform_tau() == 0.7
     assert LayeredCircuit.from_layers(2, ()).uniform_tau() == 1.0
 
@@ -310,15 +307,25 @@ def test_decompose_losses_rejects_amplification():
 
 
 def test_simulability_boundary_is_inclusive():
-    assert simulability_condition(0.01, 100, 0.01)
-    assert not simulability_condition(0.01 + 1e-9, 100, 0.01)
+    assert plan(0.01, 100, 0.01, exact_backend=True).thermal_valid
+    assert not plan(0.01 + 1e-9, 100, 0.01, exact_backend=True).thermal_valid
 
 
 def test_simulability_matches_quadratic_budget():
     """mu <= sqrt(eps/N) is the same test as N*mu^2 <= eps."""
     n, eps = 100, 0.02
     for mu in np.linspace(0.01, 0.30, 30):
-        assert simulability_condition(float(mu), n, eps) == (n * mu * mu <= eps)
+        assert plan(float(mu), n, eps, exact_backend=True).thermal_valid == (n * mu * mu <= eps)
+
+
+@pytest.mark.parametrize("mu_max, photons, eps, message", [
+    (-0.1, 2, 0.05, "transmission"), (1.1, 2, 0.05, "transmission"),
+    (0.5, -1, 0.05, "photon number"), (0.5, 2, 0.0, "error budget"),
+    (0.5, 2, -0.05, "error budget"),
+])
+def test_plan_rejects_out_of_range_arguments(mu_max, photons, eps, message):
+    with pytest.raises(ValueError, match=message):
+        plan(mu_max, photons, eps, exact_backend=True)
 
 
 def test_thermalization_depth_reference_value():

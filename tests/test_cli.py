@@ -100,7 +100,34 @@ def test_plan_lossless_circuit_reports_thermal_unreachable(shallow_lossless, cap
     doc = json.loads(capsys.readouterr().out)
     assert doc["regime"] == "mps"
     assert "unreachable" in doc["rationale"]
-    assert doc["depth_threshold_exponential"] == float("inf")
+    assert doc["depth_threshold_exponential"] is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("where", ["circuit", "geometry"])
+def test_plan_prints_strict_json_for_a_lossless_circuit(shallow_lossless, tmp_path, capsys, where):
+    """Depths that no loss reaches are null: JSON has no Infinity."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"circuit": shallow_lossless} if where == "circuit"
+                              else {"modes": 6, "depth": 3, "tau": 1.0}))
+    assert main(["plan", "--config", str(cfg), "--photons", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["thermalization_depth"] is None
+    assert doc["depth_threshold_exponential"] is None
+
+
+def test_plan_zero_photons_is_a_usage_error_like_sample(shallow_lossy, tmp_path, capsys):
+    """The density law fills in only a missing photon number, never an explicit 0."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"modes": 6, "depth": 3, "tau": 0.9}))
+    for argv in (["plan", "--config", str(cfg)], ["plan", "--circuit", shallow_lossy],
+                 ["sample", "--circuit", shallow_lossy]):
+        assert main([*argv, "--photons", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and '"photons"' in captured.err
 
 
 def test_plan_reports_algebraic_threshold(tmp_path, capsys):
@@ -506,6 +533,19 @@ def test_plan_mixed_loss_outside_thermal_bound_is_model_violation(tmp_path, caps
     assert "N*mu_max^2" in captured.err and "eps = 0.05" in captured.err
 
 
+@pytest.mark.parametrize("mode", ["mps", "oracle"])
+def test_exact_modes_on_mixed_loss_are_input_errors(tmp_path, capsys, mode):
+    out = tmp_path / "x.jsonl"
+    code = main(["sample", "--circuit", _mixed_loss(tmp_path, 0.5, 0.4), "--photons", "2",
+                 "--seed", "1", "--samples", "5", "--mode", mode, "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: {mode} sampling needs uniform loss" in captured.err
+    assert "transmissions are [0.4, 0.5]" in captured.err
+    assert list(tmp_path.iterdir()) == [tmp_path / "mixed.json"]
+
+
 def test_plan_and_auto_agree_on_mixed_loss_inside_bound(tmp_path, capsys):
     mixed = _mixed_loss(tmp_path, 0.3, 0.2)
     assert main(["plan", "--circuit", mixed, "--photons", "3"]) == 0
@@ -778,6 +818,19 @@ def test_validate_skips_oversized_oracle_check(capsys):
     doc = json.loads(capsys.readouterr().out)
     skipped = [c for c in doc["checks"] if "skipped" in c]
     assert any(c["name"] == "mps_matches_oracle" for c in skipped)
+
+
+@pytest.mark.parametrize("photons", [5, 8])
+def test_validate_oracle_check_grows_with_photons(capsys, photons):
+    """The MPS-vs-oracle check runs on max(4, N) modes, so 5-8 photons fit."""
+    assert main(["validate", "--seed", "4", "--photons", str(photons)]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["mps_matches_oracle"]["pass"] is True
+
+
+def test_validate_rejects_negative_photons(capsys):
+    assert main(["validate", "--photons", "-1"]) == 1
+    assert "usage error: photons must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_stats_summarizes_samples(shallow_lossless, tmp_path, capsys):

@@ -39,7 +39,7 @@ def _two_mode_state(dead_weight: float) -> MPSState:
 
 def _lossless_source(state: MPSState) -> MPSSource:
     """An MPS source for the input (1, 0) whose cached state is ``state``."""
-    source = MPSSource(random_brickwork(2, 1, 1.0, make_stream(5)), max_bond=16)
+    source = MPSSource(random_brickwork(2, 1, 1.0, make_stream(5)), 1.0, max_bond=16)
     source.states[(1, 0)] = state
     return source
 
@@ -73,7 +73,7 @@ def test_batched_mps_draw_matches_exact_lossy_law(tau, at_output):
     n = 20000
     mu = tau**2
     assert (n * mu**3 >= 1.0) == at_output
-    source = MPSSource(circuit, max_bond=4096)
+    source = MPSSource(circuit, mu, max_bond=4096)
     rows = source.draw(np.broadcast_to(pattern, (n, 5)), make_stream(41))
     if at_output:
         assert list(source.states) == [pattern]
@@ -96,7 +96,7 @@ def test_gate_tensors_sliced_from_one_build_match_per_pattern_build():
     inputs = np.zeros((60, 6), dtype=int)  # per-row inputs of 1-4 photons
     for row in inputs:
         row[rng.choice(6, size=rng.integers(1, 5), replace=False)] = 1
-    source = MPSSource(circuit, max_bond=4096)
+    source = MPSSource(circuit, 0.85**3, max_bond=4096)
     source.draw(inputs, rng)
     cutoffs = {max(1, sum(p)) for p in source.states}
     assert len(cutoffs) >= 3 and source.gate_cutoff == max(cutoffs) == 4
@@ -160,8 +160,8 @@ def test_mps_draw_keeps_the_stream_order_of_regrouping_draw():
     rows = np.bincount(which)
     at_output = rows * 0.64 ** patterns.sum(axis=1) >= 1.0
     assert at_output.any() and not at_output.all()
-    got = MPSSource(circuit, max_bond=4096).draw(inputs, make_stream(54))
-    want = _regrouping_draw(MPSSource(circuit, max_bond=4096), inputs, make_stream(54))
+    got = MPSSource(circuit, 0.8**2, max_bond=4096).draw(inputs, make_stream(54))
+    want = _regrouping_draw(MPSSource(circuit, 0.8**2, max_bond=4096), inputs, make_stream(54))
     assert np.array_equal(got, want)
 
 

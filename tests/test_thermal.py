@@ -105,7 +105,6 @@ def test_bernoulli_trials_count_scales_with_budget():
 
 def test_thermal_params_moments():
     p = ThermalParams(0.2)
-    assert p.mean_photons == pytest.approx(0.25)
     assert p.variance == pytest.approx(0.25)
 
 
