@@ -146,9 +146,13 @@ def _resolve(args: argparse.Namespace) -> dict:
             f"no command given; choose one of {', '.join(COMMANDS)}"
         )
     cfg["command"] = command
-    for key in ("photons", "samples", "workers", "max_bond", "seed"):
-        if cfg.get(key) is not None:
-            _integer(cfg[key], key)
+    for key, low in (("photons", 1), ("samples", 1), ("workers", 1), ("max_bond", 1),
+                     ("seed", 0)):
+        if cfg.get(key) is not None and _integer(cfg[key], key) < low:
+            raise UsageError(f'"{key}" must be >= {low}, got {cfg[key]}')
+    for key, allowed in (("mode", MODES), ("format", FORMATS)):
+        if cfg[key] not in allowed:
+            raise UsageError(f"unknown {key} {cfg[key]!r}; choose one of {', '.join(allowed)}")
     try:
         k, gamma = float(cfg["density_k"]), float(cfg["density_gamma"])
         eps = float(cfg["eps"])
@@ -160,8 +164,6 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise UsageError(f"density_gamma must lie in (0, 1], got {gamma}")
     if not 0.0 < eps < math.inf:
         raise UsageError(f"eps must be finite and > 0, got {eps}")
-    if cfg["max_bond"] < 1:
-        raise UsageError(f"max_bond must be >= 1, got {cfg['max_bond']}")
     return cfg
 
 
@@ -206,8 +208,8 @@ def _input_pattern(cfg: dict, modes: int) -> tuple:
                 f"pattern covers {len(pattern)} modes, circuit has {modes}"
             )
         return pattern
-    n = cfg.get("photons") or 0
-    if n <= 0:
+    n = cfg.get("photons")
+    if n is None:
         raise UsageError('give "photons" or an explicit "pattern"')
     if n > modes:
         raise UsageError(f"{n} photons do not fit in {modes} modes one per mode")
@@ -349,22 +351,11 @@ def _config_hash(cfg: dict, circuit_text: str) -> str:
 
 
 def run_sample(cfg: dict) -> int:
-    for key, allowed in (("mode", MODES), ("format", FORMATS)):
-        if cfg[key] not in allowed:
-            raise UsageError(
-                f"unknown {key} {cfg[key]!r}; choose one of {', '.join(allowed)}"
-            )
     circuit, circuit_text = _resolve_circuit(cfg)
     if circuit is None:
         raise UsageError("sample needs a circuit (file path or brickwork spec)")
     pattern = _input_pattern(cfg, circuit.modes)
-    n_samples = cfg["samples"]
-    if n_samples < 1:
-        raise UsageError("samples must be >= 1")
-    workers = cfg["workers"]
-    if workers < 1:
-        raise UsageError("workers must be >= 1")
-
+    n_samples, workers = cfg["samples"], cfg["workers"]
     sampler = build_sampler(
         cfg["mode"], circuit, pattern, eps=float(cfg["eps"]),
         max_bond=cfg["max_bond"], herald_lambda=float(cfg["herald_lambda"]),
@@ -479,9 +470,7 @@ def run_validate(cfg: dict) -> int:
     )
     checks.append(_check("poisson_bernoulli_tvd_bound", worst, 0.0))
 
-    photons = cfg.get("photons") or 2
-    if photons < 0:
-        raise UsageError(f"photons must be >= 0, got {photons}")
+    photons = cfg.get("photons", 2)
     if photons > oracle.ORACLE_MAX_PHOTONS:
         checks.append({
             "name": "mps_matches_oracle",

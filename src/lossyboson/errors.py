@@ -8,7 +8,6 @@ separately from bad input.
 __all__ = [
     "ModelViolationError",
     "CapacityError",
-    "ResampleSignal",
 ]
 
 
@@ -25,20 +24,8 @@ class CapacityError(RuntimeError):
 
     Raised by the brute-force oracle beyond its photon/mode caps, by the
     tensor-network evolution when the bond dimension would pass the configured
-    maximum, by the MPS sampler when chain-rule draws keep underflowing after
-    a fixed number of redraws, and by the thermal constellation when the
-    required order is beyond the supported quadrature size.
+    maximum, by ``mps.sample`` when a row's chain-rule draw still underflows
+    after ``mps.RESAMPLE_ROUNDS`` draws, and by the thermal constellation
+    when the required order is beyond the supported quadrature size.
     """
 
-
-class ResampleSignal(RuntimeError):
-    """Some draws became numerically untrustworthy and should be retried.
-
-    Raised by the chain-rule sampler if a row's accumulated prefix
-    probability underflows (< 1e-300).  ``rows`` holds every drawn row and
-    ``bad`` is the boolean mask of the rows to redraw.
-    """
-
-    def __init__(self, message: str, rows, bad):
-        super().__init__(message)
-        self.rows, self.bad = rows, bad

@@ -22,7 +22,9 @@ Rows are drawn from a canonical state by the chain rule over modes.  The
 law of mode i's count depends only on the counts of modes 0..i-1, so
 ``sample`` works it out once per distinct prefix: products of at most
 :data:`SAMPLE_BLOCK` prefixes at a time, one ``rng.random(size)`` draw per
-mode in mode order.
+mode in mode order.  Rows whose prefix probability underflows are redrawn
+by ``sample`` itself, at most :data:`RESAMPLE_ROUNDS` draws in all, so it
+returns only trustworthy rows or raises :class:`CapacityError`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import LayeredCircuit, coupler_blocks
-from .errors import CapacityError, ResampleSignal
+from .errors import CapacityError
 from .rng import RandomStream
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "DEFAULT_MAX_BOND",
     "SAMPLE_BLOCK",
     "DRAW_CHUNK",
+    "RESAMPLE_ROUNDS",
     "init_input",
     "coupler_fock_amplitudes",
     "coupler_mpo",
@@ -66,6 +69,7 @@ DEFAULT_MAX_BOND = 4096
 
 SAMPLE_BLOCK = 64  # prefix groups per product in sample; bounds its (groups, q, chi) temporaries
 DRAW_CHUNK = 1 << 10  # rows per CDF inversion in sample; bounds its (rows, q) temporaries
+RESAMPLE_ROUNDS = 8  # draws in all of a row whose chain-rule prefix keeps underflowing
 
 
 @dataclass
@@ -350,8 +354,29 @@ def _block_vectors(prefix: np.ndarray, mat: np.ndarray, q: int, start: int) -> n
 def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
     """Draw ``size`` photon-count patterns by the chain rule over modes.
 
-    Requires canonical form (run ``canonicalize`` once before drawing); the
-    conditional for each mode then only involves the prefix contraction.
+    Requires canonical form (run ``canonicalize`` once before drawing).
+    Rows whose prefix probability underflows (< 1e-300) are redrawn, in
+    stream order, until none is left; a row still flagged after
+    :data:`RESAMPLE_ROUNDS` draws in all raises :class:`CapacityError`.
+    Returns a (size, modes) int array.
+    """
+    counts, bad = _draw(state, rng, size)
+    todo = np.flatnonzero(bad)
+    for _ in range(RESAMPLE_ROUNDS - 1):
+        if not len(todo):
+            break
+        counts[todo], bad = _draw(state, rng, len(todo))
+        todo = todo[bad]
+    if len(todo):
+        raise CapacityError(
+            f"chain-rule draws still underflow after {RESAMPLE_ROUNDS} rounds")
+    return counts
+
+
+def _draw(state: MPSState, rng: RandomStream, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """One chain-rule pass: ``size`` rows and the mask of those whose prefix underflowed.
+
+    The conditional for each mode only involves the prefix contraction.
     It depends only on the counts drawn so far, so rows with the same prefix
     form one group with one carried vector, one weight and one underflow
     flag.  At each mode:
@@ -367,14 +392,9 @@ def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
       blocks' products, taken again for every block but the last, so no
       more than one block's products are held.
 
-    The rows do not depend on the block or chunk size.  Returns a
-    (size, modes) int array.
-
-    Raises
-    ------
-    ResampleSignal
-        If some rows' prefix probability underflows (< 1e-300); the signal
-        carries all rows and the mask of the untrustworthy ones.
+    The rows do not depend on the block or chunk size.  Returns the
+    (size, modes) int array of counts and the (size,) bool mask of rows whose
+    prefix probability underflowed (< 1e-300).
     """
     q = state.local_dim
     counts = np.empty((size, state.modes), dtype=int)
@@ -425,12 +445,7 @@ def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
                 vecs = _block_vectors(prefix, mat, q, start)
             carried[lo:hi] = vecs[parent[lo:hi] - start, n[lo:hi]] / norm[lo:hi]
         prefix = carried
-    flagged = bad[ids[key]]
-    if flagged.any():
-        raise ResampleSignal(
-            "prefix probability underflow; redraw the flagged rows", counts, flagged
-        )
-    return counts
+    return counts, bad[ids[key]]
 
 
 def lossy_input_sample(n: int, mu: float, rng: RandomStream) -> np.ndarray:

@@ -115,6 +115,26 @@ def _summed_weights(u: np.ndarray, table: tuple, inputs: np.ndarray) -> np.ndarr
     return acc / norms
 
 
+def _mixture(u: np.ndarray, parts, truncation_error: float = 0.0) -> Distribution:
+    """Weighted sum of lossless laws, one per part (weight, k, inputs).
+
+    A part adds weight times the law of k photons summed over the rows of the
+    (sets, k) input array ``inputs``; parts of weight 0 are skipped.  Each
+    part's outcomes are enumerated once and its permanents are one stacked
+    call (:func:`_summed_weights`).
+    """
+    outcomes, weights = [], []
+    for weight, k, inputs in parts:
+        if weight == 0.0:
+            continue
+        table = _outcome_table(k, u.shape[0])
+        outcomes.append(table[0])
+        weights.append(weight * _summed_weights(u, table, inputs))
+    outcomes, weights = np.concatenate(outcomes), np.concatenate(weights)
+    order = np.lexsort(outcomes.T[::-1])  # disjoint supports per k: one sort orders all
+    return Distribution(outcomes[order], weights[order], truncation_error)
+
+
 def fock_output_distribution(u: np.ndarray, pattern) -> Distribution:
     """Exact output distribution of Fock input ``pattern`` through unitary ``u``.
 
@@ -122,56 +142,36 @@ def fock_output_distribution(u: np.ndarray, pattern) -> Distribution:
     with rows repeated by outcome multiplicities and columns by input
     multiplicities.  Outcomes are enumerated lexicographically.
     """
-    u = _check_unitary(u)
-    modes = u.shape[0]
-    pattern = tuple(int(x) for x in pattern)
-    if len(pattern) != modes:
-        raise ValueError(f"pattern covers {len(pattern)} modes, matrix has {modes}")
-    if any(x < 0 for x in pattern):
-        raise ValueError("photon counts must be non-negative")
-    total = sum(pattern)
-    _check_caps(total, modes)
-    table = _outcome_table(total, modes)
-    inputs = np.repeat(np.arange(modes), pattern)[None, :]
-    return Distribution(outcomes=table[0], weights=_summed_weights(u, table, inputs))
+    return lossy_exact_distribution(u, 1.0, pattern)
 
 
-def lossy_exact_distribution(
-    u: np.ndarray, mu: float, n: int, input_modes=None
-) -> Distribution:
-    """Exact outcome law for n input photons with uniform transmission mu.
+def lossy_exact_distribution(u: np.ndarray, mu: float, pattern) -> Distribution:
+    """Exact outcome law of Fock input ``pattern`` with uniform transmission mu.
 
-    Input photons occupy ``input_modes`` (default: the first n modes, one
-    photon each; a mode listed k times holds k photons).  Each survives the
-    loss channel independently with probability mu, then the survivors
-    interfere through the unitary ``u``.  The result is the
-    binomial mixture over survival subsets of the exact lossless
-    distributions.  For each survivor count k the outcomes are enumerated
-    once, and the submatrices of every (k-subset of inputs, outcome) pair go
-    to one stacked permanent call.
+    ``pattern`` holds a photon count per mode.  Each input photon survives
+    the loss channel independently with probability mu, then the survivors
+    interfere through the unitary ``u``.  The result is the binomial mixture
+    over survival subsets of the exact lossless laws: for each survivor
+    count k the outcomes are enumerated once, and the submatrices of every
+    (k-subset of inputs, outcome) pair go to one stacked permanent call.
+    At mu = 1 only the k = n term is left.
     """
     u = _check_unitary(u)
     modes = u.shape[0]
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {mu}")
-    if n < 0 or input_modes is None and n > modes:
-        raise ValueError(f"need 0 <= photons <= modes, got n={n}, modes={modes}")
-    input_modes = np.arange(n) if input_modes is None else np.asarray(input_modes, dtype=int)
-    if input_modes.shape != (n,) or (
-            n and not 0 <= input_modes.min() <= input_modes.max() < modes):
-        raise ValueError(f"input_modes must list {n} modes in [0, {modes})")
+    pattern = [int(x) for x in pattern]
+    if len(pattern) != modes:
+        raise ValueError(f"pattern covers {len(pattern)} modes, matrix has {modes}")
+    if any(x < 0 for x in pattern):
+        raise ValueError("photon counts must be non-negative")
+    input_modes = np.repeat(np.arange(modes), pattern)
+    n = len(input_modes)
     _check_caps(n, modes)
-    parts = []
-    for k in range(n + 1):
-        weight = mu**k * (1.0 - mu) ** (n - k)
-        if weight == 0.0:
-            continue
-        table = _outcome_table(k, modes)
-        subsets = np.array(list(combinations(range(n), k)), dtype=np.intp)
-        parts.append((table[0], weight * _summed_weights(u, table, input_modes[subsets])))
-    outcomes, weights = (np.concatenate(x) for x in zip(*parts))
-    order = np.lexsort(outcomes.T[::-1])  # disjoint supports per k: one sort orders all
-    return Distribution(outcomes[order], weights[order])
+    parts = ((mu**k * (1.0 - mu) ** (n - k), k,
+              input_modes[np.array(list(combinations(range(n), k)), dtype=np.intp)])
+             for k in range(n + 1))
+    return _mixture(u, parts)
 
 
 def thermal_exact_distribution(
@@ -193,19 +193,13 @@ def thermal_exact_distribution(
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     _check_caps(cutoff, modes)
-    parts = []
+    weights = [(1.0 - lam) ** n * lam**t for t in range(cutoff + 1)]
     included = 0.0
-    for total in range(cutoff + 1):
-        weight = (1.0 - lam) ** n * lam**total
-        if weight == 0.0:
-            continue
-        inputs = _outcome_table(total, n)[1]  # every input pattern, as mode lists
-        included += weight * len(inputs)
-        table = _outcome_table(total, modes)
-        parts.append((table[0], weight * _summed_weights(u, table, inputs)))
-    outcomes, weights = (np.concatenate(x) for x in zip(*parts))
-    order = np.lexsort(outcomes.T[::-1])  # disjoint supports per total: one sort orders all
-    return Distribution(outcomes[order], weights[order], max(0.0, 1.0 - included))
+    for t, w in enumerate(weights):  # w is the weight of each of the C(n+t-1, t) inputs
+        included += w * math.comb(n + t - 1, t)
+    # the inputs of t photons: every pattern over the n thermal modes, as mode lists
+    parts = ((w, t, _outcome_table(t, n)[1]) for t, w in enumerate(weights))
+    return _mixture(u, parts, max(0.0, 1.0 - included))
 
 
 def constellation_hermite_moments(

@@ -7,10 +7,11 @@ matrix A and its largest transmission mu_max, which :func:`circuit.plan`
 reads and the thermal surrogate turns into A / sqrt(mu_max); the uniform
 loss mu = tau**depth that the MPS and oracle sources are given; the MPS
 lossless copy, gate tensors and evolved-state cache; the oracle's exact law.
-Every source draws whole arrays: ``draw(inputs, rng)`` takes a (rows, M) 0/1
-array that marks each row's occupied input modes.  A fixed-input sampler
-passes its pattern broadcast to every row; scattershot first draws one
-collision-free herald per row into that array.
+MPS rows come from :func:`mps.sample`, which redraws its own underflowed
+rows.  Every source draws whole arrays: ``draw(inputs, rng)`` takes a
+(rows, M) 0/1 array that marks each row's occupied input modes.  A
+fixed-input sampler passes its pattern broadcast to every row; scattershot
+first draws one collision-free herald per row into that array.
 """
 
 from __future__ import annotations
@@ -24,17 +25,13 @@ import numpy as np
 
 from . import circuit as circ
 from . import mps, oracle, thermal
-from .errors import CapacityError, ModelViolationError, ResampleSignal
+from .errors import ModelViolationError
 from .numerics import row_groups
 from .rng import RandomStream
 
 __all__ = ["MODES", "Sampler", "ThermalSource", "MPSSource", "build_sampler"]
 
 MODES = ("auto", "thermal", "mps", "oracle", "scattershot")
-
-
-# Redraw rounds for MPS rows whose chain-rule prefix underflowed.
-RESAMPLE_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -141,28 +138,11 @@ class MPSSource:
         """Into ``out``, one lossless chain-rule row per row of each group in ``groups``.
 
         ``patterns, which`` are a :func:`numerics.row_groups` result; each
-        group is drawn by one call, in the order of ``groups``.
+        group is drawn by one :func:`mps.sample` call, in the order of ``groups``.
         """
         for g in groups:
             rows = np.flatnonzero(which == g)
-            out[rows] = self._sample(tuple(int(x) for x in patterns[g]), rng, len(rows))
-
-    def _sample(self, pattern: tuple, rng: RandomStream, size: int) -> np.ndarray:
-        """Chain-rule rows of one pattern; underflowed rows are redrawn a bounded number of times."""
-        state = self.state(pattern)
-        out = np.empty((size, self.lossless.modes), dtype=int)
-        todo = np.arange(size)
-        for _ in range(RESAMPLE_ROUNDS):
-            try:
-                out[todo] = mps.sample(state, rng, len(todo))
-                return out
-            except ResampleSignal as signal:
-                out[todo] = signal.rows
-                todo = todo[signal.bad]
-        raise CapacityError(
-            f"chain-rule draws for pattern {list(pattern)} still underflow "
-            f"after {RESAMPLE_ROUNDS} rounds"
-        )
+            out[rows] = mps.sample(self.state(tuple(int(x) for x in patterns[g])), rng, len(rows))
 
 
 def _zero_one(pattern: tuple, backend: str) -> np.ndarray:
@@ -173,11 +153,10 @@ def _zero_one(pattern: tuple, backend: str) -> np.ndarray:
 
 def _oracle_sampler(circuit: circ.LayeredCircuit, mu: float, pattern: tuple,
                     decision: circ.SimulationPlan) -> Sampler:
-    """Rows drawn from the exact law: every input photon, repeated by its count,
-    survives the uniform loss mu on its own (mu is 1 on a lossless circuit)."""
-    input_modes = np.repeat(np.arange(circuit.modes), pattern)
+    """Rows drawn from the exact law: every input photon survives the uniform
+    loss mu on its own (mu is 1 on a lossless circuit)."""
     dist = oracle.lossy_exact_distribution(circ.transfer_matrix(circuit.lossless_copy()), mu,
-                                           len(input_modes), input_modes=input_modes)
+                                           pattern)
     weights = dist.weights / dist.weights.sum()
     return Sampler(
         "oracle",

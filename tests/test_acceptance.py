@@ -138,7 +138,7 @@ def test_acceptance_06_lossy_mps_thinning_matches_exact():
     mu, trials = 0.5, 10**5
     circuit = random_brickwork(4, 2, 1.0, rng)
     u = transfer_matrix(circuit)
-    reference = lossy_exact_distribution(u, mu, 2)
+    reference = lossy_exact_distribution(u, mu, (1, 1, 0, 0))
     states = {}
     for bits in range(4):
         pattern = (bits & 1, (bits >> 1) & 1, 0, 0)

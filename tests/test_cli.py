@@ -601,7 +601,7 @@ def test_sample_oracle_lossy_pattern_matches_exact_law(shallow_lossy, tmp_path):
         key = tuple(json.loads(ln)["n"])
         counts[key] = counts.get(key, 0) + 1
     u = transfer_matrix(random_brickwork(4, 2, 0.8, make_stream(2)).lossless_copy())
-    exact = lossy_exact_distribution(u[:, [1, 3, 0, 2]], 0.8**2, 2).as_dict()
+    exact = lossy_exact_distribution(u[:, [1, 3, 0, 2]], 0.8**2, (1, 1, 0, 0)).as_dict()
     assert set(counts) <= set(exact)
     for outcome, p in exact.items():
         sigma = np.sqrt(n * p * (1.0 - p))
@@ -744,10 +744,12 @@ def test_non_finite_circuit_value_is_usage_error_naming_the_field(tmp_path, shal
 def test_eps_and_bond_cap_are_checked_for_plan_and_sample(shallow_lossy, tmp_path, capsys,
                                                           flags):
     out = tmp_path / "s.jsonl"
+    message = {"--eps": f"eps must be finite and > 0, got {float(flags[1])}",
+               "--max-bond": f'"max_bond" must be >= 1, got {flags[1]}'}[flags[0]]
     for command in ("plan", "sample"):
         assert main([command, "--circuit", shallow_lossy, "--photons", "2", "--samples", "3",
                      "--out", str(out), *flags]) == 1
-        assert f"usage error: {flags[0][2:].replace('-', '_')}" in capsys.readouterr().err
+        assert f"usage error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -830,7 +832,13 @@ def test_validate_oracle_check_grows_with_photons(capsys, photons):
 
 def test_validate_rejects_negative_photons(capsys):
     assert main(["validate", "--photons", "-1"]) == 1
-    assert "usage error: photons must be >= 0, got -1" in capsys.readouterr().err
+    assert 'usage error: "photons" must be >= 1, got -1' in capsys.readouterr().err
+
+
+def test_validate_zero_photons_is_a_usage_error_like_plan_and_sample(capsys):
+    assert main(["validate", "--photons", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and 'usage error: "photons" must be >= 1, got 0' in captured.err
 
 
 def test_stats_summarizes_samples(shallow_lossless, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from lossyboson import mps
 from lossyboson.circuit import coupler_blocks, random_brickwork, transfer_matrix
-from lossyboson.errors import CapacityError, ResampleSignal
+from lossyboson.errors import CapacityError
 from lossyboson.mps import (
     apply_coupler,
     apply_phase,
@@ -351,7 +351,8 @@ def test_sample_rows_do_not_depend_on_block_size(monkeypatch):
 
 
 def _per_row_sample(state, rng, size):
-    """sample before prefix groups: every row works out every conditional of its own."""
+    """One chain-rule pass before prefix groups: every row works out every conditional of
+    its own.  Returns the counts and the underflow mask, as ``mps._draw`` does."""
     uniforms = rng.random((state.modes, size))
     mats = [(t.transpose(1, 0, 2).reshape(t.shape[1], -1), t.shape[2]) for t in state.tensors]
     counts = np.empty((size, state.modes), dtype=int)
@@ -375,9 +376,7 @@ def _per_row_sample(state, rng, size):
             bad[block] |= (total < 1e-300) | (weight < 1e-300)
             norm = np.sqrt(chosen)
             prefix = vecs[rows, n] / np.where(norm > 0.0, norm, 1.0)[:, None]
-    if bad.any():
-        raise ResampleSignal("prefix probability underflow", counts, bad)
-    return counts
+    return counts, bad
 
 
 @pytest.fixture(scope="module")
@@ -395,14 +394,14 @@ def test_grouped_sample_matches_per_row_sample(shallow_state, block, chunk, monk
     rows = sample(shallow_state, make_stream(86), size)
     # later modes hold more distinct prefixes than one product takes
     assert len({r.tobytes() for r in rows[:, :6]}) > 2 * mps.SAMPLE_BLOCK
-    assert np.array_equal(rows, _per_row_sample(shallow_state, make_stream(86), size))
+    assert np.array_equal(rows, _per_row_sample(shallow_state, make_stream(86), size)[0])
 
 
 @pytest.mark.parametrize("size", [0, 1])
 def test_grouped_sample_matches_per_row_sample_on_tiny_draws(shallow_state, size):
     rows = sample(shallow_state, make_stream(87), size)
     assert rows.shape == (size, 14)
-    assert np.array_equal(rows, _per_row_sample(shallow_state, make_stream(87), size))
+    assert np.array_equal(rows, _per_row_sample(shallow_state, make_stream(87), size)[0])
 
 
 def test_grouped_sample_flags_the_same_underflowed_rows():
@@ -416,16 +415,12 @@ def test_grouped_sample_flags_the_same_underflowed_rows():
     b1[:, 0, 0] = b1[:, 1, 0] = [0.6, 0.8]
     b1[:, 1, 0] *= 1e-160
     st = mps.MPSState(modes=2, local_dim=2, tensors=[b0, b1], schmidts=[schmidt])
-    signals = []
-    for draw in (sample, _per_row_sample):
-        with pytest.raises(ResampleSignal) as info:
-            draw(st, make_stream(89), 500)
-        signals.append(info.value)
-    rows, bad = signals[0].rows, signals[0].bad
+    rows, bad = mps._draw(st, make_stream(89), 500)
+    per_row, per_row_bad = _per_row_sample(st, make_stream(89), 500)
     assert np.array_equal(bad, rows[:, 0] == 1) and bad.any() and not bad.all()
     assert set(rows[bad, 1].tolist()) == {0, 1}  # counts drawn from the underflowed law
-    assert np.array_equal(bad, signals[1].bad)
-    assert np.array_equal(rows, signals[1].rows)
+    assert np.array_equal(bad, per_row_bad)
+    assert np.array_equal(rows, per_row)
 
 
 class _ZeroUniforms:
@@ -448,13 +443,9 @@ def test_sample_flags_rows_whose_prefix_weight_underflows(modes, flagged):
     st = mps.MPSState(modes=modes, local_dim=2, tensors=[site] * modes,
                       schmidts=[np.ones(1)] * (modes - 1))
     assert canonical_defect(st) < 1e-15  # every conditional total is 1
-    for draw in (sample, _per_row_sample):
-        if not flagged:
-            assert not draw(st, _ZeroUniforms(), 50).any()
-            continue
-        with pytest.raises(ResampleSignal) as info:
-            draw(st, _ZeroUniforms(), 50)
-        assert info.value.bad.all() and not info.value.rows.any()
+    for draw in (mps._draw, _per_row_sample):
+        rows, bad = draw(st, _ZeroUniforms(), 50)
+        assert not rows.any() and (bad.all() if flagged else not bad.any())
 
 
 def test_lossy_input_thinning_statistics():

@@ -113,14 +113,14 @@ def test_rejects_oversized_problems():
 
 
 def test_lossy_identity_single_photon():
-    dist = lossy_exact_distribution(np.eye(2), 0.3, 1).as_dict()
+    dist = lossy_exact_distribution(np.eye(2), 0.3, (1, 0)).as_dict()
     assert dist[(0, 0)] == pytest.approx(0.7)
     assert dist[(1, 0)] == pytest.approx(0.3)
 
 
 def test_lossy_identity_two_photons_factorizes():
     mu = 0.4
-    dist = lossy_exact_distribution(np.eye(2), mu, 2).as_dict()
+    dist = lossy_exact_distribution(np.eye(2), mu, (1, 1)).as_dict()
     assert dist[(0, 0)] == pytest.approx((1 - mu) ** 2)
     assert dist[(1, 0)] == pytest.approx(mu * (1 - mu))
     assert dist[(0, 1)] == pytest.approx(mu * (1 - mu))
@@ -130,14 +130,14 @@ def test_lossy_identity_two_photons_factorizes():
 def test_lossy_law_is_normalized_on_random_unitary():
     rng = make_stream(97)
     u = haar_unitary(4, rng)
-    dist = lossy_exact_distribution(u, 0.55, 3)
+    dist = lossy_exact_distribution(u, 0.55, (1, 1, 1, 0))
     assert dist.weights.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_lossy_law_interpolates_to_lossless():
     rng = make_stream(98)
     u = haar_unitary(3, rng)
-    full = lossy_exact_distribution(u, 1.0, 2).as_dict()
+    full = lossy_exact_distribution(u, 1.0, (1, 1, 0)).as_dict()
     ref = fock_output_distribution(u, (1, 1, 0)).as_dict()
     for outcome, p in ref.items():
         assert full.get(outcome, 0.0) == pytest.approx(p, abs=1e-12)
@@ -145,15 +145,15 @@ def test_lossy_law_interpolates_to_lossless():
 
 def test_lossy_law_places_photons_on_input_modes():
     u = haar_unitary(4, make_stream(99))
-    placed = lossy_exact_distribution(u, 0.6, 2, input_modes=(1, 3))
-    leading = lossy_exact_distribution(u[:, [1, 3, 0, 2]], 0.6, 2)
+    placed = lossy_exact_distribution(u, 0.6, (0, 1, 0, 1))
+    leading = lossy_exact_distribution(u[:, [1, 3, 0, 2]], 0.6, (1, 1, 0, 0))
     assert np.array_equal(placed.outcomes, leading.outcomes)
     assert np.allclose(placed.weights, leading.weights, atol=1e-12)
 
 
 def test_lossy_law_keeps_input_norm_for_duplicate_input_modes():
     """Two photons in one mode: the doubly occupied input carries its 1/2! norm."""
-    dist = lossy_exact_distribution(np.eye(3), 0.5, 2, input_modes=(1, 1))
+    dist = lossy_exact_distribution(np.eye(3), 0.5, (0, 2, 0))
     expected = {(0, 0, 0): 0.25, (0, 1, 0): 0.5, (0, 2, 0): 0.25}
     for outcome, p in dist.as_dict().items():
         assert p == pytest.approx(expected.get(outcome, 0.0), abs=1e-15)
@@ -162,14 +162,15 @@ def test_lossy_law_keeps_input_norm_for_duplicate_input_modes():
 @pytest.mark.parametrize("pattern", [(1, 1, 0, 1), (2, 0, 1, 0), (0, 3, 0, 2), (0, 0, 0, 0)],
                          ids=["single", "doubled", "more-photons-than-modes", "vacuum"])
 def test_lossless_law_with_repeated_input_modes_is_the_fock_law_bit_for_bit(pattern):
-    """At mu = 1 only the all-survivor term is left, so the oracle sampler's one
-    law call gives the lossless reference's outcomes and weights exactly."""
+    """At mu = 1 only the all-survivor term is left, so the mixture gives the
+    single-input permanent law's outcomes and weights exactly."""
     u = haar_unitary(4, make_stream(100))
-    input_modes = np.repeat(np.arange(4), pattern)
-    dist = lossy_exact_distribution(u, 1.0, len(input_modes), input_modes=input_modes)
-    ref = fock_output_distribution(u, pattern)
-    assert np.array_equal(dist.outcomes, ref.outcomes)
-    assert dist.weights.tobytes() == ref.weights.tobytes()
+    dist = lossy_exact_distribution(u, 1.0, pattern)
+    table = oracle._outcome_table(sum(pattern), 4)
+    inputs = np.repeat(np.arange(4), pattern)[None, :]
+    assert np.array_equal(dist.outcomes, table[0])
+    assert dist.weights.tobytes() == oracle._summed_weights(u, table, inputs).tobytes()
+    assert fock_output_distribution(u, pattern).weights.tobytes() == dist.weights.tobytes()
 
 
 @pytest.mark.parametrize("gather", [oracle.GATHER_ENTRIES, 1], ids=["default", "one-input"])
@@ -187,16 +188,18 @@ def test_lossy_law_is_the_mixture_over_survival_patterns(monkeypatch, gather):
         pattern = np.bincount([m for m, b in zip(input_modes, bits) if b], minlength=8)
         for outcome, p in fock_output_distribution(u, pattern).as_dict().items():
             reference[outcome] = reference.get(outcome, 0.0) + mu**k * (1 - mu) ** (n - k) * p
-    dist = lossy_exact_distribution(u, mu, n, input_modes=input_modes)
+    dist = lossy_exact_distribution(u, mu, np.bincount(input_modes, minlength=8))
     outcomes = list(map(tuple, dist.outcomes.tolist()))
     assert outcomes == sorted(reference)
     assert np.abs(dist.weights - [reference[o] for o in outcomes]).max() < 1e-13
 
 
-@pytest.mark.parametrize("input_modes", [(1,), (1, 2, 3), (0, 4), (-1, 2)])
+@pytest.mark.parametrize("input_modes", [(), (1, 1, 0), (1, 1, 0, 0, 0), (1, -1, 1, 0)])
 def test_lossy_law_rejects_bad_input_modes(input_modes):
-    with pytest.raises(ValueError):
-        lossy_exact_distribution(np.eye(4), 0.5, 2, input_modes=input_modes)
+    """The input is a count per mode: a pattern of the wrong length or with a
+    negative count is rejected."""
+    with pytest.raises(ValueError, match="pattern covers|non-negative"):
+        lossy_exact_distribution(np.eye(4), 0.5, input_modes)
 
 
 # ---------------------------------------------------------------------------

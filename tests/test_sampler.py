@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from lossyboson import mps
 from lossyboson.circuit import random_brickwork, transfer_matrix
-from lossyboson.errors import CapacityError, ResampleSignal
+from lossyboson.errors import CapacityError
 from lossyboson.mps import (
     MPSState,
     canonicalize,
@@ -45,9 +46,7 @@ def _lossless_source(state: MPSState) -> MPSSource:
 
 
 def test_sample_flags_rows_behind_zero_probability_prefix():
-    with pytest.raises(ResampleSignal) as info:
-        sample(_two_mode_state(0.5), make_stream(3), 64)
-    rows, bad = info.value.rows, info.value.bad
+    rows, bad = mps._draw(_two_mode_state(0.5), make_stream(3), 64)
     assert rows.shape == (64, 2) and bad.any() and not bad.all()
     assert np.array_equal(bad, rows[:, 0] == 1)
     assert (rows[~bad] == (0, 1)).all()
@@ -59,9 +58,24 @@ def test_underflowed_rows_are_redrawn():
     assert (rows == (0, 1)).all()
 
 
+def test_sample_redraws_underflowed_rows_in_stream_order():
+    """mps.sample keeps drawing only the flagged rows, each redraw right after the last."""
+    state = _two_mode_state(0.3)
+    rows = sample(state, make_stream(6), 100)
+    assert (rows == (0, 1)).all()
+    rng = make_stream(6)
+    manual, bad = mps._draw(state, rng, 100)
+    todo = np.flatnonzero(bad)
+    assert len(todo)
+    while len(todo):
+        manual[todo], bad = mps._draw(state, rng, len(todo))
+        todo = todo[bad]
+    assert np.array_equal(rows, manual)
+
+
 def test_rows_that_keep_underflowing_are_a_capacity_error():
     source = _lossless_source(_two_mode_state(1.0))
-    with pytest.raises(CapacityError, match=r"\[1, 0\]"):
+    with pytest.raises(CapacityError, match="still underflow after 8 rounds"):
         source.draw(np.broadcast_to([1, 0], (5, 2)), make_stream(4))
 
 
@@ -83,7 +97,7 @@ def test_batched_mps_draw_matches_exact_lossy_law(tau, at_output):
     outcomes, freq = np.unique(rows, axis=0, return_counts=True)
     counts = {tuple(int(x) for x in o): int(c) for o, c in zip(outcomes, freq)}
     u = transfer_matrix(circuit.lossless_copy())
-    exact = lossy_exact_distribution(u, mu, 3, input_modes=np.array([0, 1, 3])).as_dict()
+    exact = lossy_exact_distribution(u, mu, pattern).as_dict()
     assert set(counts) <= set(exact)
     for outcome, p in exact.items():
         sigma = math.sqrt(n * p * (1.0 - p))
@@ -137,7 +151,7 @@ def _regrouping_draw(source, inputs, rng):
         out = np.empty(rows_in.shape, dtype=int)
         for g, pattern in enumerate(patterns):
             rows = np.flatnonzero(which == g)
-            out[rows] = source._sample(tuple(int(x) for x in pattern), rng, len(rows))
+            out[rows] = sample(source.state(tuple(int(x) for x in pattern)), rng, len(rows))
         return out
 
     patterns, which = row_groups(inputs)
