@@ -179,9 +179,6 @@ class LayeredCircuit:
         covered[layer, self.gate_mode] = covered[layer, self.gate_mode + 1] = True
         return covered
 
-    def is_lossless(self) -> bool:
-        return bool((self.tau == 1.0).all() and (self.idle_tau == 1.0).all())
-
     def lossless_copy(self) -> "LayeredCircuit":
         """Same interference pattern with every transmission set to 1."""
         return replace(self, tau=np.ones_like(self.tau), idle_tau=np.ones_like(self.idle_tau))
@@ -247,7 +244,7 @@ def decompose_losses(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"transfer matrix must be square, got shape {a.shape}")
-    _, s, _ = np.linalg.svd(a, full_matrices=False)
+    s = np.linalg.svd(a, compute_uv=False)
     if np.any(s > 1.0 + SINGULAR_CLIP_TOLERANCE):
         raise ModelViolationError(
             f"singular value {s.max():.12g} exceeds 1: not a passive circuit"
@@ -408,15 +405,22 @@ class SimulationPlan:
 
     ``regime`` is "thermal", "mps", or None when neither backend is valid.
     ``surrogate_error`` = N * mu_max**2 is the total-variation error of the
-    thermal surrogate; ``thermal_valid`` is whether it fits in ``eps``.
+    thermal surrogate; ``thermal_valid`` is whether it fits in ``eps``, which
+    is exactly when :func:`plan` chose "thermal".
     """
 
     regime: str | None
     mu_max: float
     photons: int
-    surrogate_error: float
-    thermal_valid: bool
     rationale: str
+
+    @property
+    def surrogate_error(self) -> float:
+        return self.photons * self.mu_max * self.mu_max
+
+    @property
+    def thermal_valid(self) -> bool:
+        return self.regime == "thermal"
 
 
 def plan(mu_max: float, photons: int, eps: float, exact_backend: bool) -> SimulationPlan:
@@ -446,8 +450,7 @@ def plan(mu_max: float, photons: int, eps: float, exact_backend: bool) -> Simula
         why = f"thermal surrogate {bound}; " + (
             "the loss is uniform, so exact tensor-network evolution applies" if exact_backend
             else "no exact backend takes mixed loss")
-    return SimulationPlan(regime, mu_max, photons, surrogate_error, thermal_valid,
-                          f"{ledger}: {why}")
+    return SimulationPlan(regime, mu_max, photons, f"{ledger}: {why}")
 
 
 # ---------------------------------------------------------------------------

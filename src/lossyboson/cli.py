@@ -134,12 +134,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     cfg.update({k: v for k, v in _load_config(args.config).items() if v is not None})
     cfg.update(_env_overrides())
-    for key in ("circuit", "seed", "samples", "mode", "out", "format", "eps",
-                "photons", "workers", "max_bond", "herald_lambda", "input",
-                "reference"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    cfg.update({k: v for k, v in vars(args).items()
+                if v is not None and k not in ("command", "config")})
     command = args.command or cfg.get("command")
     if command not in COMMANDS:
         raise UsageError(

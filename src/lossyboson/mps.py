@@ -1,22 +1,22 @@
 """Exact matrix-product-state evolution for shallow interferometers.
 
-The state of M modes with at most d photons per mode is a list of
-right-canonical site tensors B[i] = Gamma[i] lambda[i] (Vidal's notation),
-shape (d+1, chi_left, chi_right), and the bonds' Schmidt vectors lambda[i].
+The state of M modes is a list of right-canonical site tensors
+B[i] = Gamma[i] lambda[i] (Vidal's notation), shape (q_i, chi_left,
+chi_right) with q_i - 1 the most photons site i holds, and the bonds'
+Schmidt vectors lambda[i].  Every site dimension is read from its tensor.
 A count pattern's amplitude is B[0][n_0] @ ... @ B[M-1][n_{M-1}].
 
 Gates never truncate: each coupler's two-mode Fock-space unitary is
 contracted with its two-site block, and one SVD of that block with the left
 Schmidt weights in front re-splits the bond without dividing by any weight
 (Hastings, J. Math. Phys. 50, 095207 (2009)); only singular values below
-1e-12 of the largest (exact zeros up to rounding) are dropped.  With local
-dimension d+1 covering the total photon number, the simulation is exact and
-the bond dimension is bounded by (d+1)^(2*depth).
+1e-12 of the largest (exact zeros up to rounding) are dropped.
+``simulate_circuit`` sets every local dimension to d+1 with d the total
+photon number, so the simulation is exact and the bond dimension is bounded
+by (d+1)^(2*depth).
 
-Losses are handled by the caller.  Uniform loss mu = tau**depth commutes with
-the lossless blocks, so it may be applied at either end: Bernoulli-thin the
-input pattern (``lossy_input_sample``) and evolve the survivors, or evolve
-the whole pattern and thin each output count binomially.
+Losses are handled by the caller (``sampler.MPSSource`` picks the end of the
+circuit at which uniform loss is applied).
 
 Rows are drawn from a canonical state by the chain rule over modes.  The
 law of mode i's count depends only on the counts of modes 0..i-1, so
@@ -74,18 +74,20 @@ RESAMPLE_ROUNDS = 8  # draws in all of a row whose chain-rule prefix keeps under
 
 @dataclass
 class MPSState:
-    """MPS over ``modes`` sites with local dimension ``local_dim``.
+    """MPS over ``len(tensors)`` sites.
 
     ``tensors[i]`` is site i's right-canonical tensor B[i], shape
-    (local_dim, chi_left, chi_right); ``schmidts[i]`` is the Schmidt vector
-    of the bond between sites i and i+1.
+    (q_i, chi_left, chi_right) with q_i its local dimension; ``schmidts[i]``
+    is the Schmidt vector of the bond between sites i and i+1.
     """
 
-    modes: int
-    local_dim: int
     tensors: list
     schmidts: list
     peak_bond: int = 1
+
+    @property
+    def modes(self) -> int:
+        return len(self.tensors)
 
     @property
     def bond_dims(self) -> tuple:
@@ -109,10 +111,7 @@ def init_input(pattern, d: int) -> MPSState:
         t = np.zeros((q, 1, 1), dtype=complex)
         t[n, 0, 0] = 1.0
         tensors.append(t)
-    schmidts = [np.ones(1) for _ in range(len(pattern) - 1)]
-    return MPSState(
-        modes=len(pattern), local_dim=q, tensors=tensors, schmidts=schmidts, peak_bond=1
-    )
+    return MPSState(tensors, [np.ones(1) for _ in range(len(pattern) - 1)])
 
 
 def coupler_fock_amplitudes(block: np.ndarray, d: int) -> np.ndarray:
@@ -210,18 +209,18 @@ def apply_phase(state: MPSState, mode: int, theta: float) -> MPSState:
     """Phase rotation exp(i * theta * n) on one mode, in place; bonds untouched."""
     if not 0 <= mode < state.modes:
         raise ValueError(f"mode {mode} out of range for {state.modes} modes")
-    factor = np.exp(1j * theta * np.arange(state.local_dim))
+    factor = np.exp(1j * theta * np.arange(len(state.tensors[mode])))
     state.tensors[mode] = state.tensors[mode] * factor[:, None, None]
     return state
 
 
 def apply_coupler(
-    state: MPSState, mode: int, gate: np.ndarray, max_bond: int | None = DEFAULT_MAX_BOND
+    state: MPSState, mode: int, gate: np.ndarray, max_bond: int = DEFAULT_MAX_BOND
 ) -> MPSState:
     """Apply a two-mode coupler on (mode, mode+1) in place and re-split the bond.
 
     ``gate`` is the Fock tensor c[p, s, n0, n1] from
-    :func:`coupler_fock_amplitudes` at the state's cutoff.  It is contracted
+    :func:`coupler_fock_amplitudes` at the two sites' cutoffs.  It is contracted
     with the two-site block theta = B[k] B[k+1], and one SVD
     lambda[k-1] theta' = U S V^dagger of the gated block with the left
     Schmidt weights in front gives the new bond: lambda[k] = S,
@@ -235,29 +234,28 @@ def apply_coupler(
     k = mode
     if not 0 <= k < state.modes - 1:
         raise ValueError(f"coupler site {k} out of range for {state.modes} modes")
-    q = state.local_dim
-    if gate.shape != (q, q, q, q):
-        raise ValueError(
-            f"gate tensor shape {gate.shape} does not match local dimension {q}"
-        )
     a, b = state.tensors[k], state.tensors[k + 1]
-    c_l, c_r = a.shape[1], b.shape[2]
+    (qa, c_l, _), (qb, _, c_r) = a.shape, b.shape
+    if gate.shape != (qa, qb, qa, qb):
+        raise ValueError(
+            f"gate tensor shape {gate.shape} does not match local dimensions {qa}, {qb}"
+        )
 
     # two-site block theta[a, (n0, n1), c], then the gate on the physical pair
-    left = a.transpose(1, 0, 2).reshape(c_l * q, -1)
-    theta = (left @ b.transpose(1, 0, 2).reshape(-1, q * c_r)).reshape(c_l, q * q, c_r)
-    core = (gate.reshape(q * q, q * q) @ theta).reshape(c_l * q, q * c_r)  # (a, p), (s, c)
+    left = a.transpose(1, 0, 2).reshape(c_l * qa, -1)
+    theta = (left @ b.transpose(1, 0, 2).reshape(-1, qb * c_r)).reshape(c_l, qa * qb, c_r)
+    core = (gate.reshape(qa * qb, qa * qb) @ theta).reshape(c_l * qa, qb * c_r)  # (a, p), (s, c)
 
     lam_l = state.schmidts[k - 1] if k > 0 else np.ones(1)
-    _, sv, vh = _kept_svd(lam_l.repeat(q)[:, None] * core)
+    _, sv, vh = _kept_svd(lam_l.repeat(qa)[:, None] * core)
     chi_new = len(sv)
-    if max_bond is not None and chi_new > max_bond:
+    if chi_new > max_bond:
         raise CapacityError(
             f"bond dimension {chi_new} exceeds the configured maximum {max_bond}"
         )
 
-    state.tensors[k] = (core @ vh.conj().T).reshape(c_l, q, chi_new).transpose(1, 0, 2)
-    state.tensors[k + 1] = vh.reshape(chi_new, q, c_r).transpose(1, 0, 2)
+    state.tensors[k] = (core @ vh.conj().T).reshape(c_l, qa, chi_new).transpose(1, 0, 2)
+    state.tensors[k + 1] = vh.reshape(chi_new, qb, c_r).transpose(1, 0, 2)
     state.schmidts[k] = sv
     state.peak_bond = max(state.peak_bond, chi_new)
     return state
@@ -270,8 +268,8 @@ def outcome_probability(state: MPSState, pattern) -> float:
         raise ValueError(f"pattern covers {len(pattern)} modes, state has {state.modes}")
     if any(n < 0 for n in pattern):
         raise ValueError("photon counts must be non-negative")
-    if max(pattern) >= state.local_dim:
-        return 0.0  # beyond the cutoff nothing has support
+    if any(n >= len(t) for n, t in zip(pattern, state.tensors)):
+        return 0.0  # beyond a site's cutoff nothing has support
     vec = state.tensors[0][pattern[0], 0, :]
     for i in range(1, state.modes):
         vec = vec @ state.tensors[i][pattern[i]]
@@ -311,13 +309,12 @@ def canonicalize(state: MPSState) -> MPSState:
     and leaves every site right-canonical, so its tensors are the result's.
     The result is normalized.
     """
-    m, q = state.modes, state.local_dim
+    m = state.modes
     tensors = [t.astype(complex) for t in state.tensors]
 
     for i in range(m - 1):
-        t = tensors[i]
-        cl, cr = t.shape[1], t.shape[2]
-        qmat, rmat = np.linalg.qr(t.transpose(1, 0, 2).reshape(cl * q, cr))
+        q, cl, cr = tensors[i].shape
+        qmat, rmat = np.linalg.qr(tensors[i].transpose(1, 0, 2).reshape(cl * q, cr))
         tensors[i] = qmat.reshape(cl, q, -1).transpose(1, 0, 2)
         tensors[i + 1] = np.einsum("rb,nbc->nrc", rmat, tensors[i + 1])
 
@@ -328,20 +325,14 @@ def canonicalize(state: MPSState) -> MPSState:
 
     schmidts: list = [None] * (m - 1)
     for i in range(m - 1, 0, -1):
-        t = tensors[i]
-        cl, cr = t.shape[1], t.shape[2]
-        u, sv, vh = _kept_svd(t.transpose(1, 0, 2).reshape(cl, q * cr))
+        q, cl, cr = tensors[i].shape
+        u, sv, vh = _kept_svd(tensors[i].transpose(1, 0, 2).reshape(cl, q * cr))
         tensors[i] = vh.reshape(-1, q, cr).transpose(1, 0, 2)
         schmidts[i - 1] = sv / np.linalg.norm(sv)
         tensors[i - 1] = np.einsum("nab,br->nar", tensors[i - 1], u * sv[None, :])
 
-    return MPSState(
-        modes=m,
-        local_dim=q,
-        tensors=tensors,
-        schmidts=schmidts,
-        peak_bond=max(state.peak_bond, max((len(s) for s in schmidts), default=1)),
-    )
+    return MPSState(tensors, schmidts,
+                    max(state.peak_bond, max((len(s) for s in schmidts), default=1)))
 
 
 def _block_vectors(prefix: np.ndarray, mat: np.ndarray, q: int, start: int) -> np.ndarray:
@@ -396,7 +387,6 @@ def _draw(state: MPSState, rng: RandomStream, size: int) -> tuple[np.ndarray, np
     (size, modes) int array of counts and the (size,) bool mask of rows whose
     prefix probability underflowed (< 1e-300).
     """
-    q = state.local_dim
     counts = np.empty((size, state.modes), dtype=int)
     uniforms = np.empty(size)
     key = np.zeros(size, dtype=np.intp)  # each row's (group, count) key at the last mode
@@ -406,6 +396,7 @@ def _draw(state: MPSState, rng: RandomStream, size: int) -> tuple[np.ndarray, np
     bad = np.zeros(len(prefix), dtype=bool)
     for i in range(state.modes):
         t = state.tensors[i]
+        q = len(t)
         mat = t.transpose(1, 0, 2).reshape(t.shape[1], -1)  # (chi_l, q * chi_r)
         blocks = range(0, len(prefix), SAMPLE_BLOCK)
         probs = np.empty((len(prefix), q))
@@ -460,24 +451,18 @@ def lossy_input_sample(n: int, mu: float, rng: RandomStream) -> np.ndarray:
 def simulate_circuit(
     circuit: LayeredCircuit,
     pattern,
-    d: int | None = None,
-    max_bond: int | None = DEFAULT_MAX_BOND,
+    max_bond: int = DEFAULT_MAX_BOND,
     gates: list | None = None,
 ) -> MPSState:
     """Evolve |pattern> through a lossless circuit, layer by layer.
 
-    ``d`` is the per-mode photon cutoff and defaults to the total photon
-    number, which makes the evolution exact.  ``gates`` are the couplers'
-    Fock tensors at that cutoff (``fock_gates(circuit, d)``); pass them to
-    reuse one build across patterns, otherwise they are built here.  Loss
-    must be handled by the caller on the lossless blocks (e.g.
-    ``circuit.lossless_copy()``).  Uniform loss mu = tau**depth commutes
-    with them, so either thin the input with ``lossy_input_sample`` and
-    evolve each surviving pattern, or evolve the whole pattern once and thin
-    each drawn count with ``rng.binomial(counts, mu)``.  For r rows of an
-    n-photon input, the all-survivor pattern is expected among the thinned
-    ones once r * mu**n >= 1, so from there on input thinning would evolve
-    that same n-photon state anyway and output thinning evolves nothing else.
+    The per-mode photon cutoff is the total photon number d (at least 1),
+    which makes the evolution exact.  ``gates`` are the couplers' Fock
+    tensors in application order (``fock_gates(circuit, c)``) at any cutoff
+    c >= d; each is sliced to d+1 per index, which equals a build at d since
+    a coupler's Fock amplitudes do not depend on the cutoff.  Pass them to
+    reuse one build across patterns, otherwise they are built here.  Loss is
+    the caller's (see ``sampler.MPSSource``): pass ``circuit.lossless_copy()``.
 
     Raises
     ------
@@ -486,7 +471,7 @@ def simulate_circuit(
     CapacityError
         If a bond would exceed ``max_bond``.
     """
-    if not circuit.is_lossless():
+    if circuit.uniform_tau() != 1.0:
         raise ValueError(
             "simulate_circuit needs lossless blocks; thin the input by tau**depth "
             "and pass circuit.lossless_copy()"
@@ -496,13 +481,7 @@ def simulate_circuit(
         raise ValueError(
             f"pattern covers {len(pattern)} modes, circuit has {circuit.modes}"
         )
-    if d is None:
-        d = max(1, sum(pattern))
-    elif d < sum(pattern):
-        raise ValueError(
-            f"cutoff d={d} below total photon number {sum(pattern)}: evolution "
-            "would not be exact"
-        )
+    d = max(1, sum(pattern))
     if gates is None:
         gates = fock_gates(circuit, d)
     elif len(gates) != len(circuit.gate_mode):
@@ -511,7 +490,8 @@ def simulate_circuit(
     gate_mode, offsets = circuit.gate_mode.tolist(), circuit.offsets.tolist()
     for l, phases in enumerate(circuit.phases.tolist()):
         for g in range(offsets[l], offsets[l + 1]):
-            state = apply_coupler(state, gate_mode[g], gates[g], max_bond=max_bond)
+            gate = gates[g][: d + 1, : d + 1, : d + 1, : d + 1]
+            state = apply_coupler(state, gate_mode[g], gate, max_bond)
         for i, theta in enumerate(phases):
             if theta != 0.0:
                 state = apply_phase(state, i, theta)

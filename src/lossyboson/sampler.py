@@ -78,9 +78,8 @@ class MPSSource:
     is kept with probability mu and the survivors are drawn through the
     lossless circuit, which evolves only smaller states.  Evolved states are
     cached by the pattern they start from.  Gate tensors are built at the
-    largest cutoff met so far and sliced for smaller ones: a coupler's Fock
-    amplitudes do not depend on the cutoff, so the slice equals a build at
-    the smaller cutoff.
+    largest cutoff met so far; ``mps.simulate_circuit`` slices them to each
+    pattern's own.
     """
 
     def __init__(self, circuit: circ.LayeredCircuit, mu: float, max_bond: int):
@@ -98,11 +97,8 @@ class MPSSource:
             d = max(1, sum(pattern))
             if d > self.gate_cutoff:
                 self.gates, self.gate_cutoff = mps.fock_gates(self.lossless, d), d
-            evolved = mps.simulate_circuit(
-                self.lossless, pattern, d=d, max_bond=self.max_bond,
-                gates=[g[: d + 1, : d + 1, : d + 1, : d + 1] for g in self.gates],
-            )
-            self.states[pattern] = mps.canonicalize(evolved)
+            self.states[pattern] = mps.canonicalize(
+                mps.simulate_circuit(self.lossless, pattern, self.max_bond, self.gates))
         return self.states[pattern]
 
     def draw(self, inputs: np.ndarray, rng: RandomStream) -> np.ndarray:

@@ -220,7 +220,7 @@ def test_acceptance_10_bond_growth_bounds():
     detail = []
     for depth in (1, 2, 3):
         circuit = random_brickwork(6, depth, 1.0, rng)
-        state = simulate_circuit(circuit, (1, 1, 0, 0, 0, 0), d=d)
+        state = simulate_circuit(circuit, (1, 1, 0, 0, 0, 0))
         ok_bond = ok_bond and state.peak_bond <= (d + 1) ** (2 * depth)
         detail.append(f"D={depth}:{state.peak_bond}<={(d+1)**(2*depth)}")
     _verdict(10, "MPO rank and bond growth bounded", ok_rank and ok_bond,

@@ -36,7 +36,7 @@ BS5050 = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
 
 def test_init_input_is_the_requested_product_state():
     st = init_input((1, 0, 2), d=2)
-    assert st.modes == 3 and st.local_dim == 3
+    assert st.modes == 3 and [len(t) for t in st.tensors] == [3, 3, 3]
     assert outcome_probability(st, (1, 0, 2)) == pytest.approx(1.0)
     assert outcome_probability(st, (0, 1, 2)) == pytest.approx(0.0)
     assert state_norm(st) == pytest.approx(1.0, abs=1e-14)
@@ -263,7 +263,7 @@ def test_canonical_defect_sees_each_broken_condition():
     b0[0, 0, 0], b0[1, 0, 1] = schmidt
     b1 = np.zeros((2, 2, 1), dtype=complex)
     b1[1, 0, 0] = 1.0
-    dead = mps.MPSState(modes=2, local_dim=2, tensors=[b0, b1], schmidts=[schmidt])
+    dead = mps.MPSState([b0, b1], [schmidt])
     assert canonical_defect(dead) > 0.5
 
 
@@ -291,7 +291,7 @@ def test_simulation_peak_bond_within_global_bound():
     d = 2
     for depth in (1, 2, 3):
         circuit = random_brickwork(6, depth, 1.0, rng)
-        st = simulate_circuit(circuit, (1, 1, 0, 0, 0, 0), d=d)
+        st = simulate_circuit(circuit, (1, 1, 0, 0, 0, 0))
         assert st.peak_bond <= (d + 1) ** (2 * depth)
 
 
@@ -302,11 +302,14 @@ def test_simulate_rejects_lossy_circuit():
         simulate_circuit(circuit, (1, 0, 0, 0))
 
 
-def test_simulate_rejects_insufficient_cutoff():
-    rng = make_stream(72)
-    circuit = random_brickwork(4, 1, 1.0, rng)
-    with pytest.raises(ValueError):
-        simulate_circuit(circuit, (1, 1, 0, 0), d=1)
+def test_simulate_slices_gates_built_at_a_larger_cutoff():
+    circuit = random_brickwork(6, 3, 1.0, make_stream(72))
+    pattern = (1, 0, 1, 0, 0, 0)
+    sliced = simulate_circuit(circuit, pattern, gates=mps.fock_gates(circuit, 5))
+    built = simulate_circuit(circuit, pattern)
+    assert [len(t) for t in sliced.tensors] == [3] * 6
+    for got, want in zip(sliced.tensors + sliced.schmidts, built.tensors + built.schmidts):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +357,16 @@ def _per_row_sample(state, rng, size):
     """One chain-rule pass before prefix groups: every row works out every conditional of
     its own.  Returns the counts and the underflow mask, as ``mps._draw`` does."""
     uniforms = rng.random((state.modes, size))
-    mats = [(t.transpose(1, 0, 2).reshape(t.shape[1], -1), t.shape[2]) for t in state.tensors]
+    mats = [(t.transpose(1, 0, 2).reshape(t.shape[1], -1), *t.shape[::2])
+            for t in state.tensors]
     counts = np.empty((size, state.modes), dtype=int)
     bad = np.zeros(size, dtype=bool)
-    q = state.local_dim
     for start in range(0, size, 64):
         block = slice(start, min(start + 64, size))
         rows = np.arange(block.stop - start)
         prefix = np.ones((len(rows), 1), dtype=complex)
         weight = np.ones(len(rows))
-        for i, (mat, chi_r) in enumerate(mats):
+        for i, (mat, q, chi_r) in enumerate(mats):
             vecs = (prefix @ mat).reshape(len(rows), q, chi_r)
             parts = vecs.view(np.float64)
             probs = np.einsum("snb,snb->sn", parts, parts)
@@ -414,7 +417,7 @@ def test_grouped_sample_flags_the_same_underflowed_rows():
     b1 = np.zeros((2, 2, 1), dtype=complex)
     b1[:, 0, 0] = b1[:, 1, 0] = [0.6, 0.8]
     b1[:, 1, 0] *= 1e-160
-    st = mps.MPSState(modes=2, local_dim=2, tensors=[b0, b1], schmidts=[schmidt])
+    st = mps.MPSState([b0, b1], [schmidt])
     rows, bad = mps._draw(st, make_stream(89), 500)
     per_row, per_row_bad = _per_row_sample(st, make_stream(89), 500)
     assert np.array_equal(bad, rows[:, 0] == 1) and bad.any() and not bad.all()
@@ -440,8 +443,7 @@ def test_sample_flags_rows_whose_prefix_weight_underflows(modes, flagged):
     1e-300 only at 8 modes, and then every row is flagged by its weight alone."""
     site = np.zeros((2, 1, 1), dtype=complex)
     site[:, 0, 0] = [1e-20, math.sqrt(1.0 - 1e-40)]
-    st = mps.MPSState(modes=modes, local_dim=2, tensors=[site] * modes,
-                      schmidts=[np.ones(1)] * (modes - 1))
+    st = mps.MPSState([site] * modes, [np.ones(1)] * (modes - 1))
     assert canonical_defect(st) < 1e-15  # every conditional total is 1
     for draw in (mps._draw, _per_row_sample):
         rows, bad = draw(st, _ZeroUniforms(), 50)

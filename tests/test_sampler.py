@@ -35,7 +35,7 @@ def _two_mode_state(dead_weight: float) -> MPSState:
     b0[0, 0, 0], b0[1, 0, 1] = schmidt
     b1 = np.zeros((2, 2, 1), dtype=complex)
     b1[1, 0, 0] = 1.0
-    return MPSState(modes=2, local_dim=2, tensors=[b0, b1], schmidts=[schmidt])
+    return MPSState([b0, b1], [schmidt])
 
 
 def _lossless_source(state: MPSState) -> MPSSource:
