@@ -172,13 +172,6 @@ class LayeredCircuit:
         """Layer index of every coupler, shape (G,)."""
         return np.repeat(np.arange(self.depth), np.diff(self.offsets))
 
-    def covered_modes(self) -> np.ndarray:
-        """(D, M) mask of the modes a coupler of each layer touches."""
-        covered = np.zeros((self.depth, self.modes), dtype=bool)
-        layer = self.gate_layer()
-        covered[layer, self.gate_mode] = covered[layer, self.gate_mode + 1] = True
-        return covered
-
     def lossless_copy(self) -> "LayeredCircuit":
         """Same interference pattern with every transmission set to 1."""
         return replace(self, tau=np.ones_like(self.tau), idle_tau=np.ones_like(self.idle_tau))
@@ -203,28 +196,39 @@ def coupler_blocks(theta, phi) -> np.ndarray:
     return blocks
 
 
-def transfer_matrix(circuit: LayeredCircuit) -> np.ndarray:
-    """Overall transfer matrix mapping input to output amplitudes.
+def transfer_matrix(circuit: LayeredCircuit, columns=None) -> np.ndarray:
+    """Overall transfer matrix mapping input to output amplitudes, or some of its columns.
 
     Layers are composed in traversal order, so with layers [L1, ..., LD] the
-    result is M(LD) @ ... @ M(L1).  Every coupler's 2x2 block (with sqrt(tau)
-    and the phases of its two modes folded in) and every idle row's factor
-    are built in one pass; each layer then multiplies the row pairs its
-    couplers mix and scales its idle rows, so the cost is O(M^2) per layer.
+    result is M(LD) @ ... @ M(L1).  Each layer sends row i to
+    ``own[i] * row i + other[i] * row partner[i]``: a coupler's rows take
+    their 2x2 block (with sqrt(tau) and the phases of its two modes folded
+    in), an idle row takes sqrt(idle_tau) times its phase and ``other = 0``.
+    The (D, M) coefficients are built in one pass.  ``columns`` (a column
+    index of distinct input modes, default all) picks the inputs to
+    propagate, so K columns cost O(D * M * K); every entry is computed on its
+    own, so the result is bit for bit ``transfer_matrix(circuit)[:, columns]``.
     """
     phase = np.exp(1j * circuit.phases)
-    pairs = circuit.gate_mode[:, None] + np.arange(2)
+    layer, mode = circuit.gate_layer(), circuit.gate_mode
+    pairs = mode[:, None] + np.arange(2)
     blocks = coupler_blocks(circuit.theta, circuit.phi)
     blocks *= np.sqrt(circuit.tau)[:, None, None]
-    blocks *= phase[circuit.gate_layer()[:, None], pairs][:, :, None]
-    idle = ~circuit.covered_modes()
-    scale = np.sqrt(circuit.idle_tau)[:, None] * phase
-    offsets = circuit.offsets.tolist()
+    blocks *= phase[layer[:, None], pairs][:, :, None]
+    own = np.sqrt(circuit.idle_tau)[:, None] * phase
+    own[layer, mode], own[layer, mode + 1] = blocks[:, 0, 0], blocks[:, 1, 1]
+    other = np.zeros_like(phase)
+    other[layer, mode], other[layer, mode + 1] = blocks[:, 0, 1], blocks[:, 1, 0]
+    partner = np.indices(phase.shape)[1]
+    partner[layer, mode], partner[layer, mode + 1] = mode + 1, mode
     a = np.eye(circuit.modes, dtype=complex)
+    if columns is not None:
+        a = a[:, columns]
     for l in range(circuit.depth):
-        rows = pairs[offsets[l]:offsets[l + 1]]
-        a[rows] = blocks[offsets[l]:offsets[l + 1]] @ a[rows]
-        a[idle[l]] *= scale[l, idle[l]][:, None]
+        mixed = a[partner[l]]
+        mixed *= other[l, :, None]
+        a *= own[l, :, None]
+        a += mixed
     return a
 
 

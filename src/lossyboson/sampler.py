@@ -2,16 +2,17 @@
 
 ``build_sampler`` turns a mode, a circuit and an input pattern into a
 :class:`Sampler` whose ``draw(rng, size)`` returns a ``(size, M)`` array of
-photon counts.  Circuit-level work is done once per sampler: the transfer
-matrix A and its largest transmission mu_max, which :func:`circuit.plan`
-reads and the thermal surrogate turns into A / sqrt(mu_max); the uniform
-loss mu = tau**depth that the MPS and oracle sources are given; the MPS
-lossless copy, gate tensors and evolved-state cache; the oracle's exact law.
-MPS rows come from :func:`mps.sample`, which redraws its own underflowed
-rows.  Every source draws whole arrays: ``draw(inputs, rng)`` takes a
-(rows, M) 0/1 array that marks each row's occupied input modes.  A
-fixed-input sampler passes its pattern broadcast to every row; scattershot
-first draws one collision-free herald per row into that array.
+photon counts.  Circuit-level work is done once per sampler: the largest
+transmission mu_max that :func:`circuit.plan` reads (mu = tau**depth, as the
+MPS and oracle sources get it, or the top loss-SVD value of the transfer
+matrix A for mixed loss); the columns of A a thermal source draws from, as
+A / sqrt(mu_max); the MPS lossless copy, gate tensors and evolved-state
+cache; the oracle's exact law.  MPS rows come from :func:`mps.sample`, which
+redraws its own underflowed rows.  Every source draws whole arrays:
+``draw(inputs, rng)`` takes a (rows, K) 0/1 array that marks each row's
+occupied inputs among the source's K columns.  A fixed pattern is broadcast
+to every row (to its occupied columns only, for the thermal source);
+scattershot first draws one collision-free herald per row over all M modes.
 """
 
 from __future__ import annotations
@@ -49,12 +50,13 @@ class Sampler:
 
 
 class ThermalSource:
-    """Thermal surrogate of one circuit, drawn for any set of occupied input modes.
+    """Thermal surrogate of one circuit, drawn for any set of occupied input columns.
 
-    The largest transmission mu_max of the transfer matrix A becomes the
-    thermal parameter of every input; the residual A / sqrt(mu_max) carries the
-    rest of the loss.  A fully blocking circuit (mu_max = 0) keeps A, whose
-    rows are all zero, so every input is absorbed.
+    ``a`` holds the K columns of the transfer matrix A that the (rows, K)
+    ``inputs`` of :meth:`draw` index: a fixed pattern's occupied modes, or
+    all M.  The largest transmission mu_max of A becomes the thermal
+    parameter of every input; the residual a / sqrt(mu_max) carries the rest
+    of the loss.  A fully blocking circuit (mu_max = 0) keeps a (all zeros).
     """
 
     def __init__(self, a: np.ndarray, mu_max: float):
@@ -172,7 +174,8 @@ def build_sampler(
     """Sampler for ``pattern`` through ``circuit`` in one of :data:`MODES`.
 
     The pattern is planned with :func:`circuit.plan` on the largest
-    transmission of the transfer matrix; ``auto`` takes the plan's regime and
+    transmission: tau**depth for uniform loss, the top loss-SVD value of the
+    transfer matrix for mixed loss.  ``auto`` takes the plan's regime and
     raises :class:`ModelViolationError` when it has none.  ``scattershot``
     heralds a collision-free input per row with squeezing ``herald_lambda``;
     the pattern's plan only steers its thermal-or-MPS inner source.  A
@@ -182,9 +185,10 @@ def build_sampler(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose one of {', '.join(MODES)}")
     pattern = tuple(int(x) for x in pattern)
-    a = circ.transfer_matrix(circuit)
-    mu_max = float(circ.decompose_losses(a).max())
     tau = circuit.uniform_tau()
+    mu = None if tau is None else tau ** circuit.depth
+    a = circ.transfer_matrix(circuit) if mu is None else None  # mixed loss: SVD of all of A
+    mu_max = mu if a is None else float(circ.decompose_losses(a).max())
     decision = circ.plan(mu_max, sum(pattern), eps, exact_backend=tau is not None)
     if mode == "auto":
         if decision.regime is None:
@@ -193,9 +197,9 @@ def build_sampler(
     if mode in ("mps", "oracle") and tau is None:
         raise ValueError(f"{mode} sampling needs uniform loss; circuit transmissions are "
                          f"{sorted(set(circuit.tau.tolist() + circuit.idle_tau.tolist()))}")
-    mu = None if tau is None else tau ** circuit.depth
     if mode == "oracle":
         return _oracle_sampler(circuit, mu, pattern, decision)
+    columns = slice(None)  # the columns of A a thermal source draws from
     if mode == "scattershot":
         regime = decision.regime or "thermal"  # only the thermal source takes mixed loss
 
@@ -203,10 +207,14 @@ def build_sampler(
             return thermal.scattershot_herald(circuit.modes, herald_lambda, rng, size)
     else:
         regime, row = mode, _zero_one(pattern, mode)
+        if regime == "thermal":
+            columns = np.flatnonzero(row)
+            row = np.ones(len(columns), dtype=int)
 
         def inputs(rng: RandomStream, size: int) -> np.ndarray:
-            return np.broadcast_to(row, (size, circuit.modes))
+            return np.broadcast_to(row, (size, len(row)))
     if regime == "thermal":
+        a = circ.transfer_matrix(circuit, columns) if a is None else a[:, columns]
         source = ThermalSource(a, mu_max)
         if not decision.thermal_valid:
             warnings.warn(f"{decision.rationale}; sampling anyway because {mode} mode "

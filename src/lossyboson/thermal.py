@@ -188,7 +188,7 @@ def sample_output(
     inputs: np.ndarray,
     rng: RandomStream,
 ) -> np.ndarray:
-    """Photon-count rows from thermal inputs through transfer matrix a.
+    """(rows, M) photon counts from thermal inputs through K columns ``a`` of a transfer matrix.
 
     Each occupied input gets alpha = sqrt(V/2) * (x + i y) with x, y standard
     normal, so E|alpha|^2 = V, the thermal phase-space variance; the output
@@ -198,28 +198,30 @@ def sample_output(
     the Poisson counts follow in blocks of :data:`DRAW_BLOCK` rows, also in
     row-major order, so the rows do not depend on the block size.  Each
     block propagates only the columns of ``a`` that some of its rows
-    occupy, so a row costs O(M * N_occ), not O(M^2).
+    occupy, so a row costs O(M * N_occ), not O(M * K).  Dropping columns
+    that no row occupies keeps every count bit for bit.
 
     Parameters
     ----------
-    a : (M, M) array_like
-        Transfer matrix with A A^dagger <= I (loss already factored out of
-        the inputs into ``params``).
+    a : (M, K) array_like
+        K columns of a transfer matrix with A A^dagger <= I (loss already
+        factored out of the inputs into ``params``): all M for heralded
+        inputs, or only the occupied ones of a fixed pattern.
     params : ThermalParams
         Surrogate thermal state per occupied input mode.
-    inputs : (rows, M) array_like of 0/1
-        Row r carries a thermal input on mode j where ``inputs[r, j]`` is 1.
+    inputs : (rows, K) array_like of 0/1
+        Row r carries a thermal input on column j where ``inputs[r, j]`` is 1.
     """
     a = np.asarray(a, dtype=complex)
     inputs = np.asarray(inputs)
     if a.ndim != 2 or inputs.shape[1:] != a.shape[1:] or inputs.size and (
             inputs.min() < 0 or inputs.max() > 1 or inputs.sum() != np.count_nonzero(inputs)):
-        raise ValueError(f"inputs {inputs.shape} must be a (rows, M) 0/1 array for A {a.shape}")
+        raise ValueError(f"inputs {inputs.shape} must be a (rows, K) 0/1 array for A {a.shape}")
     rows, modes = np.nonzero(inputs)  # occupied entries in row-major order
     amplitudes = rng.standard_normal(2 * len(rows)).view(complex)  # (x, y) pairs
     amplitudes *= math.sqrt(params.variance / 2.0)
     ends = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(inputs)))))
-    out = np.empty(inputs.shape, dtype=np.int64)
+    out = np.empty((len(inputs), len(a)), dtype=np.int64)
     for start in range(0, len(inputs), DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, len(inputs))
         block = slice(ends[start], ends[stop])

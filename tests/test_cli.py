@@ -342,9 +342,9 @@ def test_sample_scattershot_builds_transfer_matrix_once(deep_lossy, monkeypatch,
     calls = []
     original = lossyboson.circuit.transfer_matrix
 
-    def counting(circuit):
+    def counting(circuit, *args):
         calls.append(circuit)
-        return original(circuit)
+        return original(circuit, *args)
 
     monkeypatch.setattr(lossyboson.circuit, "transfer_matrix", counting)
     code = main([

@@ -1,13 +1,15 @@
 """Tests for the whole-array sampler paths in ``lossyboson.sampler``."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from lossyboson import circuit as circ
 from lossyboson import mps
-from lossyboson.circuit import random_brickwork, transfer_matrix
+from lossyboson.circuit import decompose_losses, random_brickwork, transfer_matrix
 from lossyboson.errors import CapacityError
 from lossyboson.mps import (
     MPSState,
@@ -20,7 +22,7 @@ from lossyboson.mps import (
 from lossyboson.numerics import row_groups
 from lossyboson.oracle import fock_output_distribution, lossy_exact_distribution
 from lossyboson.rng import make_stream
-from lossyboson.sampler import MPSSource, build_sampler
+from lossyboson.sampler import MPSSource, ThermalSource, build_sampler
 from lossyboson.thermal import scattershot_herald
 
 
@@ -219,3 +221,79 @@ def test_oracle_draw_thins_each_photon_of_a_multi_photon_pattern():
     for outcome, p in exact.items():
         sigma = math.sqrt(n * p * (1.0 - p))
         assert abs(counts.get(outcome, 0) - n * p) <= 3.0 * sigma + 1e-9
+
+
+# the four benchmark workloads: (modes, depth, tau, photons, mode)
+BENCHMARK_SIZES = [(200, 200, 0.98262, 20, "thermal"), (14, 3, 0.9, 7, "mps"),
+                   (30, 150, 0.97, 3, "scattershot"), (8, 4, 0.9, 6, "oracle")]
+
+
+@pytest.mark.parametrize("modes,depth,tau,photons,mode", BENCHMARK_SIZES)
+def test_uniform_loss_mu_max_is_tau_to_the_depth(modes, depth, tau, photons, mode):
+    circuit = random_brickwork(modes, depth, tau, make_stream(60))
+    pattern = (1,) * photons + (0,) * (modes - photons)
+    mu_max = build_sampler(mode, circuit, pattern, eps=0.05, herald_lambda=0.1).plan.mu_max
+    assert mu_max == tau**depth
+    assert mu_max == pytest.approx(float(decompose_losses(transfer_matrix(circuit)).max()),
+                                   rel=1e-12, abs=0.0)
+
+
+def _mixed_brickwork(seed):
+    c = random_brickwork(7, 30, 0.9, make_stream(seed))
+    return dataclasses.replace(c, tau=np.where(np.arange(len(c.tau)) % 3, 0.9, 0.6))
+
+
+def test_mixed_loss_mu_max_is_the_largest_svd_transmission_bit_for_bit():
+    circuit = _mixed_brickwork(61)
+    assert circuit.uniform_tau() is None
+    plan = build_sampler("thermal", circuit, (1, 0, 1, 0, 0, 0, 0), eps=0.05).plan
+    svd = float(decompose_losses(transfer_matrix(circuit)).max())
+    assert plan.mu_max == svd and svd != pytest.approx(0.9**30, rel=1e-3)
+
+
+def _recording(monkeypatch):
+    calls = []
+    for name in ("transfer_matrix", "decompose_losses"):
+        original = getattr(circ, name)
+
+        def record(*args, name=name, original=original):
+            calls.append((name,) + args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(circ, name, record)
+    return calls
+
+
+def test_thermal_build_propagates_only_the_occupied_columns(monkeypatch):
+    circuit = random_brickwork(9, 12, 0.8, make_stream(62))
+    pattern = (0, 1, 0, 0, 1, 1, 0, 0, 1)
+    calls = _recording(monkeypatch)
+    sampler = build_sampler("thermal", circuit, pattern, eps=0.05)
+    assert [(name, cols.tolist()) for name, cols in calls] == [("transfer_matrix", [1, 4, 5, 8])]
+    monkeypatch.undo()
+    full = ThermalSource(transfer_matrix(circuit), 0.8**12)
+    want = full.draw(np.broadcast_to(pattern, (300, 9)), make_stream(63))
+    got = sampler.draw(make_stream(63), 300)
+    assert got.shape == (300, 9) and want.sum() > 0
+    assert np.array_equal(got, want)
+
+
+def test_uniform_loss_mps_build_takes_no_transfer_matrix(monkeypatch):
+    circuit = random_brickwork(6, 3, 0.9, make_stream(64))
+    calls = _recording(monkeypatch)
+    sampler = build_sampler("mps", circuit, (1, 0, 1, 0, 1, 0), eps=0.05)
+    assert sampler.draw(make_stream(65), 20).shape == (20, 6)
+    assert calls == []
+
+
+def test_mixed_loss_thermal_build_takes_one_full_matrix_and_one_svd(monkeypatch):
+    circuit = _mixed_brickwork(66)
+    calls = _recording(monkeypatch)
+    sampler = build_sampler("thermal", circuit, (1, 1, 0, 0, 0, 0, 1), eps=0.05)
+    assert [c[0] for c in calls] == ["transfer_matrix", "decompose_losses"]
+    assert len(calls[0]) == 1  # every column
+    monkeypatch.undo()
+    mu_max = float(decompose_losses(transfer_matrix(circuit)).max())
+    want = ThermalSource(transfer_matrix(circuit), mu_max).draw(
+        np.broadcast_to((1, 1, 0, 0, 0, 0, 1), (200, 7)), make_stream(67))
+    assert np.array_equal(sampler.draw(make_stream(67), 200), want)

@@ -264,6 +264,35 @@ def test_sample_output_matches_dense_reference(block, monkeypatch):
     assert np.array_equal(counts, _dense_sample_output(a, params, inputs, make_stream(44)))
 
 
+def test_sample_output_on_occupied_columns_is_bit_identical():
+    """Heralded rows through the columns any row occupies give the full draw's counts."""
+    a = 0.9 * haar_unitary(10, make_stream(45))
+    inputs = make_stream(46).binomial(1, 0.3, size=(150, 10))
+    inputs[:, [2, 7]] = 0  # columns no row occupies
+    cols = np.flatnonzero(inputs.any(axis=0))
+    assert len(cols) == 8
+    params = ThermalParams(0.5)
+    full = sample_output(a, params, inputs, make_stream(47))
+    block = sample_output(a[:, cols], params, inputs[:, cols], make_stream(47))
+    assert block.shape == (150, 10) and full.sum() > 150
+    assert np.array_equal(block, full)
+
+
+def test_sample_output_checks_the_column_block_against_inputs():
+    a = np.eye(5, dtype=complex)[:, [0, 3]]
+    with pytest.raises(ValueError, match=r"\(rows, K\) 0/1 array for A \(5, 2\)"):
+        sample_output(a, ThermalParams(0.4), np.ones((4, 5), dtype=int), make_stream(1))
+    counts = sample_output(a, ThermalParams(0.4), np.ones((400, 2), dtype=int), make_stream(1))
+    assert counts.shape == (400, 5) and counts[:, [1, 2, 4]].sum() == 0 < counts.sum()
+
+
+def test_sample_output_vacuum_block_gives_zero_rows():
+    rng = make_stream(48)
+    counts = sample_output(np.zeros((6, 0)), ThermalParams(0.4), np.ones((5, 0), dtype=int), rng)
+    assert counts.shape == (5, 6) and not counts.any()
+    assert rng.random() == make_stream(48).random()  # no random numbers taken
+
+
 def test_sample_output_means_near_unit_transmission():
     """At lam = 0.99 the per-mode means are sum_j |a_ij|^2 * lam / (1 - lam).
 
