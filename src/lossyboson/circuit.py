@@ -176,12 +176,22 @@ class LayeredCircuit:
         """Same interference pattern with every transmission set to 1."""
         return replace(self, tau=np.ones_like(self.tau), idle_tau=np.ones_like(self.idle_tau))
 
-    def uniform_tau(self) -> float | None:
-        """The transmission every gate and idle path shares, or None for mixed loss."""
-        taus = np.concatenate([self.idle_tau, self.tau])
-        if not taus.size:
-            return 1.0
-        return None if (taus != taus[0]).any() else float(taus[0])
+    def uniform_mu(self) -> float | None:
+        """Every mode's transmission under uniform loss, or None for mixed loss.
+
+        Loss is uniform when each layer has one transmission t_l: its gates
+        all equal its ``idle_tau``, or, with no idle mode, equal each other.
+        Such loss commutes with every coupler, so each mode sees the product
+        of the t_l, taken as ``t**k`` over the distinct t (exactly
+        ``tau**depth`` when all layers share one tau).
+        """
+        layer_tau = self.idle_tau.copy()
+        full = np.flatnonzero(2 * np.diff(self.offsets) == self.modes)  # no idle mode
+        layer_tau[full] = self.tau[self.offsets[full]]
+        if (self.tau != layer_tau[self.gate_layer()]).any():
+            return None
+        values, counts = np.unique(layer_tau, return_counts=True)
+        return math.prod((t**k for t, k in zip(values.tolist(), counts.tolist())), start=1.0)
 
 
 def coupler_blocks(theta, phi) -> np.ndarray:

@@ -224,8 +224,10 @@ def _json_out(doc: dict) -> str:
 def run_plan(cfg: dict) -> int:
     """Report the plan ``sample --mode auto`` acts on, and the paper's depth formulas.
 
-    With a circuit the plan is the auto sampler's own.  Without one, the
-    geometry ``modes``/``depth``/``tau`` gives mu_max = tau**depth.  With
+    With a circuit the plan is the auto sampler's own, and ``tau`` is the
+    per-layer mean mu**(1/D) of its uniform loss (null for mixed loss).
+    Without one, the geometry ``modes``/``depth``/``tau`` gives
+    mu_max = tau**depth.  With
     neither photons nor a pattern, N follows the density law k * M**gamma.
     An infinite depth (no loss) is reported as null, as JSON has no infinity.
     """
@@ -233,7 +235,8 @@ def run_plan(cfg: dict) -> int:
     k, gamma = float(cfg["density_k"]), float(cfg["density_gamma"])
     circuit, _ = _resolve_circuit(cfg)
     if circuit is not None:
-        modes, depth, tau = circuit.modes, circuit.depth, circuit.uniform_tau()
+        modes, depth, mu = circuit.modes, circuit.depth, circuit.uniform_mu()
+        tau = None if mu is None else mu ** (1.0 / depth) if depth else 1.0  # per-layer mean
     else:
         for key in ("modes", "depth", "tau"):
             if key not in cfg:

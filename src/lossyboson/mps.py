@@ -471,9 +471,9 @@ def simulate_circuit(
     CapacityError
         If a bond would exceed ``max_bond``.
     """
-    if circuit.uniform_tau() != 1.0:
+    if circuit.uniform_mu() != 1.0:
         raise ValueError(
-            "simulate_circuit needs lossless blocks; thin the input by tau**depth "
+            "simulate_circuit needs lossless blocks; thin the input by the uniform loss "
             "and pass circuit.lossless_copy()"
         )
     pattern = [int(x) for x in pattern]

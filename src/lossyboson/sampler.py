@@ -3,8 +3,8 @@
 ``build_sampler`` turns a mode, a circuit and an input pattern into a
 :class:`Sampler` whose ``draw(rng, size)`` returns a ``(size, M)`` array of
 photon counts.  Circuit-level work is done once per sampler: the largest
-transmission mu_max that :func:`circuit.plan` reads (mu = tau**depth, as the
-MPS and oracle sources get it, or the top loss-SVD value of the transfer
+transmission mu_max that :func:`circuit.plan` reads (``circuit.uniform_mu()``,
+as the MPS and oracle sources get it, or the top loss-SVD value of the transfer
 matrix A for mixed loss); the columns of A a thermal source draws from, as
 A / sqrt(mu_max); the MPS lossless copy, gate tensors and evolved-state
 cache; the oracle's exact law.  MPS rows come from :func:`mps.sample`, which
@@ -70,8 +70,8 @@ class ThermalSource:
 class MPSSource:
     """Exact MPS sampling of one uniform-loss circuit, for any occupied input modes.
 
-    ``mu`` = tau**depth is the uniform loss read by ``build_sampler`` from
-    ``circuit.uniform_tau()``; it commutes with the lossless circuit, so each
+    ``mu`` is every mode's transmission, read by ``build_sampler`` from
+    ``circuit.uniform_mu()``; it commutes with the lossless circuit, so each
     input pattern of a draw takes the cheaper end for its loss.  With r rows
     of an n-photon pattern and r * mu**n >= 1 the all-survivor pattern is
     expected among the thinned inputs, so its n-photon state would be evolved
@@ -174,7 +174,7 @@ def build_sampler(
     """Sampler for ``pattern`` through ``circuit`` in one of :data:`MODES`.
 
     The pattern is planned with :func:`circuit.plan` on the largest
-    transmission: tau**depth for uniform loss, the top loss-SVD value of the
+    transmission: ``circuit.uniform_mu()`` for uniform loss, the top loss-SVD value of the
     transfer matrix for mixed loss.  ``auto`` takes the plan's regime and
     raises :class:`ModelViolationError` when it has none.  ``scattershot``
     heralds a collision-free input per row with squeezing ``herald_lambda``;
@@ -185,16 +185,15 @@ def build_sampler(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose one of {', '.join(MODES)}")
     pattern = tuple(int(x) for x in pattern)
-    tau = circuit.uniform_tau()
-    mu = None if tau is None else tau ** circuit.depth
+    mu = circuit.uniform_mu()
     a = circ.transfer_matrix(circuit) if mu is None else None  # mixed loss: SVD of all of A
     mu_max = mu if a is None else float(circ.decompose_losses(a).max())
-    decision = circ.plan(mu_max, sum(pattern), eps, exact_backend=tau is not None)
+    decision = circ.plan(mu_max, sum(pattern), eps, exact_backend=mu is not None)
     if mode == "auto":
         if decision.regime is None:
             raise ModelViolationError(decision.rationale)
         mode = decision.regime
-    if mode in ("mps", "oracle") and tau is None:
+    if mode in ("mps", "oracle") and mu is None:
         raise ValueError(f"{mode} sampling needs uniform loss; circuit transmissions are "
                          f"{sorted(set(circuit.tau.tolist() + circuit.idle_tau.tolist()))}")
     if mode == "oracle":

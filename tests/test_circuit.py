@@ -212,18 +212,30 @@ def test_lossless_copy_strips_loss_only():
     rng = make_stream(6)
     c = random_brickwork(4, 3, 0.8, rng)
     lc = c.lossless_copy()
-    assert lc.uniform_tau() == 1.0 and c.uniform_tau() != 1.0
+    assert lc.uniform_mu() == 1.0 and c.uniform_mu() == 0.8**3
     # same interference pattern: lossy transfer = tau^(D/2) * lossless transfer
     scale = 0.8 ** (3 / 2)
     assert np.allclose(transfer_matrix(c), scale * transfer_matrix(lc), atol=1e-12)
 
 
-def test_uniform_tau_on_mixed_circuit_is_none():
+def test_uniform_mu_is_the_product_of_layer_transmissions():
     l1 = Layer(couplers=(CouplerGate(0, 0.3, tau=0.9),), phases=(0.0, 0.0), idle_tau=0.9)
     l2 = Layer(couplers=(CouplerGate(0, 0.3, tau=0.8),), phases=(0.0, 0.0), idle_tau=0.8)
-    assert LayeredCircuit.from_layers(2, (l1, l2)).uniform_tau() is None
-    assert _one_layer(2, (CouplerGate(0, 0.3, tau=0.7),), idle_tau=0.7).uniform_tau() == 0.7
-    assert LayeredCircuit.from_layers(2, ()).uniform_tau() == 1.0
+    assert LayeredCircuit.from_layers(2, (l1, l2, l1)).uniform_mu() == 0.8 * 0.9**2
+    # a layer with no idle mode needs only equal gates; its idle_tau is never used
+    assert _one_layer(2, (CouplerGate(0, 0.3, tau=0.7),)).uniform_mu() == 0.7
+    assert _one_layer(4, (CouplerGate(0, 0.3, tau=0.7), CouplerGate(2, 0.3, tau=0.7)),
+                      idle_tau=0.2).uniform_mu() == 0.7
+    assert _one_layer(4, (CouplerGate(0, 0.3, tau=0.7), CouplerGate(2, 0.3, tau=0.6)),
+                      idle_tau=0.7).uniform_mu() is None
+    # with an idle mode, every gate must equal the idle transmission
+    assert _one_layer(3, (CouplerGate(0, 0.3, tau=0.7),), idle_tau=0.7).uniform_mu() == 0.7
+    assert _one_layer(3, (CouplerGate(0, 0.3, tau=0.7),), idle_tau=0.8).uniform_mu() is None
+    one_mode = [Layer((), (0.0,), t) for t in (0.9, 0.5, 0.9)]
+    assert LayeredCircuit.from_layers(1, one_mode).uniform_mu() == 0.5 * 0.9**2
+    assert LayeredCircuit.from_layers(2, ()).uniform_mu() == 1.0
+    for modes, depth, tau in [(8, 5, 0.9), (7, 12, 0.73), (1, 3, 0.8), (200, 200, 0.98262)]:
+        assert random_brickwork(modes, depth, tau, make_stream(1)).uniform_mu() == tau**depth
 
 
 def _dense_transfer(circuit):

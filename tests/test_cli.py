@@ -14,7 +14,8 @@ import pytest
 
 import lossyboson.circuit
 from lossyboson import cli
-from lossyboson.circuit import circuit_to_json, random_brickwork, transfer_matrix
+from lossyboson.circuit import (circuit_from_json, circuit_to_json, random_brickwork,
+                                transfer_matrix)
 from lossyboson.cli import _write_rows, main
 from lossyboson.oracle import fock_output_distribution, lossy_exact_distribution
 from lossyboson.rng import make_stream
@@ -508,7 +509,32 @@ def _mixed_loss(tmp_path, hi, lo):
         layer["couplers"][0]["tau"] = lo
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps(doc))
+    assert circuit_from_json(path.read_text()).uniform_mu() is None
     return str(path)
+
+
+def test_layer_uniform_loss_samples_under_auto(tmp_path, capsys):
+    """Layers at 0.95, 0.9, 0.85 and 0.8, each shared by its gates and idle paths,
+    make uniform loss mu = 0.5814: auto takes MPS and plan reports mu**(1/4)."""
+    doc = json.loads(circuit_to_json(random_brickwork(8, 4, 1.0, make_stream(2))))
+    for layer, tau in zip(doc["layers"], (0.95, 0.9, 0.85, 0.8)):
+        layer["idle_tau"] = tau
+        for coupler in layer["couplers"]:
+            coupler["tau"] = tau
+    path = tmp_path / "layers.json"
+    path.write_text(json.dumps(doc))
+    mu = circuit_from_json(path.read_text()).uniform_mu()
+    assert mu == pytest.approx(0.5814, abs=1e-4)
+    assert main(["plan", "--circuit", str(path), "--photons", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["regime"] == "mps" and report["mu_effective"] == mu
+    assert report["tau"] == mu ** 0.25 and report["depth_threshold_exponential"] > 0
+    for mode in ("auto", "mps", "oracle"):
+        out = tmp_path / f"{mode}.jsonl"
+        assert main(["sample", "--circuit", str(path), "--photons", "4", "--seed", "1",
+                     "--samples", "20", "--mode", mode, "--out", str(out)]) == 0
+        regimes = {json.loads(line)["regime"] for line in out.read_text().splitlines()}
+        assert regimes == {"oracle" if mode == "oracle" else "mps"}
 
 
 @pytest.mark.parametrize("hi,lo", [(0.99, 0.98), (0.7, 0.6)])

@@ -245,10 +245,41 @@ def _mixed_brickwork(seed):
 
 def test_mixed_loss_mu_max_is_the_largest_svd_transmission_bit_for_bit():
     circuit = _mixed_brickwork(61)
-    assert circuit.uniform_tau() is None
+    assert circuit.uniform_mu() is None
     plan = build_sampler("thermal", circuit, (1, 0, 1, 0, 0, 0, 0), eps=0.05).plan
     svd = float(decompose_losses(transfer_matrix(circuit)).max())
     assert plan.mu_max == svd and svd != pytest.approx(0.9**30, rel=1e-3)
+
+
+def _layer_uniform_brickwork():
+    """8-mode depth-4 brickwork whose layers transmit 0.95, 0.9, 0.85 and 0.8."""
+    c = random_brickwork(8, 4, 1.0, make_stream(2))
+    taus = np.array([0.95, 0.9, 0.85, 0.8])
+    return dataclasses.replace(c, tau=taus[c.gate_layer()], idle_tau=taus)
+
+
+def test_layer_uniform_loss_samples_exactly_at_the_product_of_layer_transmissions():
+    """Loss uniform inside each layer commutes with the couplers: A = sqrt(mu) U.
+
+    The MPS rows are checked against the per-mode means sum_j |A_ij|^2 of the
+    lossy A itself; 4 sigma per mode over 8 modes has a false-alarm rate
+    below 1e-3 for the fixed seed."""
+    circuit = _layer_uniform_brickwork()
+    mu = circuit.uniform_mu()
+    assert mu == pytest.approx(0.95 * 0.9 * 0.85 * 0.8, rel=1e-15)
+    a, u = transfer_matrix(circuit), transfer_matrix(circuit.lossless_copy())
+    assert np.allclose(decompose_losses(a), mu, rtol=0.0, atol=1e-12)
+    assert np.allclose(a, math.sqrt(mu) * u, rtol=0.0, atol=1e-12)
+    pattern = (1, 1, 0, 1, 0, 1, 0, 0)
+    sampler = build_sampler("auto", circuit, pattern, eps=0.05)
+    assert sampler.regime == "mps" and sampler.plan.mu_max == mu
+    exact = lossy_exact_distribution(u, mu, pattern)
+    means = np.abs(a[:, np.flatnonzero(pattern)]) ** 2 @ np.ones(4)
+    assert np.allclose(exact.weights @ exact.outcomes, means, rtol=0.0, atol=1e-12)
+    sigma = np.sqrt(exact.weights @ (exact.outcomes - means) ** 2)
+    n = 20000
+    rows = sampler.draw(make_stream(3), n)
+    assert (np.abs(rows.mean(axis=0) - means) <= 4.0 * sigma / math.sqrt(n)).all()
 
 
 def _recording(monkeypatch):
