@@ -38,7 +38,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import numerics
 from .errors import ModelViolationError
 from .rng import RandomStream
 
@@ -267,33 +266,6 @@ def decompose_losses(a: np.ndarray) -> np.ndarray:
     return s * s
 
 
-def _angle(z: np.ndarray) -> np.ndarray:
-    """arg of each entry by ``math.atan2``; ``np.arctan2`` differs from it in the last bit."""
-    return np.array(list(map(math.atan2, z.imag.tolist(), z.real.tolist())))
-
-
-def _bs_params(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact decomposition u = diag(e^{ia}, e^{ib}) @ coupler(theta, phi) of a (G, 2, 2) stack.
-
-    Returns (theta, phi, a, b), each of shape (G,).  Valid for any 2x2
-    unitaries; the phases a, b belong in the layer's phase vector (phases act
-    after couplers).  Moduli come from ``np.hypot``, which matches Python's
-    ``abs`` of a complex bit for bit where ``np.abs`` does not.
-    """
-    u00, u01, u10, u11 = u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1]
-    r00, r01, r11 = (np.hypot(z.real, z.imag) for z in (u00, u01, u11))
-    theta = np.array(list(map(math.atan2, r01.tolist(), r00.tolist())))
-    mixed = r00 > 1e-12  # else a fully crossing coupler: cos(theta) = 0, diagonal phases free
-    arg01 = _angle(u01)
-    a = np.where(mixed, _angle(u00), 0.0)
-    phi = np.where(mixed, np.where(r01 > 1e-12, arg01 - a, 0.0), arg01)
-    from_u11 = mixed & (r11 > 1e-12)
-    b = np.empty_like(theta)
-    b[from_u11] = _angle(u11[from_u11])
-    b[~from_u11] = _angle(-u10[~from_u11]) + phi[~from_u11]
-    return theta, phi, a, b
-
-
 def random_brickwork(
     modes: int, depth: int, tau: float, rng: RandomStream
 ) -> LayeredCircuit:
@@ -302,8 +274,14 @@ def random_brickwork(
     Odd layers start at mode 0, even layers at mode 1.  Every gate carries
     intensity transmission ``tau`` and so does idle propagation, hence each
     mode sees sqrt(tau) in amplitude per layer and the total per-mode
-    transmission is tau**depth.  All Haar blocks are drawn in one stack, in
-    gate order, so the circuit equals one drawn gate by gate.
+    transmission is tau**depth.  Each coupler is drawn in its own
+    parameters, diag(e^{ia}, e^{ib}) @ coupler(theta, phi) with
+    cos(theta)**2 ~ U(0, 1) and phi, a, b ~ U(0, 2 pi): the Euler-angle form
+    of Haar measure on SU(2) times a uniform global phase, so the block is
+    Haar on U(2).  Its phases a, b join the layer's phase vector (phases act
+    after couplers).  The four uniforms are drawn gate-major, as one (G, 4)
+    array, so the circuit equals one drawn gate by gate and a deeper circuit
+    from the same stream extends a shallower one layer by layer.
     """
     if modes < 1:
         raise ValueError("need at least one mode")
@@ -316,12 +294,12 @@ def random_brickwork(
     offsets = (l + 1) // 2 * (modes // 2) + l // 2 * ((modes - 1) // 2)
     layer = np.repeat(l[:-1], np.diff(offsets))
     gate_mode = layer % 2 + 2 * (np.arange(offsets[-1]) - offsets[layer])
-    theta, phi, pa, pb = _bs_params(numerics.haar_unitary(2, rng, int(offsets[-1])))
+    cos2, phi, pa, pb = rng.random((int(offsets[-1]), 4)).T
     phases = np.zeros((depth, modes))
-    phases[layer, gate_mode] += pa
-    phases[layer, gate_mode + 1] += pb
-    return LayeredCircuit(modes, offsets, gate_mode, theta, phi, np.full(len(theta), tau),
-                          phases, np.full(depth, tau))
+    phases[layer, gate_mode] = 2 * math.pi * pa
+    phases[layer, gate_mode + 1] = 2 * math.pi * pb
+    return LayeredCircuit(modes, offsets, gate_mode, np.arccos(np.sqrt(cos2)), 2 * math.pi * phi,
+                          np.full(len(cos2), tau), phases, np.full(depth, tau))
 
 
 # ---------------------------------------------------------------------------

@@ -456,32 +456,32 @@ def test_sample_one_row_over_two_workers_writes_one_row(mode, tmp_path):
     assert len(json.loads(lines[0])["n"]) == 4
 
 
-# Sample SHA-256 of three small MPS runs, recorded when chain-rule draws began to
-# share prefixes, and of thermal, scattershot and oracle runs, recorded before the
-# thermal set-up dropped its loss factorisation.  scattershot_light_cone is the one
-# digest that changed then: its circuit is too shallow to connect every pair of
-# modes, A / sqrt(mu_max) keeps A's exact zeros where V diag(sqrt(mu)) W left
-# ~1e-16, and a Poisson(0) draw takes no random numbers.  A change to these bytes
-# must be deliberate and recorded.
+# Sample SHA-256 of three small MPS runs and of thermal, scattershot and oracle
+# runs, recorded when random_brickwork began to draw each coupler in its own Haar
+# parameters (every brickwork of a given seed changed then).  scattershot_light_cone's
+# circuit is too shallow to connect every pair of modes, so A / sqrt(mu_max) holds
+# exact zeros (see test_light_cone_pin_draws_through_exact_zeros), and a Poisson(0)
+# draw takes no random numbers.  A change to these bytes must be deliberate and
+# recorded.
 MIXED_LOSS = "mixed"  # stands for _mixed_loss(tmp_path, 0.5, 0.4): mu_max <= 0.125
 MPS_SAMPLE_SHA256 = {
-    "output_side": ({}, "29731cc8b0807ce5558bf7c00893d4542d5051bddea4ee1765145b279a3fb253"),
+    "output_side": ({}, "ed7afee6ad098247600134b86366ee16b82e80b7fe06b32151b9e8d29ef74296"),
     "input_side": ({"circuit": {"brickwork": {"modes": 8, "depth": 2, "tau": 0.5, "seed": 5}},
                     "photons": 4, "samples": 20},
-                   "e830ec7bb617dbbb0e695e2eb0981bd7b0d2314e4f72c13a3eeb37c6f10c8b21"),
+                   "9191eb0ca4b740d88ca45141c06567603ae5eeeb13a297628c7ae3dbf14d7709"),
     "three_workers": ({"workers": 3},
-                      "4f474e7a81a8319fd12691e69bf0220b43a52a3f1957d999711afb86c81beb32"),
+                      "af5178490fb52d82d424cc1606315bc7959cb17bd3c5baaeb01151c76eb1f1bd"),
     "thermal_mixed_loss": ({"circuit": MIXED_LOSS, "mode": "thermal"},
-                           "253545282d799ca4ff8571ff8efcec000f9d3d563f73596792883979d6554de0"),
+                           "7b57e1388257cf3339136ef60e56badd53b56becd2e511cecf3983bb413d75e2"),
     "scattershot": ({"circuit": {"brickwork": {"modes": 8, "depth": 8, "tau": 0.75, "seed": 5}},
                      "mode": "scattershot", "herald_lambda": 0.3},
-                    "36f5f100e0f20aa5b3820f46d19670cb93e9c8f37a6db2be644416dab7a529bb"),
+                    "cd47cb996deb1de8506737049fec22aec9c268738834559b27a803521bc8c9f0"),
     "scattershot_light_cone": ({"circuit": {"brickwork": {"modes": 8, "depth": 3, "tau": 0.5,
                                                           "seed": 5}},
                                 "mode": "scattershot", "herald_lambda": 0.3},
-                               "e6c8a3a714cd8bba7190deb4719171b50ad241365e4e7a2bcef1bfb26743080c"),
+                               "516ba809129cc9e96309ebd7e7fcd200fc4a975e64ab8fbaf0a4aeaa1ac96fde"),
     "oracle": ({"mode": "oracle"},
-               "c4bf25b223bfbe7c4410fe90b2422754dd48f94a586ed92fe4b02011001e454e"),
+               "ddab519788c4b80e3110362f0a7130ecd3f7152d7c7fb02799870bb32524ccc7"),
 }
 
 
@@ -500,6 +500,17 @@ def test_mps_sample_bytes_are_pinned(case, tmp_path):
         "photons": 3, "mode": "mps", "samples": 301, "seed": 4, "out": str(out), **settings}))
     assert main(["sample", "--config", str(cfg)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_light_cone_pin_draws_through_exact_zeros():
+    """The light-cone pin's A is exactly zero wherever its gate list connects no input
+    to the output, and nonzero elsewhere."""
+    c = random_brickwork(8, 3, 0.5, make_stream(5))
+    reach = np.eye(8, dtype=bool)  # reach[i, j]: input j can reach output i
+    for k in c.gate_mode.tolist():  # gates are listed layer by layer
+        reach[k] = reach[k + 1] = reach[k] | reach[k + 1]
+    a = transfer_matrix(c)
+    assert (~reach).any() and np.array_equal(a == 0, ~reach)
 
 
 def _mixed_loss(tmp_path, hi, lo):
