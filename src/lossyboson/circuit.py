@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import NamedTuple
@@ -185,12 +186,11 @@ class LayeredCircuit:
         ``tau**depth`` when all layers share one tau).
         """
         layer_tau = self.idle_tau.copy()
-        full = np.flatnonzero(2 * np.diff(self.offsets) == self.modes)  # no idle mode
-        layer_tau[full] = self.tau[self.offsets[full]]
+        full = 2 * np.diff(self.offsets) == self.modes  # layers with no idle mode
+        layer_tau[full] = self.tau[self.offsets[:-1][full]]
         if (self.tau != layer_tau[self.gate_layer()]).any():
             return None
-        values, counts = np.unique(layer_tau, return_counts=True)
-        return math.prod((t**k for t, k in zip(values.tolist(), counts.tolist())), start=1.0)
+        return math.prod((t**k for t, k in Counter(layer_tau.tolist()).items()), start=1.0)
 
 
 def coupler_blocks(theta, phi) -> np.ndarray:

@@ -227,9 +227,9 @@ def run_plan(cfg: dict) -> int:
     With a circuit the plan is the auto sampler's own, and ``tau`` is the
     per-layer mean mu**(1/D) of its uniform loss (null for mixed loss).
     Without one, the geometry ``modes``/``depth``/``tau`` gives
-    mu_max = tau**depth.  With
-    neither photons nor a pattern, N follows the density law k * M**gamma.
-    An infinite depth (no loss) is reported as null, as JSON has no infinity.
+    mu_max = tau**depth.  With neither photons nor a pattern, N follows the
+    density law k * M**gamma.  An infinite depth (no loss) is reported as
+    null, as JSON has no infinity.
     """
     eps = float(cfg["eps"])
     k, gamma = float(cfg["density_k"]), float(cfg["density_gamma"])

@@ -28,12 +28,12 @@ PERMANENT_CHUNK = 1 << 13
 def haar_unitary(m: int, rng: RandomStream, count: int | None = None) -> np.ndarray:
     """Draw an m-by-m unitary from the Haar measure, or a (count, m, m) stack.
 
-    The reference Haar law of the tests; ``circuit.random_brickwork`` draws
-    its 2x2 couplers in their own parameters instead.
     QR of a complex Ginibre matrix, with the R diagonal's phases divided out
     so the distribution is exactly Haar rather than QR-convention biased.
     Each matrix consumes m*m real then m*m imaginary normals, so a stack
-    equals ``count`` single draws from the same stream, bit for bit.
+    equals ``count`` single draws from the same stream, bit for bit.  It is
+    the tests' reference Haar law; ``circuit.random_brickwork`` draws its
+    2x2 couplers in their own parameters instead.
     """
     if m < 1:
         raise ValueError("matrix size must be >= 1")

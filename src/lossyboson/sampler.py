@@ -4,10 +4,10 @@
 :class:`Sampler` whose ``draw(rng, size)`` returns a ``(size, M)`` array of
 photon counts.  Circuit-level work is done once per sampler: the largest
 transmission mu_max that :func:`circuit.plan` reads (``circuit.uniform_mu()``,
-as the MPS and oracle sources get it, or the top loss-SVD value of the transfer
-matrix A for mixed loss); the columns of A a thermal source draws from, as
-A / sqrt(mu_max); the MPS lossless copy, gate tensors and evolved-state
-cache; the oracle's exact law.  MPS rows come from :func:`mps.sample`, which
+as the MPS and oracle sources get it, or the top loss-SVD value of the
+transfer matrix A for mixed loss); the columns of A a thermal source draws
+from, as A / sqrt(mu_max); the MPS lossless copy, gate tensors and
+evolved-state cache; the oracle's exact law.  MPS rows come from :func:`mps.sample`, which
 redraws its own underflowed rows.  Every source draws whole arrays:
 ``draw(inputs, rng)`` takes a (rows, K) 0/1 array that marks each row's
 occupied inputs among the source's K columns.  A fixed pattern is broadcast
@@ -174,8 +174,8 @@ def build_sampler(
     """Sampler for ``pattern`` through ``circuit`` in one of :data:`MODES`.
 
     The pattern is planned with :func:`circuit.plan` on the largest
-    transmission: ``circuit.uniform_mu()`` for uniform loss, the top loss-SVD value of the
-    transfer matrix for mixed loss.  ``auto`` takes the plan's regime and
+    transmission: ``circuit.uniform_mu()`` for uniform loss, the top
+    loss-SVD value of the transfer matrix for mixed loss.  ``auto`` takes the plan's regime and
     raises :class:`ModelViolationError` when it has none.  ``scattershot``
     heralds a collision-free input per row with squeezing ``herald_lambda``;
     the pattern's plan only steers its thermal-or-MPS inner source.  A
