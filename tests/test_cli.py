@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -527,13 +528,11 @@ def _mixed_loss(tmp_path, hi, lo):
 def test_layer_uniform_loss_samples_under_auto(tmp_path, capsys):
     """Layers at 0.95, 0.9, 0.85 and 0.8, each shared by its gates and idle paths,
     make uniform loss mu = 0.5814: auto takes MPS and plan reports mu**(1/4)."""
-    doc = json.loads(circuit_to_json(random_brickwork(8, 4, 1.0, make_stream(2))))
-    for layer, tau in zip(doc["layers"], (0.95, 0.9, 0.85, 0.8)):
-        layer["idle_tau"] = tau
-        for coupler in layer["couplers"]:
-            coupler["tau"] = tau
+    c = random_brickwork(8, 4, 1.0, make_stream(2))
+    taus = np.array([0.95, 0.9, 0.85, 0.8])
     path = tmp_path / "layers.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(circuit_to_json(dataclasses.replace(c, tau=taus[c.gate_layer()],
+                                                        idle_tau=taus)))
     mu = circuit_from_json(path.read_text()).uniform_mu()
     assert mu == pytest.approx(0.5814, abs=1e-4)
     assert main(["plan", "--circuit", str(path), "--photons", "4"]) == 0
