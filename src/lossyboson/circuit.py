@@ -396,14 +396,16 @@ class SimulationPlan:
     """The regime for N photons and the error ledger behind it.
 
     ``regime`` is "thermal", "mps", or None when neither backend is valid.
-    ``surrogate_error`` = N * mu_max**2 is the total-variation error of the
-    thermal surrogate; ``thermal_valid`` is whether it fits in ``eps``, which
-    is exactly when :func:`plan` chose "thermal".
+    ``photons`` is N, or the mean photon number of a mixture of inputs such
+    as scattershot's heralds.  ``surrogate_error`` = N * mu_max**2 bounds the
+    total-variation error of the thermal surrogate; ``thermal_valid`` is
+    whether it fits in ``eps``, which is exactly when :func:`plan` chose
+    "thermal".
     """
 
     regime: str | None
     mu_max: float
-    photons: int
+    photons: float
     rationale: str
 
     @property
@@ -415,7 +417,7 @@ class SimulationPlan:
         return self.regime == "thermal"
 
 
-def plan(mu_max: float, photons: int, eps: float, exact_backend: bool) -> SimulationPlan:
+def plan(mu_max: float, photons: float, eps: float, exact_backend: bool) -> SimulationPlan:
     """Choose the regime from the largest loss-SVD transmission mu_max.
 
     Thermal when N * mu_max**2 <= eps (boundary inclusive); otherwise exact

@@ -11,9 +11,12 @@ contracted with its two-site block, and one SVD of that block with the left
 Schmidt weights in front re-splits the bond without dividing by any weight
 (Hastings, J. Math. Phys. 50, 095207 (2009)); only singular values below
 1e-12 of the largest (exact zeros up to rounding) are dropped.
-``simulate_circuit`` sets every local dimension to d+1 with d the total
-photon number, so the simulation is exact and the bond dimension is bounded
-by (d+1)^(2*depth).
+``simulate_circuit`` caps each site at the photons of its light cone: the
+occupied inputs that the gate list can carry to it.  A coupler gives both of
+its modes the union of their input sets, so a site's set only grows and its
+final set bounds its photon number at every layer.  The evolution is
+therefore exact, and the bond dimension is bounded by (d+1)^(2*depth) with d
+the total photon number.
 
 Losses are handled by the caller (``sampler.MPSSource`` picks the end of the
 circuit at which uniform loss is applied).
@@ -49,7 +52,6 @@ __all__ = [
     "init_input",
     "coupler_fock_amplitudes",
     "coupler_mpo",
-    "fock_gates",
     "apply_phase",
     "apply_coupler",
     "outcome_probability",
@@ -94,21 +96,28 @@ class MPSState:
         return tuple(len(s) for s in self.schmidts)
 
 
-def init_input(pattern, d: int) -> MPSState:
-    """Product Fock state |pattern> as an MPS with local dimension d+1."""
-    if d < 1:
-        raise ValueError(f"local photon cutoff must be >= 1, got {d}")
+def init_input(pattern, d) -> MPSState:
+    """Product Fock state |pattern> as an MPS; site i has local dimension d_i + 1.
+
+    ``d`` is one photon cutoff for every site, at least 1 as for
+    :func:`coupler_fock_amplitudes`, or a sequence of per-site cutoffs, where
+    a site capped at 0 is always vacuum.
+    """
     pattern = [int(n) for n in pattern]
+    if np.ndim(d) == 0:
+        if d < 1:
+            raise ValueError(f"local photon cutoff must be >= 1, got {d}")
+        d = [d] * len(pattern)
+    caps = [int(c) for c in d]
     if not pattern:
         raise ValueError("input pattern must cover at least one mode")
     if any(n < 0 for n in pattern):
         raise ValueError("photon counts must be non-negative")
-    if max(pattern) > d:
-        raise ValueError(f"pattern entry {max(pattern)} exceeds cutoff d={d}")
-    q = d + 1
+    if len(caps) != len(pattern) or any(n > c for n, c in zip(pattern, caps)):
+        raise ValueError(f"pattern {pattern} does not fit the site cutoffs {caps}")
     tensors = []
-    for n in pattern:
-        t = np.zeros((q, 1, 1), dtype=complex)
+    for n, c in zip(pattern, caps):
+        t = np.zeros((c + 1, 1, 1), dtype=complex)
         t[n, 0, 0] = 1.0
         tensors.append(t)
     return MPSState(tensors, [np.ones(1) for _ in range(len(pattern) - 1)])
@@ -198,11 +207,6 @@ def coupler_mpo(block: np.ndarray, d: int) -> CouplerMPO:
     x_left = u.reshape(q, q, -1)
     x_right = vh.T.reshape(q, q, -1)
     return CouplerMPO(x_left=x_left, sigmas=sig, x_right=x_right)
-
-
-def fock_gates(circuit: LayeredCircuit, d: int) -> list:
-    """Fock tensor of every coupler of ``circuit`` at cutoff d, in application order."""
-    return [coupler_fock_amplitudes(b, d) for b in coupler_blocks(circuit.theta, circuit.phi)]
 
 
 def apply_phase(state: MPSState, mode: int, theta: float) -> MPSState:
@@ -456,13 +460,19 @@ def simulate_circuit(
 ) -> MPSState:
     """Evolve |pattern> through a lossless circuit, layer by layer.
 
-    The per-mode photon cutoff is the total photon number d (at least 1),
-    which makes the evolution exact.  ``gates`` are the couplers' Fock
-    tensors in application order (``fock_gates(circuit, c)``) at any cutoff
-    c >= d; each is sliced to d+1 per index, which equals a build at d since
-    a coupler's Fock amplitudes do not depend on the cutoff.  Pass them to
-    reuse one build across patterns, otherwise they are built here.  Loss is
-    the caller's (see ``sampler.MPSSource``): pass ``circuit.lossless_copy()``.
+    Site i's photon cutoff is the number of input photons in its light cone:
+    the inputs that the gate list connects to output i.  No photon reaches a
+    site from outside that set at any layer, so truncating to it drops only
+    exact zeros and the evolution is exact.  A coupler whose two sites are
+    both capped at 0 acts on vacuum alone and is skipped.
+
+    ``gates`` caches the couplers' Fock tensors across calls: one entry per
+    coupler in application order, ``None`` until built.  An entry missing or
+    smaller than the larger cutoff of its two sites is (re)built at that
+    cutoff and stored in the list; each is sliced to its two sites' own
+    dimensions, which equals a build at them since a coupler's Fock
+    amplitudes do not depend on the cutoff.  Loss is the caller's (see
+    ``sampler.MPSSource``): pass ``circuit.lossless_copy()``.
 
     Raises
     ------
@@ -476,22 +486,33 @@ def simulate_circuit(
             "simulate_circuit needs lossless blocks; thin the input by the uniform loss "
             "and pass circuit.lossless_copy()"
         )
-    pattern = [int(x) for x in pattern]
+    pattern = np.array([int(x) for x in pattern], dtype=int)
     if len(pattern) != circuit.modes:
         raise ValueError(
             f"pattern covers {len(pattern)} modes, circuit has {circuit.modes}"
         )
-    d = max(1, sum(pattern))
     if gates is None:
-        gates = fock_gates(circuit, d)
+        gates = [None] * len(circuit.gate_mode)
     elif len(gates) != len(circuit.gate_mode):
         raise ValueError("need one gate tensor per coupler of the circuit")
-    state = init_input(pattern, d)
-    gate_mode, offsets = circuit.gate_mode.tolist(), circuit.offsets.tolist()
+    offsets = circuit.offsets.tolist()
+    reach = np.eye(circuit.modes, dtype=bool)  # reach[i, j]: input j can reach site i
+    for l in range(circuit.depth):
+        k = circuit.gate_mode[offsets[l]:offsets[l + 1]]  # disjoint pairs: a layer at once
+        reach[k] = reach[k + 1] = reach[k] | reach[k + 1]
+    state = init_input(pattern, reach @ pattern)
+    q = [len(t) for t in state.tensors]
+    blocks = coupler_blocks(circuit.theta, circuit.phi)
+    gate_mode = circuit.gate_mode.tolist()
     for l, phases in enumerate(circuit.phases.tolist()):
         for g in range(offsets[l], offsets[l + 1]):
-            gate = gates[g][: d + 1, : d + 1, : d + 1, : d + 1]
-            state = apply_coupler(state, gate_mode[g], gate, max_bond)
+            k = gate_mode[g]
+            qa, qb = q[k], q[k + 1]
+            if qa == qb == 1:
+                continue
+            if gates[g] is None or len(gates[g]) < max(qa, qb):
+                gates[g] = coupler_fock_amplitudes(blocks[g], max(qa, qb) - 1)
+            state = apply_coupler(state, k, gates[g][:qa, :qb, :qa, :qb], max_bond)
         for i, theta in enumerate(phases):
             if theta != 0.0:
                 state = apply_phase(state, i, theta)

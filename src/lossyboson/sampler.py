@@ -79,26 +79,24 @@ class MPSSource:
     thinned with ``rng.binomial(counts, mu)``.  Otherwise every input photon
     is kept with probability mu and the survivors are drawn through the
     lossless circuit, which evolves only smaller states.  Evolved states are
-    cached by the pattern they start from.  Gate tensors are built at the
-    largest cutoff met so far; ``mps.simulate_circuit`` slices them to each
-    pattern's own.
+    cached by the pattern they start from.  ``gates`` holds one Fock tensor
+    per coupler, or ``None`` for a coupler that has only met vacuum;
+    ``mps.simulate_circuit`` builds each at the larger light-cone cutoff of
+    its two sites, rebuilds it only when a later pattern needs a larger one,
+    and slices it to each pattern's own site dimensions.
     """
 
     def __init__(self, circuit: circ.LayeredCircuit, mu: float, max_bond: int):
         self.mu = mu
         self.lossless = circuit.lossless_copy()
         self.max_bond = max_bond
-        self.gates: list = []  # Fock tensor of every coupler at cutoff self.gate_cutoff
-        self.gate_cutoff = 0
+        self.gates: list = [None] * len(circuit.gate_mode)
         self.states: dict = {}  # input pattern -> canonical evolved state
 
     def state(self, pattern: tuple) -> mps.MPSState:
         if pattern not in self.states:
             if len(self.states) >= 4096:
                 self.states.clear()  # unbounded pattern variety: keep memory flat
-            d = max(1, sum(pattern))
-            if d > self.gate_cutoff:
-                self.gates, self.gate_cutoff = mps.fock_gates(self.lossless, d), d
             self.states[pattern] = mps.canonicalize(
                 mps.simulate_circuit(self.lossless, pattern, self.max_bond, self.gates))
         return self.states[pattern]
@@ -177,10 +175,13 @@ def build_sampler(
     transmission: ``circuit.uniform_mu()`` for uniform loss, the top
     loss-SVD value of the transfer matrix for mixed loss.  ``auto`` takes the plan's regime and
     raises :class:`ModelViolationError` when it has none.  ``scattershot``
-    heralds a collision-free input per row with squeezing ``herald_lambda``;
-    the pattern's plan only steers its thermal-or-MPS inner source.  A
-    thermal sampler outside the bound N * mu_max**2 <= eps warns once;
-    ``mps`` or ``oracle`` on mixed loss raises ``ValueError``.
+    heralds a collision-free input per row with squeezing ``herald_lambda``,
+    so each row carries its own photon number N_h and the pattern is not
+    used.  The herald mixture is within the mean of the per-herald bounds,
+    E[N_h] * mu_max**2, of the exact law, so its thermal-or-MPS inner source
+    is planned on the mean E[N_h] = M * lam / (1 + lam).  A thermal sampler
+    outside its bound warns once; ``mps`` or ``oracle`` on mixed loss raises
+    ``ValueError``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose one of {', '.join(MODES)}")
@@ -188,7 +189,9 @@ def build_sampler(
     mu = circuit.uniform_mu()
     a = circ.transfer_matrix(circuit) if mu is None else None  # mixed loss: SVD of all of A
     mu_max = mu if a is None else float(circ.decompose_losses(a).max())
-    decision = circ.plan(mu_max, sum(pattern), eps, exact_backend=mu is not None)
+    photons = (circuit.modes * herald_lambda / (1.0 + herald_lambda) if mode == "scattershot"
+               else sum(pattern))
+    decision = circ.plan(mu_max, photons, eps, exact_backend=mu is not None)
     if mode == "auto":
         if decision.regime is None:
             raise ModelViolationError(decision.rationale)

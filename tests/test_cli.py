@@ -340,6 +340,27 @@ def test_sample_scattershot_smoke(shallow_lossless, capsys):
     assert len(lines) == 5
 
 
+def test_scattershot_is_planned_on_the_mean_herald_photon_number(tmp_path):
+    """The one-photon pattern alone would pass N * mu**2 = 0.0576 <= eps = 0.06, but the
+    heralds average M * lam / (1 + lam) = 3.43 photons, so the bound is 0.198 and every
+    row comes from the exact MPS source; each mode's mean is p * mu (A = sqrt(mu) * U)."""
+    out = tmp_path / "s.jsonl"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "circuit": {"brickwork": {"modes": 12, "depth": 4, "tau": 0.7, "seed": 3}},
+        "photons": 1, "mode": "scattershot", "herald_lambda": 0.4, "eps": 0.06,
+        "samples": 2000, "seed": 1, "out": str(out)}))
+    assert main(["sample", "--config", str(cfg)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == 2000 and {r["regime"] for r in rows} == {"mps"}
+    meta = json.loads(Path(str(out) + ".meta.json").read_text())
+    p, mu = 0.4 / 1.4, 0.7**4
+    assert meta["regime"] == "mps" and meta["photons"] == pytest.approx(12 * p)
+    assert meta["thresholds"]["surrogate_error"] == pytest.approx(12 * p * mu**2)
+    counts = np.array([r["n"] for r in rows])
+    assert (np.abs(counts.mean(axis=0) - p * mu) <= 5.0 * counts.std(axis=0) / 2000**0.5).all()
+
+
 def test_sample_scattershot_builds_transfer_matrix_once(deep_lossy, monkeypatch, capsys):
     calls = []
     original = lossyboson.circuit.transfer_matrix

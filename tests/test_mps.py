@@ -1,12 +1,15 @@
 """Tests for the matrix-product-state backend."""
 
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 from lossyboson import mps
-from lossyboson.circuit import coupler_blocks, random_brickwork, transfer_matrix
+from lossyboson.circuit import (circuit_from_json, coupler_blocks, random_brickwork,
+                                transfer_matrix)
 from lossyboson.errors import CapacityError
 from lossyboson.mps import (
     apply_coupler,
@@ -51,6 +54,18 @@ def test_init_input_rejects_occupation_over_cutoff():
 def test_init_input_rejects_empty_cutoff():
     with pytest.raises(ValueError):
         init_input((0, 0), d=0)
+
+
+def test_init_input_takes_per_site_cutoffs_down_to_vacuum():
+    st = init_input((0, 2, 0), [0, 3, 1])
+    assert [len(t) for t in st.tensors] == [1, 4, 2]
+    assert outcome_probability(st, (0, 2, 0)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("caps", [[0, 1], [1], [1, 1, 1]])
+def test_init_input_rejects_per_site_cutoffs_that_miss_the_pattern(caps):
+    with pytest.raises(ValueError):
+        init_input((1, 0), caps)
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +317,92 @@ def test_simulate_rejects_lossy_circuit():
         simulate_circuit(circuit, (1, 0, 0, 0))
 
 
+def _light_cone_caps(circuit, pattern) -> list:
+    """Photons each site can receive: every input's set of reachable sites, followed
+    gate by gate (a layer's couplers are disjoint, so their order within it is free)."""
+    sets = [{j} for j in range(circuit.modes)]
+    for k in circuit.gate_mode.tolist():
+        sets[k] = sets[k + 1] = sets[k] | sets[k + 1]
+    return [sum(pattern[j] for j in s) for s in sets]
+
+
+def _uniform_cutoff_evolution(circuit, pattern):
+    """Reference: every site at cutoff max(1, N) and every coupler applied at it."""
+    d = max(1, sum(pattern))
+    state = init_input(pattern, d)
+    blocks = coupler_blocks(circuit.theta, circuit.phi)
+    for l in range(circuit.depth):
+        for g in range(circuit.offsets[l], circuit.offsets[l + 1]):
+            state = apply_coupler(state, int(circuit.gate_mode[g]),
+                                  coupler_fock_amplitudes(blocks[g], d))
+        for i, theta in enumerate(circuit.phases[l].tolist()):
+            state = apply_phase(state, i, theta)
+    return state
+
+
+def _unordered_json_circuit():
+    """7 modes, 3 layers whose couplers are listed against mode order, read from JSON."""
+    rng = make_stream(91)
+    layers = [{"phases": rng.uniform(0.0, 2.0 * math.pi, 7).tolist(),
+               "couplers": [{"mode": k, "theta": float(rng.uniform(0.1, 1.4)),
+                             "phi": float(rng.uniform(0.0, 2.0 * math.pi))} for k in modes]}
+              for modes in ([4, 0], [5, 1], [2, 0, 4])]
+    return circuit_from_json(json.dumps({"modes": 7, "layers": layers}))
+
+
+LIGHT_CONE_CASES = [
+    ("brickwork", (7, 2, 1), (1, 1, 0, 0, 0, 0, 0)),
+    ("brickwork", (8, 3, 2), (0, 1, 0, 2, 0, 0, 0, 0)),
+    ("brickwork", (6, 4, 3), (1, 0, 1, 0, 1, 0)),
+    ("brickwork", (5, 1, 4), (0, 0, 0, 0, 1)),
+    ("brickwork", (9, 2, 5), (0, 0, 0, 0, 2, 1, 0, 0, 0)),
+    ("brickwork", (6, 2, 6), (0,) * 6),
+    ("json", None, (0, 0, 0, 2, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("kind, size, pattern", LIGHT_CONE_CASES)
+def test_light_cone_evolution_matches_uniform_cutoff_evolution(kind, size, pattern):
+    """Each site's dimension is its light-cone cap + 1; the state has the probabilities
+    and Schmidt values of an evolution with every site at N + 1; each coupler's gate is
+    built at the larger cap of its two sites, and never for two vacuum sites."""
+    if kind == "json":
+        circuit = _unordered_json_circuit()
+    else:
+        modes, depth, seed = size
+        circuit = random_brickwork(modes, depth, 1.0, make_stream(700 + seed))
+    caps = _light_cone_caps(circuit, pattern)
+    gates = [None] * len(circuit.gate_mode)
+    st = simulate_circuit(circuit, pattern, gates=gates)
+    ref = _uniform_cutoff_evolution(circuit, pattern)
+    assert [len(t) for t in st.tensors] == [c + 1 for c in caps]
+    if kind == "json":
+        assert caps == [0, 0, 2, 2, 1, 1, 1]
+    for k, gate in zip(circuit.gate_mode.tolist(), gates):
+        need = max(caps[k], caps[k + 1])
+        assert (gate is None) if need == 0 else gate.shape == (need + 1,) * 4
+    n = sum(pattern)
+    for cells in itertools.combinations_with_replacement(range(circuit.modes), n):
+        outcome = np.bincount(np.array(cells, dtype=int), minlength=circuit.modes)
+        assert outcome_probability(st, outcome) == pytest.approx(
+            outcome_probability(ref, outcome), abs=1e-12)
+    assert st.bond_dims == ref.bond_dims
+    for got, want in zip(st.schmidts, ref.schmidts):
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 def test_simulate_slices_gates_built_at_a_larger_cutoff():
+    """Gates built at cutoff 5 are sliced to each coupler's two light-cone dimensions,
+    not rebuilt, and give the state a build at those dimensions gives."""
     circuit = random_brickwork(6, 3, 1.0, make_stream(72))
     pattern = (1, 0, 1, 0, 0, 0)
-    sliced = simulate_circuit(circuit, pattern, gates=mps.fock_gates(circuit, 5))
+    gates = [coupler_fock_amplitudes(b, 5) for b in coupler_blocks(circuit.theta, circuit.phi)]
+    held = list(gates)
+    sliced = simulate_circuit(circuit, pattern, gates=gates)
     built = simulate_circuit(circuit, pattern)
-    assert [len(t) for t in sliced.tensors] == [3] * 6
+    assert all(g is h for g, h in zip(gates, held))
+    assert [len(t) for t in sliced.tensors] == [3, 3, 3, 3, 2, 2]
+    assert [c + 1 for c in _light_cone_caps(circuit, pattern)] == [3, 3, 3, 3, 2, 2]
     for got, want in zip(sliced.tensors + sliced.schmidts, built.tensors + built.schmidts):
         assert np.array_equal(got, want)
 
@@ -384,7 +479,8 @@ def _per_row_sample(state, rng, size):
 
 @pytest.fixture(scope="module")
 def shallow_state():
-    """The 7-photon state of a 14-mode, depth-3 brickwork: bonds up to 28, q = 8."""
+    """The 7-photon state of a 14-mode, depth-3 brickwork: bonds up to 28, light-cone
+    dimensions from 7 down to 1."""
     circuit = random_brickwork(14, 3, 1.0, make_stream(85))
     return canonicalize(simulate_circuit(circuit, (1,) * 7 + (0,) * 7))
 

@@ -114,8 +114,11 @@ def test_gate_tensors_sliced_from_one_build_match_per_pattern_build():
         row[rng.choice(6, size=rng.integers(1, 5), replace=False)] = 1
     source = MPSSource(circuit, 0.85**3, max_bond=4096)
     source.draw(inputs, rng)
-    cutoffs = {max(1, sum(p)) for p in source.states}
-    assert len(cutoffs) >= 3 and source.gate_cutoff == max(cutoffs) == 4
+    assert len({sum(p) for p in source.states}) >= 3
+    # each coupler's gate is held at the largest light-cone cutoff its two sites met
+    dims = np.array([[len(t) for t in st.tensors] for st in source.states.values()])
+    for k, gate in zip(circuit.gate_mode.tolist(), source.gates):
+        assert len(gate) == dims[:, k:k + 2].max()
     for pattern, state in source.states.items():
         ref = canonicalize(simulate_circuit(circuit.lossless_copy(), pattern))
         for got, want in zip(state.schmidts, ref.schmidts):
@@ -125,6 +128,25 @@ def test_gate_tensors_sliced_from_one_build_match_per_pattern_build():
             assert outcome_probability(state, outcome) == pytest.approx(
                 outcome_probability(ref, outcome), abs=1e-12
             )
+
+
+def test_gates_are_built_for_reached_couplers_and_rebuilt_only_to_grow():
+    """A pattern's vacuum couplers get no gate; a later pattern reuses every gate large
+    enough for its own cutoffs and rebuilds only the others, at the larger cutoff."""
+    circuit = random_brickwork(6, 3, 0.85, make_stream(42))
+    modes = circuit.gate_mode.tolist()
+    source = MPSSource(circuit, 0.85**3, max_bond=4096)
+    source.state((0, 0, 0, 0, 0, 1))  # light-cone cutoffs [0, 0, 1, 1, 1, 1]
+    assert [g is None for g in source.gates] == [k == 0 for k in modes]
+    source.state((1, 1, 0, 1, 0, 0))  # [3, 3, 3, 3, 1, 1]
+    held = list(source.gates)
+    assert [len(g) for g in held] == [4 if k < 4 else 2 for k in modes]
+    source.state((1, 0, 0, 0, 0, 0))  # [1, 1, 1, 1, 0, 0]
+    assert all(g is h for g, h in zip(source.gates, held))
+    source.state((0, 0, 1, 1, 1, 1))  # [2, 2, 4, 4, 4, 4]
+    for k, gate, old in zip(modes, source.gates, held):
+        assert (gate is old) if k == 0 else len(gate) == 5
+    assert len(source.states) == 4
 
 
 def test_mps_draw_is_deterministic_under_seed():
