@@ -9,18 +9,21 @@ Four commands over a shared option set:
 
 Settings resolve in order: built-in defaults, then the ``--config`` JSON
 file, then ``LOSSYBOSON_*`` environment variables, then command-line flags.
-Exit codes: 0 success, 1 usage/input error, 2 model violation (or failed
-validation), 3 capacity exceeded.
+Exit codes: 0 success, 1 usage/input error (or standard output closed
+early by its reader), 2 model violation (or failed validation), 3 capacity
+exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -32,7 +35,7 @@ from .numerics import Distribution, row_groups, total_variation
 from .rng import make_stream, split_stream
 from .sampler import MODES, build_sampler
 
-__all__ = ["main", "run_plan", "run_sample", "run_validate", "run_stats"]
+__all__ = ["main", "entry", "run_plan", "run_sample", "run_validate", "run_stats"]
 
 COMMANDS = ("plan", "sample", "validate", "stats")
 FORMATS = ("jsonl", "csv")
@@ -598,5 +601,29 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> None:
+    """Process entry of the ``lossyboson`` script and of ``python -m lossyboson.cli``.
+
+    Runs ``main`` on ``sys.argv`` and exits with its code.  Everything
+    imported so far is frozen out of the garbage collector: the ~22 000
+    objects numpy and this package leave live until exit, and without the
+    freeze the interpreter's final collections walk them all, 15-21 ms of
+    every benchmark run on a 2-vCPU machine.  A warning prints as one
+    ``warning:`` line.  A reader that closes standard output early
+    (``| head``) ends the run with exit code 1 and no traceback, as the
+    "Note on SIGPIPE" in Python's ``signal`` docs describes: what is still
+    buffered goes to devnull.
+    """
+    gc.freeze()
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import ast
 import dataclasses
 import hashlib
 import io
@@ -846,6 +847,91 @@ def test_sampling_every_regime_leaves_numpy_ma_and_scipy_unloaded(tmp_path):
                    env={**os.environ, "PYTHONPATH": src})
     for _, mode in runs:
         assert len((tmp_path / f"{mode}.jsonl").read_text().splitlines()) == 20
+
+
+# ---------------------------------------------------------------------------
+# process entry
+# ---------------------------------------------------------------------------
+
+
+def _cli_env():
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(lossyboson.__file__))}
+
+
+def _cli_process(*args):
+    """``python -m lossyboson.cli ARGS`` run to completion in a fresh process."""
+    return subprocess.run([sys.executable, "-m", "lossyboson.cli", *args], capture_output=True,
+                          text=True, env=_cli_env(), timeout=120)
+
+
+@pytest.mark.parametrize("mode", ["thermal", "mps", "oracle", "scattershot"])
+def test_process_writes_the_bytes_of_in_process_main(mode, tmp_path):
+    deep = {"brickwork": {"modes": 6, "depth": 30, "tau": 0.8, "seed": 1}}
+    shallow = {"brickwork": {"modes": 4, "depth": 2, "tau": 0.9, "seed": 1}}
+    outputs = []
+    for side in ("main", "process"):
+        out = tmp_path / f"{side}.jsonl"
+        cfg = tmp_path / f"{side}.json"
+        cfg.write_text(json.dumps({"circuit": deep if mode in ("thermal", "scattershot")
+                                   else shallow, "mode": mode, "photons": 2, "samples": 50,
+                                   "seed": 3, "out": str(out)}))
+        argv = ["sample", "--config", str(cfg)]
+        if side == "main":
+            assert main(argv) == 0
+        else:
+            proc = _cli_process(*argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        outputs.append((out.read_bytes(), Path(f"{out}.meta.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0].splitlines()) == 50
+
+
+@pytest.mark.parametrize("code,prefix", [(1, "usage error:"), (2, "model violation:"),
+                                         (3, "capacity exceeded:")])
+def test_process_exit_codes(code, prefix, shallow_lossless, tmp_path):
+    """A bad flag, auto on mixed loss outside the thermal bound, and a bond cap of 1."""
+    extra = {1: ["--no-such-flag"],
+             2: ["--circuit", _mixed_loss(tmp_path, 0.99, 0.98)],
+             3: ["--circuit", shallow_lossless, "--mode", "mps", "--max-bond", "1"]}[code]
+    proc = _cli_process("sample", "--photons", "2", "--seed", "1", "--samples", "20", *extra)
+    assert proc.returncode == code and proc.stdout == ""
+    assert proc.stderr.startswith(prefix) and len(proc.stderr.splitlines()) == 1
+
+
+def test_process_closed_stdout_exits_1_without_traceback(tmp_path):
+    """The reader takes one row of about 7 MB of output and closes the pipe."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"circuit": {"brickwork": {"modes": 6, "depth": 3, "tau": 0.9,
+                                                         "seed": 1}},
+                               "photons": 3, "mode": "mps", "samples": 200_000, "seed": 1}))
+    with subprocess.Popen([sys.executable, "-m", "lossyboson.cli", "sample", "--config",
+                           str(cfg)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_cli_env()) as proc:
+        assert json.loads(proc.stdout.readline())["regime"] == "mps"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_process_forced_thermal_warns_on_one_line(tmp_path):
+    proc = _cli_process("sample", "--circuit", _mixed_loss(tmp_path, 0.7, 0.6), "--photons",
+                        "3", "--seed", "1", "--samples", "20", "--mode", "thermal")
+    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 20
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("warning: N*mu_max^2 = ") and line.endswith("mode was requested")
+
+
+def test_script_target_is_the_function_the_main_block_calls():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["lossyboson"]
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [call] = block.body
+    assert target == f"lossyboson.cli:{call.value.func.id}"
+    assert callable(getattr(cli, call.value.func.id))
 
 
 # ---------------------------------------------------------------------------
