@@ -21,11 +21,11 @@ the total photon number.
 Losses are handled by the caller (``sampler.MPSSource`` picks the end of the
 circuit at which uniform loss is applied).
 
-Rows are drawn from a canonical state by the chain rule over modes.  The
-law of mode i's count depends only on the counts of modes 0..i-1, so
-``sample`` works it out once per distinct prefix: products of at most
-:data:`SAMPLE_BLOCK` prefixes at a time, one ``rng.random(size)`` draw per
-mode in mode order.  Rows whose prefix probability underflows are redrawn
+Rows are drawn from the state ``simulate_circuit`` returns, as it is, by the
+chain rule over modes.  Mode i's law depends only on the counts of modes
+0..i-1, so ``sample`` works it out once per distinct prefix: products of at
+most :data:`SAMPLE_BLOCK` prefixes at a time, one ``rng.random(size)`` draw
+per mode in mode order.  Rows whose prefix probability underflows are redrawn
 by ``sample`` itself, at most :data:`RESAMPLE_ROUNDS` draws in all, so it
 returns only trustworthy rows or raises :class:`CapacityError`.
 """
@@ -306,12 +306,11 @@ def canonical_defect(state: MPSState) -> float:
 
 
 def canonicalize(state: MPSState) -> MPSState:
-    """Full two-sweep re-orthogonalization into exact canonical form.
+    """Bring a hand-built state into normalized canonical form by two sweeps.
 
-    A left-to-right QR sweep makes the chain left-orthonormal and isolates
-    the norm; a right-to-left SVD sweep then extracts the Schmidt vectors
-    and leaves every site right-canonical, so its tensors are the result's.
-    The result is normalized.
+    A left-to-right QR sweep isolates the norm; a right-to-left SVD sweep then
+    extracts the Schmidt vectors and leaves every site right-canonical.
+    ``sample`` draws from ``simulate_circuit``'s states without it.
     """
     m = state.modes
     tensors = [t.astype(complex) for t in state.tensors]
@@ -349,7 +348,8 @@ def _block_vectors(prefix: np.ndarray, mat: np.ndarray, q: int, start: int) -> n
 def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
     """Draw ``size`` photon-count patterns by the chain rule over modes.
 
-    Requires canonical form (run ``canonicalize`` once before drawing).
+    Takes ``simulate_circuit``'s state as it is, or a hand-built one after
+    ``canonicalize``; each mode's law is normalised, so the norm is free.
     Rows whose prefix probability underflows (< 1e-300) are redrawn, in
     stream order, until none is left; a row still flagged after
     :data:`RESAMPLE_ROUNDS` draws in all raises :class:`CapacityError`.

@@ -91,14 +91,14 @@ class MPSSource:
         self.lossless = circuit.lossless_copy()
         self.max_bond = max_bond
         self.gates: list = [None] * len(circuit.gate_mode)
-        self.states: dict = {}  # input pattern -> canonical evolved state
+        self.states: dict = {}  # input pattern -> evolved state, drawn from as it is
 
     def state(self, pattern: tuple) -> mps.MPSState:
         if pattern not in self.states:
             if len(self.states) >= 4096:
                 self.states.clear()  # unbounded pattern variety: keep memory flat
-            self.states[pattern] = mps.canonicalize(
-                mps.simulate_circuit(self.lossless, pattern, self.max_bond, self.gates))
+            self.states[pattern] = mps.simulate_circuit(
+                self.lossless, pattern, self.max_bond, self.gates)
         return self.states[pattern]
 
     def draw(self, inputs: np.ndarray, rng: RandomStream) -> np.ndarray:

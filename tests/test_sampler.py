@@ -203,6 +203,39 @@ def test_mps_draw_keeps_the_stream_order_of_regrouping_draw():
     assert np.array_equal(got, want)
 
 
+def test_sampling_path_never_canonicalizes(monkeypatch):
+    """Rows are drawn from the evolved states as they are: on the output side,
+    on the input side and through scattershot's MPS inner source."""
+
+    def refuse(state):
+        raise AssertionError("canonicalize called on the sampling path")
+
+    evolved = []
+
+    def recording_simulate(circuit, pattern, *args):
+        evolved.append(tuple(int(x) for x in pattern))
+        return simulate_circuit(circuit, pattern, *args)
+
+    monkeypatch.setattr(mps, "canonicalize", refuse)
+    monkeypatch.setattr(mps, "simulate_circuit", recording_simulate)
+    pattern = (1, 1, 0, 1, 0)
+    for tau, at_output in ((0.8, True), (0.1, False)):
+        evolved.clear()
+        sampler = build_sampler("mps", random_brickwork(5, 2, tau, make_stream(40)), pattern,
+                                eps=0.05)
+        rows = sampler.draw(make_stream(41), 2000)
+        assert sampler.regime == "mps" and rows.shape == (2000, 5)
+        if at_output:  # one 3-photon state, thinned at the output
+            assert evolved == [pattern]
+        else:  # only thinned patterns, never the full state
+            assert evolved and all(sum(p) < 3 for p in evolved)
+    evolved.clear()
+    sampler = build_sampler("scattershot", random_brickwork(3, 2, 1.0, make_stream(47)),
+                            (1, 0, 0), eps=0.05, herald_lambda=0.3)
+    rows = sampler.draw(make_stream(49), 500)
+    assert sampler.regime == "mps" and rows.shape == (500, 3) and len(evolved) > 1
+
+
 def test_scattershot_draw_matches_exact_heralded_law():
     """Collision-free heralds have P(h) proportional to lam**|h|; each feeds the lossless law."""
     circuit = random_brickwork(3, 2, 1.0, make_stream(47))
