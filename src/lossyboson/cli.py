@@ -373,6 +373,7 @@ def run_sample(cfg: dict) -> int:
                 out = (open(out_path, "w", encoding="utf-8", newline="\n") if out_path
                        else sys.stdout)
             _write_rows(out, rows, sampler.regime, fmt)
+            del rows  # the next stream draws without this one's counts
     finally:
         if out is not None and out is not sys.stdout:
             out.close()

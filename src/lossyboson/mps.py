@@ -281,10 +281,15 @@ def outcome_probability(state: MPSState, pattern) -> float:
 
 
 def state_norm(state: MPSState) -> float:
-    """<psi|psi> by direct transfer-matrix contraction (no canonicity assumed)."""
+    """<psi|psi> by direct transfer-matrix contraction (no canonicity assumed).
+
+    Each site is taken in two pairwise products, rho[a, b] B[n, b, d] and then
+    the sum over (n, a) against conj(B), so a site costs O(q * chi**3).
+    """
     rho = np.ones((1, 1), dtype=complex)
     for t in state.tensors:
-        rho = np.einsum("ab,nac,nbd->cd", rho, t.conj(), t)
+        chi_r = t.shape[2]
+        rho = t.reshape(-1, chi_r).conj().T @ (rho @ t).reshape(-1, chi_r)
     return float(rho[0, 0].real)
 
 
@@ -345,7 +350,8 @@ def _block_vectors(prefix: np.ndarray, mat: np.ndarray, q: int, start: int) -> n
     return block.reshape(len(block), q, -1)
 
 
-def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
+def sample(state: MPSState, rng: RandomStream, size: int,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Draw ``size`` photon-count patterns by the chain rule over modes.
 
     Takes ``simulate_circuit``'s state as it is, or a hand-built one after
@@ -353,9 +359,9 @@ def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
     Rows whose prefix probability underflows (< 1e-300) are redrawn, in
     stream order, until none is left; a row still flagged after
     :data:`RESAMPLE_ROUNDS` draws in all raises :class:`CapacityError`.
-    Returns a (size, modes) int array.
+    Returns a (size, modes) int array: ``out`` if given, filled in place.
     """
-    counts, bad = _draw(state, rng, size)
+    counts, bad = _draw(state, rng, size, out)
     todo = np.flatnonzero(bad)
     for _ in range(RESAMPLE_ROUNDS - 1):
         if not len(todo):
@@ -368,7 +374,8 @@ def sample(state: MPSState, rng: RandomStream, size: int) -> np.ndarray:
     return counts
 
 
-def _draw(state: MPSState, rng: RandomStream, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw(state: MPSState, rng: RandomStream, size: int,
+          counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One chain-rule pass: ``size`` rows and the mask of those whose prefix underflowed.
 
     The conditional for each mode only involves the prefix contraction.
@@ -388,10 +395,13 @@ def _draw(state: MPSState, rng: RandomStream, size: int) -> tuple[np.ndarray, np
       more than one block's products are held.
 
     The rows do not depend on the block or chunk size.  Returns the
-    (size, modes) int array of counts and the (size,) bool mask of rows whose
-    prefix probability underflowed (< 1e-300).
+    (size, modes) int array of counts (``counts`` if given) and the (size,)
+    bool mask of rows whose prefix probability underflowed (< 1e-300).
     """
-    counts = np.empty((size, state.modes), dtype=int)
+    if counts is None:
+        counts = np.empty((size, state.modes), dtype=int)
+    elif counts.shape != (size, state.modes):
+        raise ValueError(f"out {counts.shape} must be ({size}, {state.modes})")
     uniforms = np.empty(size)
     key = np.zeros(size, dtype=np.intp)  # each row's (group, count) key at the last mode
     ids = np.zeros(1, dtype=np.intp)  # each key's group at this mode

@@ -12,7 +12,11 @@ redraws its own underflowed rows.  Every source draws whole arrays:
 ``draw(inputs, rng)`` takes a (rows, K) 0/1 array that marks each row's
 occupied inputs among the source's K columns.  A fixed pattern is broadcast
 to every row (to its occupied columns only, for the thermal source);
-scattershot first draws one collision-free herald per row over all M modes.
+scattershot first draws one collision-free herald per row over all M modes,
+as bool rows.  A draw holds its (rows, M) int64 counts once; beside them
+sit only pieces of bounded size and a few values per row or per occupied
+input.  MPS rows are drawn into place and thinned in place, and each
+thermal block finds its own occupied entries.
 """
 
 from __future__ import annotations
@@ -105,13 +109,15 @@ class MPSSource:
         """Lossy rows: thin at the input or at the output, per input pattern.
 
         Rows thinned at the input go first: their occupied entries are thinned
-        in row-major order by one call, then their lossless rows are drawn.
-        The other rows' lossless rows follow, drawn into place from this
-        draw's one grouping of ``inputs``, then one binomial thinning of all
-        their counts in row order.  Both sides visit their patterns in sorted
-        order, so the rows depend only on ``rng`` and ``inputs``.
+        in row-major order by one call, then their lossless rows are drawn
+        into place.  The other rows' lossless rows follow, drawn into place
+        from this draw's one grouping of ``inputs``, then their counts are
+        thinned by ``rng.binomial`` in place, in row order, over pieces of
+        :data:`mps.DRAW_CHUNK` rows.  Both sides visit their patterns in
+        sorted order, so the rows depend only on ``rng`` and ``inputs``, and
+        only the (rows, M) output spans the whole draw.
         """
-        inputs = np.asarray(inputs, dtype=int)
+        inputs = np.asarray(inputs)
         patterns, which = row_groups(inputs)
         rows = np.bincount(which, minlength=len(patterns))
         at_output = rows * self.mu ** patterns.sum(axis=1) >= 1.0
@@ -121,24 +127,35 @@ class MPSSource:
         thinned[thinned.astype(bool)] = mps.lossy_input_sample(
             np.count_nonzero(thinned), self.mu, rng)
         thinned_patterns, thinned_which = row_groups(thinned)
-        lossless = np.empty(thinned.shape, dtype=int)
+        del thinned
         self._lossless_rows(thinned_patterns, thinned_which, range(len(thinned_patterns)),
-                            rng, lossless)
-        out[at_input] = lossless
+                            rng, out, np.flatnonzero(at_input))
         self._lossless_rows(patterns, which, np.flatnonzero(at_output), rng, out)
-        out[~at_input] = rng.binomial(out[~at_input], self.mu)
+        for start in range(0, len(out), mps.DRAW_CHUNK):
+            chunk = slice(start, start + mps.DRAW_CHUNK)
+            piece, keep = out[chunk], ~at_input[chunk]
+            piece[keep] = rng.binomial(piece[keep], self.mu)
         return out
 
     def _lossless_rows(self, patterns: np.ndarray, which: np.ndarray, groups,
-                       rng: RandomStream, out: np.ndarray) -> None:
+                       rng: RandomStream, out: np.ndarray, place=None) -> None:
         """Into ``out``, one lossless chain-rule row per row of each group in ``groups``.
 
         ``patterns, which`` are a :func:`numerics.row_groups` result; each
-        group is drawn by one :func:`mps.sample` call, in the order of ``groups``.
+        group is drawn by one :func:`mps.sample` call, in the order of
+        ``groups``.  Row j of ``which`` goes to ``out[place[j]]`` (to
+        ``out[j]`` without ``place``); a group that covers every row of
+        ``out`` is drawn straight into it.
         """
         for g in groups:
             rows = np.flatnonzero(which == g)
-            out[rows] = mps.sample(self.state(tuple(int(x) for x in patterns[g])), rng, len(rows))
+            if place is not None:
+                rows = place[rows]
+            state = self.state(tuple(int(x) for x in patterns[g]))
+            if len(rows) == len(out):
+                mps.sample(state, rng, len(rows), out=out)
+            else:
+                out[rows] = mps.sample(state, rng, len(rows))
 
 
 def _zero_one(pattern: tuple, backend: str) -> np.ndarray:

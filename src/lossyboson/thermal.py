@@ -197,9 +197,11 @@ def sample_output(
     All normals are drawn first, in row-major order of the occupied entries;
     the Poisson counts follow in blocks of :data:`DRAW_BLOCK` rows, also in
     row-major order, so the rows do not depend on the block size.  Each
-    block propagates only the columns of ``a`` that some of its rows
-    occupy, so a row costs O(M * N_occ), not O(M * K).  Dropping columns
-    that no row occupies keeps every count bit for bit.
+    block finds its own occupied entries, so only the counts, the amplitudes
+    and two intp values per row span the whole draw.  Each block propagates
+    only the columns of ``a`` that some of its rows occupy, so a row costs
+    O(M * N_occ), not O(M * K).  Dropping columns that no row occupies keeps
+    every count bit for bit.
 
     Parameters
     ----------
@@ -209,7 +211,7 @@ def sample_output(
         inputs, or only the occupied ones of a fixed pattern.
     params : ThermalParams
         Surrogate thermal state per occupied input mode.
-    inputs : (rows, K) array_like of 0/1
+    inputs : (rows, K) array_like of 0/1 or bool
         Row r carries a thermal input on column j where ``inputs[r, j]`` is 1.
     """
     a = np.asarray(a, dtype=complex)
@@ -217,16 +219,14 @@ def sample_output(
     if a.ndim != 2 or inputs.shape[1:] != a.shape[1:] or inputs.size and (
             inputs.min() < 0 or inputs.max() > 1 or inputs.sum() != np.count_nonzero(inputs)):
         raise ValueError(f"inputs {inputs.shape} must be a (rows, K) 0/1 array for A {a.shape}")
-    rows, modes = np.nonzero(inputs)  # occupied entries in row-major order
-    amplitudes = rng.standard_normal(2 * len(rows)).view(complex)  # (x, y) pairs
+    ends = np.concatenate(([0], np.cumsum(np.count_nonzero(inputs, axis=1))))
+    amplitudes = rng.standard_normal(2 * int(ends[-1])).view(complex)  # (x, y) pairs
     amplitudes *= math.sqrt(params.variance / 2.0)
-    ends = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(inputs)))))
     out = np.empty((len(inputs), len(a)), dtype=np.int64)
     for start in range(0, len(inputs), DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, len(inputs))
-        block = slice(ends[start], ends[stop])
         alpha = np.zeros((stop - start, a.shape[1]), dtype=complex)
-        alpha[rows[block] - start, modes[block]] = amplitudes[block]
+        alpha[np.nonzero(inputs[start:stop])] = amplitudes[ends[start]:ends[stop]]
         cols = np.flatnonzero(inputs[start:stop].any(axis=0))
         beta = propagate(a[:, cols], alpha[:, cols].T).T
         out[start:stop] = rng.poisson(np.abs(beta) ** 2)
@@ -249,15 +249,17 @@ def thermal_vs_erasure_distance(lam: float, mu: float) -> float:
 
 
 def scattershot_herald(m_modes: int, lam: float, rng: RandomStream, size: int) -> np.ndarray:
-    """``size`` collision-free heralds of M two-mode-squeezed sources, as (size, M) 0/1 rows.
+    """``size`` collision-free heralds of M two-mode-squeezed sources, as (size, M) bool rows.
 
     Each source heralds n photons with P(n) = (1 - lam) lam^n.  Given that no
     source heralds two or more, the modes stay independent and each is 1 with
     probability lam / (1 + lam), so a herald h has P(h) proportional to
-    lam^|h|; the rows are drawn from that law in one call.
+    lam^|h|; the rows are drawn from that law in one ``rng.binomial`` call
+    and kept as bool, so they cost one byte per entry beside the int64
+    counts drawn from them.
     """
     if m_modes < 1:
         raise ValueError("mode count must be >= 1")
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
-    return rng.binomial(1, lam / (1.0 + lam), size=(size, m_modes))
+    return rng.binomial(1, lam / (1.0 + lam), size=(size, m_modes)).astype(bool)

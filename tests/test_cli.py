@@ -8,7 +8,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1158,3 +1160,37 @@ def test_config_with_non_integer_setting_is_input_error(command, where, key, val
     assert main([command, "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and f'"{key}" must be an integer, got {value}' in captured.err
+
+
+def test_two_stream_run_never_holds_both_streams_counts(tmp_path, monkeypatch):
+    """Each stream's rows are dropped once written: when the second stream draws,
+    the first one's array is gone, and the run peaks below 1.5x one stream's counts."""
+    drawn = []  # (weak reference to each stream's rows, earlier rows still alive)
+    build = cli.build_sampler
+
+    def recording_build(*args, **kwargs):
+        sampler = build(*args, **kwargs)
+
+        def draw(rng, size):
+            alive = any(ref() is not None for ref, _ in drawn)
+            rows = sampler.draw(rng, size)
+            drawn.append((weakref.ref(rows), alive))
+            return rows
+
+        return dataclasses.replace(sampler, draw=draw)
+
+    monkeypatch.setattr(cli, "build_sampler", recording_build)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "circuit": {"brickwork": {"modes": 60, "depth": 10, "tau": 0.5, "seed": 4}},
+        "photons": 10, "mode": "thermal", "samples": 20000, "workers": 2, "seed": 5,
+        "format": "csv", "out": str(tmp_path / "rows.csv")}))
+    tracemalloc.start()
+    try:
+        assert main(["sample", "--config", str(cfg)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [alive for _, alive in drawn] == [False, False]
+    stream_bytes = 10000 * 60 * 8
+    assert peak <= 1.5 * stream_bytes, peak / stream_bytes

@@ -12,6 +12,7 @@ from lossyboson.circuit import (circuit_from_json, coupler_blocks, random_brickw
                                 transfer_matrix)
 from lossyboson.errors import CapacityError
 from lossyboson.mps import (
+    MPSState,
     apply_coupler,
     apply_phase,
     canonical_defect,
@@ -262,6 +263,21 @@ def test_canonicalize_restores_form_and_unit_norm():
         assert outcome_probability(fixed, outcome) == pytest.approx(
             outcome_probability(st, outcome) / scale, abs=1e-12
         )
+
+
+def test_state_norm_matches_the_three_operand_contraction():
+    """Two pairwise products per site give the one-einsum transfer contraction."""
+    rng = make_stream(66)
+    bonds, dims = [1, 3, 7, 5, 2, 1], [2, 4, 3, 5, 2]
+    tensors = [rng.standard_normal((q, l, r)) + 1j * rng.standard_normal((q, l, r))
+               for q, l, r in zip(dims, bonds, bonds[1:])]
+    tensors[2] = tensors[2].transpose(0, 2, 1).copy().transpose(0, 2, 1)  # a strided site
+    st = MPSState(tensors, [np.ones(b) for b in bonds[1:-1]])
+    rho = np.ones((1, 1), dtype=complex)
+    for t in tensors:
+        rho = np.einsum("ab,nac,nbd->cd", rho, t.conj(), t)
+    assert canonical_defect(st) > 1.0
+    assert state_norm(st) == pytest.approx(rho[0, 0].real, rel=1e-12, abs=0.0)
 
 
 def _weighted_defect(state) -> float:
@@ -548,6 +564,14 @@ def test_grouped_sample_matches_per_row_sample(shallow_state, block, chunk, monk
     # later modes hold more distinct prefixes than one product takes
     assert len({r.tobytes() for r in rows[:, :6]}) > 2 * mps.SAMPLE_BLOCK
     assert np.array_equal(rows, _per_row_sample(shallow_state, make_stream(86), size)[0])
+
+
+def test_sample_into_out_fills_it_with_the_same_rows(shallow_state):
+    out = np.full((500, 14), -1)
+    assert sample(shallow_state, make_stream(88), 500, out=out) is out
+    assert np.array_equal(out, sample(shallow_state, make_stream(88), 500))
+    with pytest.raises(ValueError, match=r"out \(499, 14\) must be \(500, 14\)"):
+        sample(shallow_state, make_stream(88), 500, out=out[1:])
 
 
 @pytest.mark.parametrize("size", [0, 1])

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,35 @@ def test_mps_draw_keeps_the_stream_order_of_regrouping_draw():
     got = MPSSource(circuit, 0.8**2, max_bond=4096).draw(inputs, make_stream(54))
     want = _regrouping_draw(MPSSource(circuit, 0.8**2, max_bond=4096), inputs, make_stream(54))
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_mps_draw_rows_do_not_depend_on_the_piece_size(chunk, monkeypatch):
+    """Input-side and output-side rows of one heralded draw, thinned over pieces
+    of 1 or 7 rows, are the rows of the default pieces and of int heralds."""
+    circuit = random_brickwork(6, 2, 0.8, make_stream(52))
+    inputs = scattershot_herald(6, 0.25, make_stream(53), 400)
+    want = MPSSource(circuit, 0.8**2, max_bond=4096).draw(inputs.astype(int), make_stream(55))
+    monkeypatch.setattr(mps, "DRAW_CHUNK", chunk)
+    got = MPSSource(circuit, 0.8**2, max_bond=4096).draw(inputs, make_stream(55))
+    assert np.array_equal(got, want)
+
+
+def test_at_output_mps_draw_peaks_under_twice_its_output():
+    """A fixed-pattern draw thinned at the output holds its counts once: drawn into
+    place and thinned in place, beside pieces and a few values per row."""
+    circuit = random_brickwork(14, 3, 0.9, make_stream(48))
+    pattern = (1,) * 7 + (0,) * 7
+    source = MPSSource(circuit, 0.9**3, max_bond=4096)
+    source.state(pattern)  # evolved before tracing: only the draw is measured
+    tracemalloc.start()  # sees numpy's buffers too
+    try:
+        rows = source.draw(np.broadcast_to(pattern, (20000, 14)), make_stream(49))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(source.states) == [pattern] and rows.shape == (20000, 14)
+    assert peak <= 2.0 * rows.nbytes, peak / rows.nbytes
 
 
 def test_sampling_path_never_canonicalizes(monkeypatch):

@@ -1,7 +1,9 @@
 """Tests for the thermal-replacement sampling pipeline."""
 
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +286,45 @@ def test_sample_output_checks_the_column_block_against_inputs():
         sample_output(a, ThermalParams(0.4), np.ones((4, 5), dtype=int), make_stream(1))
     counts = sample_output(a, ThermalParams(0.4), np.ones((400, 2), dtype=int), make_stream(1))
     assert counts.shape == (400, 5) and counts[:, [1, 2, 4]].sum() == 0 < counts.sum()
+
+
+def _ragged_inputs() -> np.ndarray:
+    """Heralded (100, 9) int rows with all-zero rows on both sides of the 32- and
+    64-row block edges and at the end."""
+    inputs = make_stream(48).binomial(1, 0.3, size=(100, 9))
+    inputs[[29, 30, 31, 32, 33, 63, 64, 97, 98, 99]] = 0
+    return inputs
+
+
+# sha256 of the int64 counts drawn from _ragged_inputs() at seed 50, recorded when
+# sample_output still listed the occupied entries once for the whole draw
+RAGGED_SHA256 = "f77c32bcbd26b8615dee002e4f35837fb629b681ac5d7602d17c9d82ae2b5da7"
+
+
+def test_sample_output_bool_inputs_give_the_pinned_int_bytes():
+    a = 0.9 * haar_unitary(9, make_stream(49))
+    inputs = _ragged_inputs()
+    assert thermal.DRAW_BLOCK == 32
+    counts = sample_output(a, ThermalParams(0.5), inputs, make_stream(50))
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == RAGGED_SHA256
+    flags = sample_output(a, ThermalParams(0.5), inputs.astype(bool), make_stream(50))
+    assert flags.dtype == np.int64 and np.array_equal(flags, counts)
+    assert (counts[inputs.sum(axis=1) == 0] == 0).all()
+
+
+def test_fixed_pattern_draw_peaks_under_one_and_a_half_times_its_output():
+    """A fixed pattern's counts plus its amplitudes and per-row block bounds: no
+    whole-draw index arrays of the occupied entries."""
+    a = 0.9 * haar_unitary(60, make_stream(51))[:, :10]
+    inputs = np.broadcast_to(np.ones(10, dtype=int), (20000, 10))
+    tracemalloc.start()
+    try:
+        counts = sample_output(a, ThermalParams(0.3), inputs, make_stream(52))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (20000, 60)
+    assert peak <= 1.5 * counts.nbytes, peak / counts.nbytes
 
 
 def test_sample_output_vacuum_block_gives_zero_rows():
