@@ -480,11 +480,11 @@ def circuit_from_json(text: str) -> LayeredCircuit:
     if type(modes) is not int or modes < 1:
         raise ValueError(f'"modes" must be a positive integer, got {modes!r}')
     layers = []
-    for idx, entry in enumerate(doc["layers"]):
+    for idx, entry in enumerate(_json_list(doc["layers"], '"layers"')):
         if not isinstance(entry, dict) or "phases" not in entry or "couplers" not in entry:
             raise ValueError(f'layer {idx} must be an object with "phases" and "couplers"')
         gates = []
-        for g in entry["couplers"]:
+        for g in _json_list(entry["couplers"], f'layer {idx} "couplers"'):
             try:
                 if type(g["mode"]) is not int:
                     raise TypeError("coupler mode must be an integer")
@@ -492,6 +492,21 @@ def circuit_from_json(text: str) -> LayeredCircuit:
                                          float(g.get("phi", 0.0)), float(g.get("tau", 1.0))))
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad coupler in layer {idx}: {g!r}") from exc
-        layers.append(Layer(gates, [float(p) for p in entry["phases"]],
-                            float(entry.get("idle_tau", 1.0))))
+        phases = [_json_float(p, f'layer {idx} "phases" entry')
+                  for p in _json_list(entry["phases"], f'layer {idx} "phases"')]
+        layers.append(Layer(gates, phases,
+                            _json_float(entry.get("idle_tau", 1.0), f'layer {idx} "idle_tau"')))
     return LayeredCircuit.from_layers(modes, layers)
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"circuit {what} must be a list, got {value!r}")
+    return value
+
+
+def _json_float(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"circuit {what} must be a number, got {value!r}") from exc

@@ -2,6 +2,7 @@
 
 Everything here is exponential-cost and capped at 8 photons / 8 modes; the
 point is trustworthy numbers to hold the samplers against, not speed.
+``lossyboson validate`` holds drawn rows against these laws.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 
 from .errors import CapacityError, ModelViolationError
 from .numerics import Distribution, permanent
-from .thermal import Constellation, gauss_hermite_constellation
 
 __all__ = [
     "ORACLE_MAX_PHOTONS",
@@ -22,8 +22,6 @@ __all__ = [
     "fock_output_distribution",
     "lossy_exact_distribution",
     "thermal_exact_distribution",
-    "constellation_hermite_moments",
-    "chi2_constellation",
 ]
 
 ORACLE_MAX_PHOTONS = 8
@@ -200,45 +198,3 @@ def thermal_exact_distribution(
     # the inputs of t photons: every pattern over the n thermal modes, as mode lists
     parts = ((w, t, _outcome_table(t, n)[1]) for t, w in enumerate(weights))
     return _mixture(u, parts, max(0.0, 1.0 - included))
-
-
-def constellation_hermite_moments(
-    constellation: Constellation, k_max: int
-) -> np.ndarray:
-    """E[he_k(X)] for k = 0..k_max under the constellation, orthonormal Hermite basis.
-
-    he_k are the probabilists' Hermite polynomials normalized to unit variance
-    under N(0,1) (he_k = He_k / sqrt(k!)); the three-term recurrence keeps the
-    values finite for k in the hundreds.  An order-m constellation reproduces
-    the normal moments exactly through degree 2m-1, so entries 1..2m-1 vanish.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    x, w = constellation.points, constellation.weights
-    moments = np.empty(k_max + 1)
-    prev = np.zeros_like(x)
-    curr = np.ones_like(x)
-    moments[0] = w @ curr
-    for k in range(k_max):
-        nxt = (x * curr - math.sqrt(k) * prev) / math.sqrt(k + 1)
-        prev, curr = curr, nxt
-        moments[k + 1] = w @ curr
-    return moments
-
-
-def chi2_constellation(m: int, lam: float, k_max: int = 200) -> float:
-    """Chi-square divergence of the order-m constellation from the thermal Gaussian.
-
-    1 + chi2 = sum_k lam^(k/2) |E[he_k(X_m)]|^2; the first 2m-1 Hermite
-    moments vanish by quadrature exactness, so the series starts at k = 2m
-    and is bounded by 2.36 * lam^m / (1 - lam).
-    """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"thermal parameter must lie in [0, 1), got {lam}")
-    constellation = gauss_hermite_constellation(m)
-    moments = constellation_hermite_moments(constellation, k_max)
-    root = math.sqrt(lam)
-    total = 0.0
-    for k in range(k_max + 1):
-        total += root**k * moments[k] ** 2
-    return total - 1.0

@@ -6,9 +6,11 @@ states with mean-photon parameter lambda = mu.  Thermal states are Gaussian
 in phase space, so the whole output distribution is sampled classically and
 exactly: draw one complex-Gaussian coherent amplitude per occupied input,
 push the amplitudes through the transfer matrix, and draw a Poisson count at
-each output mode.  The surrogate itself is the only approximation.  The
-paper's finite-precision stages (Gauss-Hermite constellation, Bernoulli
-counters) stay as analysed functions that ``lossyboson validate`` checks.
+each output mode.  The surrogate itself is the only approximation.
+:func:`sample_output` uses neither of the paper's finite-precision stages;
+the Gauss-Hermite constellation and the Bernoulli counter stay only because
+``perfbench/traced.py`` wraps them by name.  Their size formulas and error
+bounds are reference code in ``tests/paper_stages.py``.
 """
 
 from __future__ import annotations
@@ -26,23 +28,16 @@ __all__ = [
     "Constellation",
     "MAX_CONSTELLATION_ORDER",
     "gauss_hermite_constellation",
-    "constellation_size",
-    "bernoulli_trials_count",
     "sample_thermal_coherent",
     "propagate",
     "sample_poisson_bernoulli",
     "sample_output",
-    "thermal_vs_erasure_distance",
     "scattershot_herald",
 ]
 
 MAX_CONSTELLATION_ORDER = 64
 
 DRAW_BLOCK = 32  # rows per propagate call in sample_output; bounds its temporaries
-
-# 2 * KAPPA_SQ = 2.36 is the constant in the chi-square tail bound for the
-# Gauss-Hermite constellation; the constellation-size formula uses 3*kappa.
-KAPPA_SQ = 1.18
 
 
 @dataclass(frozen=True)
@@ -99,42 +94,6 @@ def gauss_hermite_constellation(m: int) -> Constellation:
     weights = 0.5 * (weights + weights[::-1])
     weights /= weights.sum()
     return Constellation(points=nodes, weights=weights)
-
-
-def constellation_size(n: int, eps: float, mu: float) -> int:
-    """Constellation order needed for N thermal modes at parameter mu, budget eps.
-
-    m = ceil( [ln N + ln(1/eps) + ln(1/(1-mu)) + 2 ln(3 kappa)] / ln(1/mu) )
-    with kappa = sqrt(1.18).  Always at least 1.
-    """
-    if n < 1:
-        raise ValueError("photon number must be >= 1")
-    if eps <= 0:
-        raise ValueError("error budget must be positive")
-    if mu < 0:
-        raise ValueError(f"thermal parameter must be >= 0, got {mu}")
-    if mu >= 1.0 - 1e-6:
-        raise ValueError(
-            f"thermal parameter {mu} too close to 1: constellation size diverges"
-        )
-    if mu == 0.0:
-        return 1
-    numerator = (
-        math.log(n)
-        + math.log(1.0 / eps)
-        + math.log(1.0 / (1.0 - mu))
-        + 2.0 * math.log(3.0 * math.sqrt(KAPPA_SQ))
-    )
-    return max(1, math.ceil(numerator / math.log(1.0 / mu)))
-
-
-def bernoulli_trials_count(m_modes: int, n: int, eps: float, m_const: int) -> int:
-    """Bernoulli trials per output mode for the Poisson stage: ceil(6 M N^2 m^2 / eps)."""
-    if m_modes < 1 or n < 1 or m_const < 1:
-        raise ValueError("mode count, photon number and constellation order must be >= 1")
-    if eps <= 0:
-        raise ValueError("error budget must be positive")
-    return math.ceil(6.0 * m_modes * n * n * m_const * m_const / eps)
 
 
 def sample_thermal_coherent(
@@ -231,21 +190,6 @@ def sample_output(
         beta = propagate(a[:, cols], alpha[:, cols].T).T
         out[start:stop] = rng.poisson(np.abs(beta) ** 2)
     return out
-
-
-def thermal_vs_erasure_distance(lam: float, mu: float) -> float:
-    """Trace distance between a thermal state and the single-photon erasure state.
-
-    The erasure state keeps a photon with probability mu; both states are
-    diagonal in the number basis, so the distance is
-    (lam^2 + |mu - lam| + |lam(1-lam) - mu|) / 2, which equals mu^2 at the
-    matched choice lam = mu.
-    """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"thermal parameter must lie in [0, 1), got {lam}")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"transmission must lie in [0, 1], got {mu}")
-    return 0.5 * (lam * lam + abs(mu - lam) + abs(lam * (1.0 - lam) - mu))
 
 
 def scattershot_herald(m_modes: int, lam: float, rng: RandomStream, size: int) -> np.ndarray:

@@ -34,8 +34,6 @@ from lossyboson.mps import (
 )
 from lossyboson.numerics import Distribution, haar_unitary, total_variation
 from lossyboson.oracle import (
-    chi2_constellation,
-    constellation_hermite_moments,
     fock_output_distribution,
     lossy_exact_distribution,
     thermal_exact_distribution,
@@ -46,6 +44,10 @@ from lossyboson.thermal import (
     ThermalParams,
     gauss_hermite_constellation,
     sample_output,
+)
+from paper_stages import (
+    chi2_constellation,
+    constellation_hermite_moments,
     thermal_vs_erasure_distance,
 )
 

@@ -813,6 +813,52 @@ def test_eps_and_bond_cap_are_checked_for_plan_and_sample(shallow_lossy, tmp_pat
     assert not out.exists()
 
 
+MALFORMED = {  # case -> ("circuit" and its spoiler, or "config" and its document; error line)
+    "layers": ("circuit", lambda doc: doc.update(layers=5),
+               'input error: circuit "layers" must be a list, got 5'),
+    "couplers": ("circuit", lambda doc: doc["layers"][0].update(couplers=5),
+                 'input error: circuit layer 0 "couplers" must be a list, got 5'),
+    "phases": ("circuit", lambda doc: doc["layers"][1].update(phases=5),
+               'input error: circuit layer 1 "phases" must be a list, got 5'),
+    "idle_tau": ("circuit", lambda doc: doc["layers"][0].update(idle_tau=None),
+                 'input error: circuit layer 0 "idle_tau" must be a number, got None'),
+    "brickwork": ("config", {"circuit": {"brickwork": 5}, "photons": 1},
+                  "usage error: brickwork spec must be an object of numbers, got 5"),
+    "algebraic": ("config", {"modes": 4, "depth": 2, "tau": 0.8, "photons": 1, "algebraic": 3},
+                  "usage error: algebraic spec must be an object of numbers, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_circuit_or_config_shape_is_an_error_line(shallow_lossy, tmp_path, case):
+    kind, doc, line = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    if kind == "circuit":
+        spoiled = json.loads(Path(shallow_lossy).read_text())
+        doc(spoiled)
+        path.write_text(json.dumps(spoiled))
+        runs = [["sample", "--circuit", str(path), "--photons", "1"],
+                ["plan", "--circuit", str(path), "--photons", "1"]]
+    else:
+        path.write_text(json.dumps(doc))
+        runs = [["plan", "--config", str(path)]] + (
+            [["sample", "--config", str(path)]] if case == "brickwork" else [])
+    for argv in runs:
+        proc = _cli_process(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", line + "\n"), argv
+
+
+def test_unwritable_out_is_usage_error(shallow_lossy, tmp_path, capsys):
+    argv = ["sample", "--circuit", shallow_lossy, "--photons", "2", "--samples", "3"]
+    out = tmp_path / "missing" / "s.jsonl"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: cannot write {out}: ")
+    out = tmp_path / "s.jsonl"
+    Path(f"{out}.meta.json").mkdir()
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: cannot write {out}.meta.json: ")
+
+
 def test_tiny_bond_cap_is_capacity_error(shallow_lossless, tmp_path, capsys):
     argv = ["sample", "--circuit", shallow_lossless, "--photons", "2", "--seed", "1",
             "--samples", "1", "--mode", "mps", "--max-bond", "1"]
@@ -824,7 +870,7 @@ def test_tiny_bond_cap_is_capacity_error(shallow_lossless, tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    """scipy.stats costs most of the CLI's import time and only validate needs it."""
+    """scipy is a test dependency; importing it would cost most of the CLI's import time."""
     src = os.path.dirname(os.path.dirname(lossyboson.__file__))
     code = "import sys, lossyboson.cli; assert 'scipy.stats' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
@@ -941,14 +987,54 @@ def test_script_target_is_the_function_the_main_block_calls():
 # ---------------------------------------------------------------------------
 
 
+ROW_CHECKS = ("oracle_rows_match_lossy_law", "mps_rows_match_lossy_law",
+              "auto_rows_match_thermal_law", "auto_rows_near_fock_law")
+
+
 def test_validate_battery_passes(capsys):
     code = main(["validate", "--seed", "4"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_pass"] is True
-    names = {c["name"] for c in doc["checks"]}
-    assert "mps_matches_oracle" in names
-    assert "chi2_within_budget" in names
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert set(checks) == {"brickwork_uniform_loss", "lossless_transfer_unitary",
+                           "mps_matches_oracle", *ROW_CHECKS}
+    for name in ROW_CHECKS:
+        assert checks[name]["rows"] == 20000 and checks[name]["alpha"] == 1e-6
+        assert 0.0 < checks[name]["measured"] <= checks[name]["bound"] < 0.07
+    assert checks["auto_rows_match_thermal_law"]["regime"] == "thermal"
+
+
+@pytest.mark.parametrize("source, spoil, failing", [
+    ("MPSSource", lambda source: setattr(source, "mu", 0.95 * source.mu),
+     {"mps_rows_match_lossy_law"}),
+    ("ThermalSource", lambda source: setattr(source, "residual", source.residual[::-1]),
+     {"auto_rows_match_thermal_law", "auto_rows_near_fock_law"}),
+], ids=["mps-thinning-at-0.95-mu", "thermal-outputs-reversed"])
+def test_validate_row_checks_catch_a_wrong_source(monkeypatch, capsys, source, spoil, failing):
+    cls = getattr(lossyboson.sampler, source)
+    init = cls.__init__
+
+    def spoiled_init(self, *args):
+        init(self, *args)
+        spoil(self)
+
+    monkeypatch.setattr(cls, "__init__", spoiled_init)
+    assert main(["validate"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_pass"] is False
+    assert {c["name"] for c in doc["checks"] if not c["pass"]} == failing
+
+
+@pytest.mark.parametrize("with_circuit", [False, True], ids=["battery", "circuit"])
+def test_validate_runs_without_scipy(shallow_lossy, with_circuit):
+    code = ("import sys; sys.modules['scipy'] = None; from lossyboson.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    argv = ["validate"] + (["--circuit", shallow_lossy] if with_circuit else [])
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=_cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_pass"] is True
 
 
 def test_validate_includes_circuit_checks(shallow_lossy, capsys):

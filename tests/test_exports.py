@@ -1,6 +1,7 @@
 """Every exported name resolves, README's quick start runs on the exports, and the
 benchmark's traced run finds what it wraps."""
 
+import ast
 import importlib
 import os
 import re
@@ -44,3 +45,23 @@ def test_traced_benchmark_wraps_existing_functions():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_runtime_needs_numpy_only():
+    """The package imports the standard library and numpy only, and numpy is the one
+    runtime dependency pyproject.toml declares; scipy is a test dependency."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [re.match(r"[\w-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
+    assert "scipy" in " ".join(project["optional-dependencies"]["test"])
+    imported = set()
+    for name in ("__init__", *MODULES):
+        with open(os.path.join(ROOT, "src", "lossyboson", f"{name}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == {"numpy"}

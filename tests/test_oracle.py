@@ -10,8 +10,6 @@ from lossyboson import oracle
 from lossyboson.errors import CapacityError, ModelViolationError
 from lossyboson.numerics import haar_unitary
 from lossyboson.oracle import (
-    chi2_constellation,
-    constellation_hermite_moments,
     enumerate_patterns,
     fock_output_distribution,
     lossy_exact_distribution,
@@ -19,6 +17,7 @@ from lossyboson.oracle import (
 )
 from lossyboson.rng import make_stream
 from lossyboson.thermal import gauss_hermite_constellation
+from paper_stages import chi2_constellation, constellation_hermite_moments
 
 BS5050 = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
 

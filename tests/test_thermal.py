@@ -15,16 +15,14 @@ from lossyboson.numerics import haar_unitary
 from lossyboson.rng import make_stream
 from lossyboson.thermal import (
     ThermalParams,
-    bernoulli_trials_count,
-    constellation_size,
     gauss_hermite_constellation,
     propagate,
     sample_output,
     sample_poisson_bernoulli,
     sample_thermal_coherent,
     scattershot_herald,
-    thermal_vs_erasure_distance,
 )
+from paper_stages import bernoulli_trials_count, constellation_size, thermal_vs_erasure_distance
 
 
 # ---------------------------------------------------------------------------
