@@ -483,13 +483,14 @@ def circuit_from_json(text: str) -> LayeredCircuit:
     for idx, entry in enumerate(_json_list(doc["layers"], '"layers"')):
         if not isinstance(entry, dict) or "phases" not in entry or "couplers" not in entry:
             raise ValueError(f'layer {idx} must be an object with "phases" and "couplers"')
-        gates = []
+        gates, where = [], f"layer {idx} coupler"
         for g in _json_list(entry["couplers"], f'layer {idx} "couplers"'):
             try:
                 if type(g["mode"]) is not int:
                     raise TypeError("coupler mode must be an integer")
-                gates.append(CouplerGate(g["mode"], float(g["theta"]),
-                                         float(g.get("phi", 0.0)), float(g.get("tau", 1.0))))
+                gates.append(CouplerGate(g["mode"], _json_float(g["theta"], f'{where} "theta"'),
+                                         _json_float(g.get("phi", 0.0), f'{where} "phi"'),
+                                         _json_float(g.get("tau", 1.0), f'{where} "tau"')))
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad coupler in layer {idx}: {g!r}") from exc
         phases = [_json_float(p, f'layer {idx} "phases" entry')
@@ -506,7 +507,7 @@ def _json_list(value, what: str) -> list:
 
 
 def _json_float(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"circuit {what} must be a number, got {value!r}") from exc
+    """A JSON number as a float: ``true`` or ``"0.5"`` is an error, not 1.0 or 0.5."""
+    if type(value) not in (int, float):
+        raise ValueError(f"circuit {what} must be a number, got {value!r}")
+    return float(value)

@@ -134,6 +134,13 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _number(value, key: str) -> float:
+    """A setting that must be a JSON number: ``true`` or ``"0.5"`` is a usage error, not cast."""
+    if type(value) not in (int, float):
+        raise UsageError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults < config file < environment < flags into one dict."""
     cfg = dict(DEFAULTS)
@@ -154,11 +161,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key, allowed in (("mode", MODES), ("format", FORMATS)):
         if cfg[key] not in allowed:
             raise UsageError(f"unknown {key} {cfg[key]!r}; choose one of {', '.join(allowed)}")
-    try:
-        k, gamma = float(cfg["density_k"]), float(cfg["density_gamma"])
-        eps = float(cfg["eps"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"density_k, density_gamma and eps must be numbers: {exc}") from exc
+    k, gamma, eps = (_number(cfg[key], key) for key in ("density_k", "density_gamma", "eps"))
     if not k > 0.0:
         raise UsageError(f"density_k must be > 0, got {k}")
     if not 0.0 < gamma <= 1.0:
@@ -186,12 +189,12 @@ def _resolve_circuit(cfg: dict) -> tuple[circ.LayeredCircuit | None, str]:
             return circ.random_brickwork(
                 modes=_integer(b["modes"], "modes"),
                 depth=_integer(b["depth"], "depth"),
-                tau=float(b.get("tau", 1.0)),
+                tau=_number(b.get("tau", 1.0), "tau"),
                 rng=make_stream(_integer(b.get("seed", 0), "seed")),
             ), ""
         except KeyError as exc:
             raise UsageError(f"brickwork spec missing key {exc}") from exc
-        except TypeError as exc:  # not an object, or a tau that is not a number
+        except TypeError as exc:  # not an object
             raise UsageError(f"brickwork spec must be an object of numbers, got {b!r}") from exc
     raise UsageError("circuit must be a file path or {'brickwork': {...}}")
 
@@ -251,7 +254,7 @@ def run_plan(cfg: dict) -> int:
         modes, depth = _integer(cfg["modes"], "modes"), _integer(cfg["depth"], "depth")
         if modes < 1:
             raise UsageError(f"plan needs modes >= 1, got {modes}")
-        tau = float(cfg["tau"])
+        tau = _number(cfg["tau"], "tau")
         if depth < 0 or not 0.0 < tau <= 1.0:
             raise UsageError(f"plan needs depth >= 0 and tau in (0, 1], got {depth}, {tau}")
     if "pattern" not in cfg and cfg.get("photons") is None:
@@ -283,12 +286,12 @@ def run_plan(cfg: dict) -> int:
         alg = cfg["algebraic"]
         try:
             result = circ.depth_threshold_algebraic(
-                d_len=float(alg["d_len"]), beta=float(alg["beta"]),
+                d_len=_number(alg["d_len"], "d_len"), beta=_number(alg["beta"], "beta"),
                 k=k, eps=eps, gamma=gamma, modes=modes,
             )
         except KeyError as exc:
             raise UsageError(f"algebraic spec missing key {exc}") from exc
-        except TypeError as exc:  # not an object, or values that are not numbers
+        except TypeError as exc:  # not an object
             raise UsageError(f"algebraic spec must be an object of numbers, got {alg!r}") from exc
         report["algebraic"] = {
             "depth_threshold": result.depth,
@@ -373,7 +376,7 @@ def run_sample(cfg: dict) -> int:
     n_samples, workers = cfg["samples"], cfg["workers"]
     sampler = build_sampler(
         cfg["mode"], circuit, pattern, eps=float(cfg["eps"]),
-        max_bond=cfg["max_bond"], herald_lambda=float(cfg["herald_lambda"]),
+        max_bond=cfg["max_bond"], herald_lambda=_number(cfg["herald_lambda"], "herald_lambda"),
     )
     streams = split_stream(make_stream(cfg.get("seed")), workers)
     base, extra = divmod(n_samples, workers)

@@ -4,7 +4,8 @@ The state of M modes is a list of right-canonical site tensors
 B[i] = Gamma[i] lambda[i] (Vidal's notation), shape (q_i, chi_left,
 chi_right) with q_i - 1 the most photons site i holds, and the bonds'
 Schmidt vectors lambda[i].  Every site dimension is read from its tensor.
-A count pattern's amplitude is B[0][n_0] @ ... @ B[M-1][n_{M-1}].
+A count pattern's amplitude is B[0][n_0] @ ... @ B[M-1][n_{M-1}].  The tests
+check norm and canonical form with ``tests/reference.py``.
 
 Gates never truncate: each coupler's two-mode Fock-space unitary is
 contracted with its two-site block, and one SVD of that block with the left
@@ -55,8 +56,6 @@ __all__ = [
     "apply_phase",
     "apply_coupler",
     "outcome_probability",
-    "state_norm",
-    "canonical_defect",
     "canonicalize",
     "sample",
     "lossy_input_sample",
@@ -91,24 +90,14 @@ class MPSState:
     def modes(self) -> int:
         return len(self.tensors)
 
-    @property
-    def bond_dims(self) -> tuple:
-        return tuple(len(s) for s in self.schmidts)
 
+def init_input(pattern, caps) -> MPSState:
+    """Product Fock state |pattern> as an MPS; site i has local dimension caps[i] + 1.
 
-def init_input(pattern, d) -> MPSState:
-    """Product Fock state |pattern> as an MPS; site i has local dimension d_i + 1.
-
-    ``d`` is one photon cutoff for every site, at least 1 as for
-    :func:`coupler_fock_amplitudes`, or a sequence of per-site cutoffs, where
-    a site capped at 0 is always vacuum.
+    ``caps`` holds one photon cutoff per site; a site capped at 0 is always vacuum.
     """
     pattern = [int(n) for n in pattern]
-    if np.ndim(d) == 0:
-        if d < 1:
-            raise ValueError(f"local photon cutoff must be >= 1, got {d}")
-        d = [d] * len(pattern)
-    caps = [int(c) for c in d]
+    caps = [int(c) for c in caps]
     if not pattern:
         raise ValueError("input pattern must cover at least one mode")
     if any(n < 0 for n in pattern):
@@ -184,13 +173,6 @@ class CouplerMPO:
     x_left: np.ndarray
     sigmas: np.ndarray
     x_right: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return len(self.sigmas)
-
-    def recombine(self) -> np.ndarray:
-        return np.einsum("png,g,smg->psnm", self.x_left, self.sigmas, self.x_right)
 
 
 def coupler_mpo(block: np.ndarray, d: int) -> CouplerMPO:
@@ -278,36 +260,6 @@ def outcome_probability(state: MPSState, pattern) -> float:
     for i in range(1, state.modes):
         vec = vec @ state.tensors[i][pattern[i]]
     return float(abs(vec[0]) ** 2)
-
-
-def state_norm(state: MPSState) -> float:
-    """<psi|psi> by direct transfer-matrix contraction (no canonicity assumed).
-
-    Each site is taken in two pairwise products, rho[a, b] B[n, b, d] and then
-    the sum over (n, a) against conj(B), so a site costs O(q * chi**3).
-    """
-    rho = np.ones((1, 1), dtype=complex)
-    for t in state.tensors:
-        chi_r = t.shape[2]
-        rho = t.reshape(-1, chi_r).conj().T @ (rho @ t).reshape(-1, chi_r)
-    return float(rho[0, 0].real)
-
-
-def canonical_defect(state: MPSState) -> float:
-    """Largest deviation of the canonical-form isometry conditions.
-
-    Every site must be a right isometry, sum_n B[n] B[n]^dagger = 1, and a
-    left isometry once its bond weights are taken out,
-    sum_n B[n]^dagger diag(lambda_left**2) B[n] = diag(lambda_right**2).
-    """
-    weights = [np.ones(1), *state.schmidts, np.ones(1)]
-    worst = 0.0
-    for t, lam_l, lam_r in zip(state.tensors, weights, weights[1:]):
-        gram = np.einsum("nac,nbc->ab", t, t.conj())
-        worst = max(worst, float(np.abs(gram - np.eye(gram.shape[0])).max()))
-        gram = np.einsum("nac,a,nad->cd", t.conj(), lam_l**2, t)
-        worst = max(worst, float(np.abs(gram - np.diag(lam_r**2)).max()))
-    return worst
 
 
 def canonicalize(state: MPSState) -> MPSState:

@@ -1,5 +1,8 @@
-"""Shared numerical kernels: Haar unitaries, permanents, discrete
-distributions over photon-count rows, row grouping and total-variation distance.
+"""Shared numerical kernels: permanents, discrete distributions over
+photon-count rows, row grouping and total-variation distance.
+
+The tests' slow references (a Haar unitary by QR, the permanent as a sum over
+permutations) live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -9,12 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .rng import RandomStream
 
 __all__ = [
-    "haar_unitary",
     "permanent",
-    "permanent_naive",
     "Distribution",
     "row_groups",
     "total_variation",
@@ -23,25 +23,6 @@ __all__ = [
 PERMANENT_MAX_DIM = 20
 # Complex entries in one Glynn intermediate: 8192 * 16 B = 128 KiB.
 PERMANENT_CHUNK = 1 << 13
-
-
-def haar_unitary(m: int, rng: RandomStream, count: int | None = None) -> np.ndarray:
-    """Draw an m-by-m unitary from the Haar measure, or a (count, m, m) stack.
-
-    QR of a complex Ginibre matrix, with the R diagonal's phases divided out
-    so the distribution is exactly Haar rather than QR-convention biased.
-    Each matrix consumes m*m real then m*m imaginary normals, so a stack
-    equals ``count`` single draws from the same stream, bit for bit.  It is
-    the tests' reference Haar law; ``circuit.random_brickwork`` draws its
-    2x2 couplers in their own parameters instead.
-    """
-    if m < 1:
-        raise ValueError("matrix size must be >= 1")
-    x = rng.standard_normal((2, m, m) if count is None else (count, 2, m, m))
-    z = (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
 
 
 def permanent(a: np.ndarray) -> complex | np.ndarray:
@@ -98,25 +79,6 @@ def permanent(a: np.ndarray) -> complex | np.ndarray:
     return total.reshape(a.shape[:-2])
 
 
-def permanent_naive(a: np.ndarray) -> complex:
-    """Permanent by direct sum over permutations; reference for small n."""
-    from itertools import permutations
-
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"permanent needs a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        return complex(1.0)
-    total = 0.0 + 0.0j
-    for perm in permutations(range(n)):
-        term = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            term *= a[i, j]
-        total += term
-    return complex(total)
-
-
 @dataclass(frozen=True)
 class Distribution:
     """Discrete distribution over photon-count patterns.
@@ -155,9 +117,6 @@ class Distribution:
                 raise ValueError("declared truncation error below actual missing mass")
         elif abs(total - 1.0) > 1e-10:
             raise ValueError(f"weights must sum to 1, got {total}")
-
-    def as_dict(self) -> dict:
-        return dict(zip(map(tuple, self.outcomes.tolist()), self.weights))
 
 
 def row_groups(rows: np.ndarray) -> tuple:

@@ -2,7 +2,8 @@
 
 Everything here is exponential-cost and capped at 8 photons / 8 modes; the
 point is trustworthy numbers to hold the samplers against, not speed.
-``lossyboson validate`` holds drawn rows against these laws.
+The ``oracle`` sampler draws from the lossy Fock law, and ``lossyboson
+validate`` holds the MPS state and drawn rows against these laws.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .numerics import Distribution, permanent
 __all__ = [
     "ORACLE_MAX_PHOTONS",
     "ORACLE_MAX_MODES",
-    "enumerate_patterns",
     "fock_output_distribution",
     "lossy_exact_distribution",
     "thermal_exact_distribution",
@@ -28,15 +28,6 @@ ORACLE_MAX_PHOTONS = 8
 ORACLE_MAX_MODES = 8
 # Complex entries in one gathered permanent stack: 1 << 18 * 16 B = 4 MiB.
 GATHER_ENTRIES = 1 << 18
-
-
-def enumerate_patterns(total: int, modes: int) -> np.ndarray:
-    """All count patterns of ``total`` photons over ``modes``, as lexicographic rows."""
-    if modes < 1:
-        raise ValueError("need at least one mode")
-    if total < 0:
-        raise ValueError("photon number must be >= 0")
-    return _outcome_table(total, modes)[0]
 
 
 def _check_caps(total: int, modes: int) -> None:

@@ -22,9 +22,10 @@ from lossyboson.circuit import (
     transfer_matrix,
 )
 from lossyboson.errors import ModelViolationError
-from lossyboson.numerics import haar_unitary
 from lossyboson.rng import make_stream
 from scipy import stats
+
+from reference import haar_unitary
 
 FIELDS = ("offsets", "gate_mode", "theta", "phi", "tau", "phases", "idle_tau")
 
@@ -567,7 +568,7 @@ def test_brickwork_couplers_are_haar_on_u2():
     19 900 couplers from one fixed seed.  The KS test rejects at p < 1e-4 and
     each of the 18 moment checks at 5 sigma (two-sided false-alarm rate 6e-7
     each).  The same checks run on the reference law
-    :func:`numerics.haar_unitary`, so the test fails by chance with
+    :func:`reference.haar_unitary`, so the test fails by chance with
     probability about 2e-4."""
     brickwork = _rebuilt_blocks(random_brickwork(200, 200, 1.0, make_stream(80)))
     reference = haar_unitary(2, make_stream(81), len(brickwork))

@@ -23,6 +23,7 @@ from lossyboson.circuit import (circuit_from_json, circuit_to_json, random_brick
 from lossyboson.cli import _write_rows, main
 from lossyboson.oracle import fock_output_distribution, lossy_exact_distribution
 from lossyboson.rng import make_stream
+from reference import as_dict
 
 
 @pytest.fixture
@@ -294,7 +295,7 @@ def test_sample_oracle_mode_matches_exact_law(shallow_lossless, tmp_path):
         key = tuple(json.loads(ln)["n"])
         counts[key] = counts.get(key, 0) + 1
     u = transfer_matrix(random_brickwork(4, 2, 1.0, make_stream(1)))
-    exact = fock_output_distribution(u, (1, 1, 0, 0)).as_dict()
+    exact = as_dict(fock_output_distribution(u, (1, 1, 0, 0)))
     tvd = 0.5 * sum(abs(counts.get(o, 0) / 4000 - p) for o, p in exact.items())
     assert set(counts) <= set(exact)
     assert tvd < 0.05
@@ -661,7 +662,7 @@ def test_sample_oracle_lossy_pattern_matches_exact_law(shallow_lossy, tmp_path):
         key = tuple(json.loads(ln)["n"])
         counts[key] = counts.get(key, 0) + 1
     u = transfer_matrix(random_brickwork(4, 2, 0.8, make_stream(2)).lossless_copy())
-    exact = lossy_exact_distribution(u[:, [1, 3, 0, 2]], 0.8**2, (1, 1, 0, 0)).as_dict()
+    exact = as_dict(lossy_exact_distribution(u[:, [1, 3, 0, 2]], 0.8**2, (1, 1, 0, 0)))
     assert set(counts) <= set(exact)
     for outcome, p in exact.items():
         sigma = np.sqrt(n * p * (1.0 - p))
@@ -846,6 +847,48 @@ def test_malformed_circuit_or_config_shape_is_an_error_line(shallow_lossy, tmp_p
     for argv in runs:
         proc = _cli_process(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", line + "\n"), argv
+
+
+NUMBER_FIELDS = {  # case -> (command, error line's start, how it puts v into (config, circuit))
+    **{key: ("sample", f"usage error: {key}", lambda cfg, doc, v, key=key: cfg.update({key: v}))
+       for key in ("eps", "density_k", "density_gamma", "herald_lambda")},
+    "brickwork-tau": ("sample", "usage error: tau", lambda cfg, doc, v: cfg.update(
+        circuit={"brickwork": {"modes": 4, "depth": 2, "tau": v}})),
+    "plan-tau": ("plan", "usage error: tau", lambda cfg, doc, v: cfg.update(tau=v)),
+    "d_len": ("plan", "usage error: d_len", lambda cfg, doc, v: cfg["algebraic"].update(d_len=v)),
+    "beta": ("plan", "usage error: beta", lambda cfg, doc, v: cfg["algebraic"].update(beta=v)),
+    "theta": ("sample", 'input error: circuit layer 1 coupler "theta"',
+              lambda cfg, doc, v: doc["layers"][1]["couplers"][0].update(theta=v)),
+    "phi": ("sample", 'input error: circuit layer 0 coupler "phi"',
+            lambda cfg, doc, v: doc["layers"][0]["couplers"][1].update(phi=v)),
+    "coupler-tau": ("sample", 'input error: circuit layer 0 coupler "tau"',
+                    lambda cfg, doc, v: doc["layers"][0]["couplers"][0].update(tau=v)),
+    "phases": ("sample", 'input error: circuit layer 1 "phases" entry',
+               lambda cfg, doc, v: doc["layers"][1]["phases"].__setitem__(2, v)),
+    "idle_tau": ("sample", 'input error: circuit layer 1 "idle_tau"',
+                 lambda cfg, doc, v: doc["layers"][1].update(idle_tau=v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["true", "string"])
+@pytest.mark.parametrize("case", NUMBER_FIELDS)
+def test_non_number_json_value_is_an_error_line_naming_the_field(shallow_lossy, tmp_path, capsys,
+                                                                 case, value):
+    """A JSON boolean or string where a config or circuit file needs a number is not cast:
+    one error line names the field, exit 1, no output file."""
+    command, line, spoil = NUMBER_FIELDS[case]
+    out = tmp_path / "s.jsonl"
+    circuit = json.loads(Path(shallow_lossy).read_text())
+    cfg = ({"modes": 4, "depth": 2, "tau": 0.8, "photons": 1,
+            "algebraic": {"d_len": 1.0, "beta": 2.0}} if command == "plan" else
+           {"circuit": str(tmp_path / "c.json"), "photons": 1, "samples": 2, "out": str(out)})
+    spoil(cfg, circuit, value)
+    (tmp_path / "c.json").write_text(json.dumps(circuit))
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main([command, "--config", str(tmp_path / "cfg.json")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{line} must be a number, got {value!r}\n")
+    assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
 
 def test_unwritable_out_is_usage_error(shallow_lossy, tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Every exported name resolves, README's quick start runs on the exports, and the
-benchmark's traced run finds what it wraps."""
+"""Every exported name resolves and has a caller outside the tests, README's quick
+start runs on the exports, and the benchmark's traced run finds what it wraps."""
 
 import ast
 import importlib
@@ -65,3 +65,46 @@ def test_runtime_needs_numpy_only():
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 imported.add(node.module.split(".")[0])
     assert imported - set(sys.stdlib_module_names) == {"numpy"}
+
+
+def _used_in_src() -> set:
+    """Names the package's code reads: loaded names, attributes and imported names.
+
+    Definitions and ``__all__`` entries are not loads, so a name counts only where
+    some code of the package uses it.
+    """
+    used = set()
+    for name in ("__init__", *MODULES):
+        with open(os.path.join(ROOT, "src", "lossyboson", f"{name}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+    return used
+
+
+def _outside_text() -> str:
+    """perfbench/, tools/, README and pyproject.toml: the non-test code and docs."""
+    paths = [os.path.join(ROOT, "README.md"), os.path.join(ROOT, "pyproject.toml")]
+    for folder in ("perfbench", "tools"):
+        for dirpath, _, files in os.walk(os.path.join(ROOT, folder)):
+            paths += [os.path.join(dirpath, f) for f in sorted(files) if f.endswith(".py")]
+    texts = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    return "\n".join(texts)
+
+
+def test_every_export_has_a_non_test_caller():
+    """Each exported name is used by the package's code, by perfbench/ or tools/, or
+    is named in README or pyproject.toml; what only tests use lives under tests/."""
+    used, text = _used_in_src(), _outside_text()
+    modules = [lossyboson] + [importlib.import_module(f"lossyboson.{name}") for name in MODULES]
+    orphans = [f"{module.__name__}.{attr}" for module in modules for attr in module.__all__
+               if attr not in used and not re.search(rf"\b{re.escape(attr)}\b", text)]
+    assert orphans == []

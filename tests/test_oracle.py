@@ -8,9 +8,7 @@ import pytest
 
 from lossyboson import oracle
 from lossyboson.errors import CapacityError, ModelViolationError
-from lossyboson.numerics import haar_unitary
 from lossyboson.oracle import (
-    enumerate_patterns,
     fock_output_distribution,
     lossy_exact_distribution,
     thermal_exact_distribution,
@@ -18,28 +16,9 @@ from lossyboson.oracle import (
 from lossyboson.rng import make_stream
 from lossyboson.thermal import gauss_hermite_constellation
 from paper_stages import chi2_constellation, constellation_hermite_moments
+from reference import as_dict, haar_unitary
 
 BS5050 = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
-
-
-# ---------------------------------------------------------------------------
-# pattern enumeration
-# ---------------------------------------------------------------------------
-
-
-def test_enumerate_patterns_two_photons_two_modes():
-    assert enumerate_patterns(2, 2).tolist() == [[0, 2], [1, 1], [2, 0]]
-
-
-def test_enumerate_patterns_is_lexicographic_and_complete():
-    pats = enumerate_patterns(3, 3).tolist()
-    assert pats == sorted(pats)
-    assert len(pats) == math.comb(3 + 3 - 1, 3 - 1)
-    assert all(sum(p) == 3 for p in pats)
-
-
-def test_enumerate_patterns_zero_photons():
-    assert enumerate_patterns(0, 3).tolist() == [[0, 0, 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -53,14 +32,14 @@ def test_single_photon_law_is_column_intensity():
     for j in range(5):
         pattern = tuple(1 if i == j else 0 for i in range(5))
         dist = fock_output_distribution(u, pattern)
-        law = dist.as_dict()
+        law = as_dict(dist)
         for i in range(5):
             outcome = tuple(1 if k == i else 0 for k in range(5))
             assert law[outcome] == pytest.approx(abs(u[i, j]) ** 2, abs=1e-12)
 
 
 def test_two_photon_bunching_on_balanced_coupler():
-    dist = fock_output_distribution(BS5050, (1, 1)).as_dict()
+    dist = as_dict(fock_output_distribution(BS5050, (1, 1)))
     assert dist[(1, 1)] == pytest.approx(0.0, abs=1e-14)
     assert dist[(2, 0)] == pytest.approx(0.5, abs=1e-14)
     assert dist[(0, 2)] == pytest.approx(0.5, abs=1e-14)
@@ -87,8 +66,8 @@ def test_output_law_covariant_under_output_relabeling():
     rng = make_stream(96)
     u = haar_unitary(4, rng)
     perm = np.array([2, 0, 3, 1])
-    base = fock_output_distribution(u, (1, 1, 0, 0)).as_dict()
-    shuffled = fock_output_distribution(u[perm], (1, 1, 0, 0)).as_dict()
+    base = as_dict(fock_output_distribution(u, (1, 1, 0, 0)))
+    shuffled = as_dict(fock_output_distribution(u[perm], (1, 1, 0, 0)))
     for outcome, p in base.items():
         # output i of u[perm] is output perm[i] of u
         assert shuffled[tuple(np.array(outcome)[perm])] == pytest.approx(p, abs=1e-12)
@@ -112,14 +91,14 @@ def test_rejects_oversized_problems():
 
 
 def test_lossy_identity_single_photon():
-    dist = lossy_exact_distribution(np.eye(2), 0.3, (1, 0)).as_dict()
+    dist = as_dict(lossy_exact_distribution(np.eye(2), 0.3, (1, 0)))
     assert dist[(0, 0)] == pytest.approx(0.7)
     assert dist[(1, 0)] == pytest.approx(0.3)
 
 
 def test_lossy_identity_two_photons_factorizes():
     mu = 0.4
-    dist = lossy_exact_distribution(np.eye(2), mu, (1, 1)).as_dict()
+    dist = as_dict(lossy_exact_distribution(np.eye(2), mu, (1, 1)))
     assert dist[(0, 0)] == pytest.approx((1 - mu) ** 2)
     assert dist[(1, 0)] == pytest.approx(mu * (1 - mu))
     assert dist[(0, 1)] == pytest.approx(mu * (1 - mu))
@@ -136,8 +115,8 @@ def test_lossy_law_is_normalized_on_random_unitary():
 def test_lossy_law_interpolates_to_lossless():
     rng = make_stream(98)
     u = haar_unitary(3, rng)
-    full = lossy_exact_distribution(u, 1.0, (1, 1, 0)).as_dict()
-    ref = fock_output_distribution(u, (1, 1, 0)).as_dict()
+    full = as_dict(lossy_exact_distribution(u, 1.0, (1, 1, 0)))
+    ref = as_dict(fock_output_distribution(u, (1, 1, 0)))
     for outcome, p in ref.items():
         assert full.get(outcome, 0.0) == pytest.approx(p, abs=1e-12)
 
@@ -154,7 +133,7 @@ def test_lossy_law_keeps_input_norm_for_duplicate_input_modes():
     """Two photons in one mode: the doubly occupied input carries its 1/2! norm."""
     dist = lossy_exact_distribution(np.eye(3), 0.5, (0, 2, 0))
     expected = {(0, 0, 0): 0.25, (0, 1, 0): 0.5, (0, 2, 0): 0.25}
-    for outcome, p in dist.as_dict().items():
+    for outcome, p in as_dict(dist).items():
         assert p == pytest.approx(expected.get(outcome, 0.0), abs=1e-15)
 
 
@@ -165,8 +144,10 @@ def test_lossless_law_with_repeated_input_modes_is_the_fock_law_bit_for_bit(patt
     single-input permanent law's outcomes and weights exactly."""
     u = haar_unitary(4, make_stream(100))
     dist = lossy_exact_distribution(u, 1.0, pattern)
-    table = oracle._outcome_table(sum(pattern), 4)
+    n = sum(pattern)
+    table = oracle._outcome_table(n, 4)
     inputs = np.repeat(np.arange(4), pattern)[None, :]
+    assert len(table[0]) == math.comb(n + 3, 3) and (table[0].sum(axis=1) == n).all()
     assert np.array_equal(dist.outcomes, table[0])
     assert dist.weights.tobytes() == oracle._summed_weights(u, table, inputs).tobytes()
     assert fock_output_distribution(u, pattern).weights.tobytes() == dist.weights.tobytes()
@@ -185,7 +166,7 @@ def test_lossy_law_is_the_mixture_over_survival_patterns(monkeypatch, gather):
     for bits in product((0, 1), repeat=n):
         k = sum(bits)
         pattern = np.bincount([m for m, b in zip(input_modes, bits) if b], minlength=8)
-        for outcome, p in fock_output_distribution(u, pattern).as_dict().items():
+        for outcome, p in as_dict(fock_output_distribution(u, pattern)).items():
             reference[outcome] = reference.get(outcome, 0.0) + mu**k * (1 - mu) ** (n - k) * p
     dist = lossy_exact_distribution(u, mu, np.bincount(input_modes, minlength=8))
     outcomes = list(map(tuple, dist.outcomes.tolist()))
@@ -209,7 +190,7 @@ def test_lossy_law_rejects_bad_input_modes(input_modes):
 def test_thermal_identity_single_mode_is_geometric():
     lam, cutoff = 0.25, 6
     dist = thermal_exact_distribution(np.eye(1), lam, 1, cutoff)
-    law = dist.as_dict()
+    law = as_dict(dist)
     for k in range(cutoff + 1):
         assert law[(k,)] == pytest.approx((1 - lam) * lam**k, abs=1e-12)
     assert dist.truncation_error == pytest.approx(lam ** (cutoff + 1), abs=1e-12)
@@ -224,7 +205,7 @@ def test_thermal_truncation_mass_accounts_for_tail():
 
 def test_thermal_zero_temperature_is_vacuum():
     dist = thermal_exact_distribution(np.eye(2), 0.0, 2, 4)
-    assert dist.as_dict()[(0, 0)] == pytest.approx(1.0)
+    assert as_dict(dist)[(0, 0)] == pytest.approx(1.0)
     assert dist.truncation_error == pytest.approx(0.0, abs=1e-14)
 
 

@@ -25,6 +25,7 @@ from lossyboson.oracle import fock_output_distribution, lossy_exact_distribution
 from lossyboson.rng import make_stream
 from lossyboson.sampler import MPSSource, ThermalSource, build_sampler
 from lossyboson.thermal import scattershot_herald
+from reference import as_dict
 
 
 def _two_mode_state(dead_weight: float) -> MPSState:
@@ -100,7 +101,7 @@ def test_batched_mps_draw_matches_exact_lossy_law(tau, at_output):
     outcomes, freq = np.unique(rows, axis=0, return_counts=True)
     counts = {tuple(int(x) for x in o): int(c) for o, c in zip(outcomes, freq)}
     u = transfer_matrix(circuit.lossless_copy())
-    exact = lossy_exact_distribution(u, mu, pattern).as_dict()
+    exact = as_dict(lossy_exact_distribution(u, mu, pattern))
     assert set(counts) <= set(exact)
     for outcome, p in exact.items():
         sigma = math.sqrt(n * p * (1.0 - p))
@@ -279,7 +280,7 @@ def test_scattershot_draw_matches_exact_heralded_law():
     norm = sum(lam ** sum(h) for h in heralds)
     exact: dict = {}
     for h in heralds:
-        for outcome, p in fock_output_distribution(u, h).as_dict().items():
+        for outcome, p in as_dict(fock_output_distribution(u, h)).items():
             exact[outcome] = exact.get(outcome, 0.0) + lam ** sum(h) / norm * p
     assert set(counts) <= set(exact) and len(exact) == 20
     for outcome, p in exact.items():
@@ -299,7 +300,7 @@ def test_oracle_draw_thins_each_photon_of_a_multi_photon_pattern():
     exact: dict = {}
     for s0, s2 in itertools.product(range(3), range(2)):
         weight = math.comb(2, s0) * mu ** (s0 + s2) * (1 - mu) ** (3 - s0 - s2)
-        for outcome, p in fock_output_distribution(u, (s0, 0, s2, 0)).as_dict().items():
+        for outcome, p in as_dict(fock_output_distribution(u, (s0, 0, s2, 0))).items():
             exact[outcome] = exact.get(outcome, 0.0) + weight * p
     assert set(counts) <= set(exact) and len(exact) == 35
     assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)

@@ -11,7 +11,6 @@ from scipy import stats as scipy_stats
 
 from lossyboson import thermal
 from lossyboson.errors import CapacityError
-from lossyboson.numerics import haar_unitary
 from lossyboson.rng import make_stream
 from lossyboson.thermal import (
     ThermalParams,
@@ -23,6 +22,7 @@ from lossyboson.thermal import (
     scattershot_herald,
 )
 from paper_stages import bernoulli_trials_count, constellation_size, thermal_vs_erasure_distance
+from reference import haar_unitary
 
 
 # ---------------------------------------------------------------------------
