@@ -32,7 +32,7 @@ from . import circuit as circ
 from . import mps, oracle
 from .errors import CapacityError, ModelViolationError
 from .numerics import Distribution, row_groups, total_variation
-from .rng import make_stream, split_stream
+from .rng import make_stream
 from .sampler import MODES, build_sampler
 
 __all__ = ["main", "entry", "run_plan", "run_sample", "run_validate", "run_stats"]
@@ -40,7 +40,8 @@ __all__ = ["main", "entry", "run_plan", "run_sample", "run_validate", "run_stats
 COMMANDS = ("plan", "sample", "validate", "stats")
 FORMATS = ("jsonl", "csv")
 ENV_PREFIX = "LOSSYBOSON_"
-FORMAT_BLOCK = 1 << 14  # byte slots per written block of sample rows
+FORMAT_BLOCK = 1 << 14  # byte slots per written piece of a block's rows
+ROW_ENTRIES = 1 << 17  # int64 counts per drawn block of rows (1 MiB); fixes the output bytes
 VALIDATE_ROWS = 20_000  # rows per sampler check of validate
 FALSE_ALARM = 1e-6  # chance that a correct sampler fails one of validate's row checks
 
@@ -49,7 +50,6 @@ DEFAULTS = {
     "samples": 100,
     "mode": "auto",
     "format": "jsonl",
-    "workers": 1,
     "max_bond": mps.DEFAULT_MAX_BOND,
     "herald_lambda": 0.1,
     "density_k": 1.0,
@@ -75,7 +75,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="JSON config file; flags override its entries")
     p.add_argument("--circuit", help="circuit JSON file")
     p.add_argument("--seed", type=int, help="root RNG seed (fixed seed => fixed bytes)")
-    p.add_argument("--samples", type=int, help="number of samples to draw")
+    p.add_argument("--samples", type=int,
+                   help=f"number of samples to draw; drawn and written in blocks of "
+                        f"{ROW_ENTRIES} // modes rows, block b from child stream b of the seed")
     p.add_argument("--mode", choices=MODES,
                    help="sampling backend (auto follows the plan)")
     p.add_argument("--out", help="output file (default stdout)")
@@ -84,11 +86,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--reference", help="reference distribution JSON (stats)")
     p.add_argument("--eps", type=float, help="total-variation budget")
     p.add_argument("--photons", type=int, help="input photon number")
-    p.add_argument("--workers", type=int,
-                   help="number of seed streams the samples are split over; they run "
-                        "one after another in one process, so this sets the output "
-                        "layout, not parallelism (streams on threads raised the peak "
-                        "memory of a 200-mode, 2-stream run from 49.4 to 69.6 MiB)")
     p.add_argument("--max-bond", type=int, dest="max_bond",
                    help="tensor-network bond-dimension cap")
     p.add_argument("--herald-lambda", type=float, dest="herald_lambda",
@@ -115,7 +112,7 @@ def _env_overrides() -> dict:
     out = {}
     for key, cast in (
         ("seed", int), ("samples", int), ("mode", str), ("out", str),
-        ("format", str), ("eps", float), ("workers", int),
+        ("format", str), ("eps", float),
     ):
         raw = os.environ.get(ENV_PREFIX + key.upper())
         if raw is None:
@@ -154,8 +151,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             f"no command given; choose one of {', '.join(COMMANDS)}"
         )
     cfg["command"] = command
-    for key, low in (("photons", 1), ("samples", 1), ("workers", 1), ("max_bond", 1),
-                     ("seed", 0)):
+    for key, low in (("photons", 1), ("samples", 1), ("max_bond", 1), ("seed", 0)):
         if cfg.get(key) is not None and _integer(cfg[key], key) < low:
             raise UsageError(f'"{key}" must be >= {low}, got {cfg[key]}')
     for key, allowed in (("mode", MODES), ("format", FORMATS)):
@@ -319,9 +315,9 @@ def _write_rows(out, rows: np.ndarray, regime: str, fmt: str) -> None:
     """Write one line per row to ``out``: bare CSV counts, or JSONL as compact sorted
     ``json.dumps`` writes it.
 
-    Each block of at most ``FORMAT_BLOCK`` byte slots is made as one uint8
-    array and written before the next is made; blocks are sized by the
-    widest count of all rows.  In a block whose largest count has w digits,
+    Each piece of at most ``FORMAT_BLOCK`` byte slots is made as one uint8
+    array and written before the next is made; pieces are sized by the
+    widest count of all rows.  In a piece whose largest count has w digits,
     every count gets a slot of w digit bytes and a separator; the digits are
     right-aligned, so the k-th from the right is ``count // 10**k % 10``,
     and a ``"0"`` pad fills the slot's left.  Head and tail are broadcast
@@ -369,26 +365,30 @@ def _open_out(path: str):
 
 
 def run_sample(cfg: dict) -> int:
+    """Draw ``samples`` rows in blocks of ``ROW_ENTRIES // M`` (at least one), block b from
+    child b of the seed's stream; each block is written and dropped before the next draws."""
     circuit, circuit_text = _resolve_circuit(cfg)
     if circuit is None:
         raise UsageError("sample needs a circuit (file path or brickwork spec)")
     pattern = _input_pattern(cfg, circuit.modes)
-    n_samples, workers = cfg["samples"], cfg["workers"]
+    n_samples = cfg["samples"]
     sampler = build_sampler(
         cfg["mode"], circuit, pattern, eps=float(cfg["eps"]),
         max_bond=cfg["max_bond"], herald_lambda=_number(cfg["herald_lambda"], "herald_lambda"),
+        run_rows=n_samples,
     )
-    streams = split_stream(make_stream(cfg.get("seed")), workers)
-    base, extra = divmod(n_samples, workers)
+    root = make_stream(cfg.get("seed"))
+    block = max(1, ROW_ENTRIES // circuit.modes)
     fmt, out_path = cfg["format"], cfg.get("out")
     out = None
     try:
-        for w, stream in enumerate(streams):
-            rows = sampler.draw(stream, base + (1 if w < extra else 0))
+        for start in range(0, n_samples, block):
+            [stream] = root.spawn(1)
+            rows = sampler.draw(stream, min(block, n_samples - start))
             if out is None:  # a run whose first draw fails leaves no file
                 out = _open_out(out_path) if out_path else sys.stdout
             _write_rows(out, rows, sampler.regime, fmt)
-            del rows  # the next stream draws without this one's counts
+            del rows  # the next block draws without this one's counts
     finally:
         if out is not None and out is not sys.stdout:
             out.close()
@@ -399,7 +399,6 @@ def run_sample(cfg: dict) -> int:
             "config_hash": _config_hash(cfg, circuit_text),
             "seed": cfg.get("seed"),
             "samples": n_samples,
-            "workers": workers,
             "regime": sampler.regime,
             "format": fmt,
             "modes": circuit.modes,
@@ -447,7 +446,7 @@ def _rows_check(name: str, rows: np.ndarray, law: Distribution, reference=None,
 
 def run_validate(cfg: dict) -> int:
     rng = make_stream(cfg.get("seed") if cfg.get("seed") is not None else 7)
-    [draws] = split_stream(rng, 1)  # the sampler checks' stream; rng's own draws stay as they are
+    [draws] = rng.spawn(1)  # the sampler checks' stream; rng's own draws stay as they are
     checks = []
 
     bw = circ.random_brickwork(6, 3, 0.9, rng)
@@ -563,8 +562,9 @@ def run_stats(cfg: dict) -> int:
         try:
             with open(ref_path, "r", encoding="utf-8") as fh:
                 ref = json.load(fh)
-            ref_dist = Distribution([_counts(row) for row in ref["outcomes"]], ref["weights"],
-                                    float(ref.get("truncation_error", 0.0)))
+            ref_dist = Distribution([_counts(row) for row in ref["outcomes"]],
+                                    [_number(w, "reference weights") for w in ref["weights"]],
+                                    _number(ref.get("truncation_error", 0.0), "truncation_error"))
         except (OSError, KeyError, TypeError, json.JSONDecodeError, ValueError) as exc:
             raise UsageError(f"bad reference distribution {ref_path}: {exc}") from exc
         if ref_dist.outcomes.shape[1] != arr.shape[1]:

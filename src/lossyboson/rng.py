@@ -2,14 +2,16 @@
 
 Every stochastic operation in this package takes an explicit
 ``numpy.random.Generator``.  Nothing reads global RNG state, so a fixed seed
-plus a fixed worker layout reproduces output bit for bit.
+reproduces output bit for bit.  Independent child streams come from
+``Generator.spawn``: ``sample`` draws block b of a run from the b-th child of
+its root stream, so the bytes depend on the seed and the block size only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RandomStream", "make_stream", "split_stream"]
+__all__ = ["RandomStream", "make_stream"]
 
 # Alias used in signatures throughout the package.
 RandomStream = np.random.Generator
@@ -18,15 +20,3 @@ RandomStream = np.random.Generator
 def make_stream(seed: int | None = None) -> RandomStream:
     """Create a root random stream from an integer seed (or OS entropy)."""
     return np.random.default_rng(seed)
-
-
-def split_stream(stream: RandomStream, n: int) -> list[RandomStream]:
-    """Split ``stream`` into ``n`` statistically independent child streams.
-
-    Children are derived through SeedSequence spawning, so the split is
-    deterministic given the parent and does not advance the parent's state
-    in a way that overlaps the children.
-    """
-    if n < 1:
-        raise ValueError("number of child streams must be >= 1")
-    return list(stream.spawn(n))

@@ -16,7 +16,8 @@ scattershot first draws one collision-free herald per row over all M modes,
 as bool rows.  A draw holds its (rows, M) int64 counts once; beside them
 sit only pieces of bounded size and a few values per row or per occupied
 input.  MPS rows are drawn into place and thinned in place, and each
-thermal block finds its own occupied entries.
+thermal block finds its own occupied entries.  ``lossyboson sample`` draws
+once per fixed-size block of its run, so a draw's counts are one block's.
 """
 
 from __future__ import annotations
@@ -77,12 +78,15 @@ class MPSSource:
     ``mu`` is every mode's transmission, read by ``build_sampler`` from
     ``circuit.uniform_mu()``; it commutes with the lossless circuit, so each
     input pattern of a draw takes the cheaper end for its loss.  With r rows
-    of an n-photon pattern and r * mu**n >= 1 the all-survivor pattern is
-    expected among the thinned inputs, so its n-photon state would be evolved
-    anyway: the rows are drawn from that one state and each output count is
-    thinned with ``rng.binomial(counts, mu)``.  Otherwise every input photon
-    is kept with probability mu and the survivors are drawn through the
-    lossless circuit, which evolves only smaller states.  Evolved states are
+    of an n-photon pattern over the run and r * mu**n >= 1 the all-survivor
+    pattern is expected among the thinned inputs, so its n-photon state would
+    be evolved anyway: the rows are drawn from that one state and each output
+    count is thinned with ``rng.binomial(counts, mu)``.  Otherwise every input
+    photon is kept with probability mu and the survivors are drawn through the
+    lossless circuit, which evolves only smaller states.  A draw that is one
+    block of a ``run_rows``-row run reads r as its own count times
+    ``run_rows`` over its rows, so every block picks the ends the whole run
+    would; without ``run_rows`` each draw is its own run.  Evolved states are
     cached by the pattern they start from.  ``gates`` holds one Fock tensor
     per coupler, or ``None`` for a coupler that has only met vacuum;
     ``mps.simulate_circuit`` builds each at the larger light-cone cutoff of
@@ -90,8 +94,10 @@ class MPSSource:
     and slices it to each pattern's own site dimensions.
     """
 
-    def __init__(self, circuit: circ.LayeredCircuit, mu: float, max_bond: int):
+    def __init__(self, circuit: circ.LayeredCircuit, mu: float, max_bond: int,
+                 run_rows: int | None = None):
         self.mu = mu
+        self.run_rows = run_rows
         self.lossless = circuit.lossless_copy()
         self.max_bond = max_bond
         self.gates: list = [None] * len(circuit.gate_mode)
@@ -119,7 +125,8 @@ class MPSSource:
         """
         inputs = np.asarray(inputs)
         patterns, which = row_groups(inputs)
-        rows = np.bincount(which, minlength=len(patterns))
+        rows = np.bincount(which, minlength=len(patterns)) * (self.run_rows or len(inputs))
+        rows = rows / len(inputs)  # each pattern's rows over the run
         at_output = rows * self.mu ** patterns.sum(axis=1) >= 1.0
         at_input = ~at_output[which]
         out = np.empty(inputs.shape, dtype=int)
@@ -185,6 +192,7 @@ def build_sampler(
     eps: float,
     max_bond: int = mps.DEFAULT_MAX_BOND,
     herald_lambda: float = 0.1,
+    run_rows: int | None = None,
 ) -> Sampler:
     """Sampler for ``pattern`` through ``circuit`` in one of :data:`MODES`.
 
@@ -198,7 +206,8 @@ def build_sampler(
     E[N_h] * mu_max**2, of the exact law, so its thermal-or-MPS inner source
     is planned on the mean E[N_h] = M * lam / (1 + lam).  A thermal sampler
     outside its bound warns once; ``mps`` or ``oracle`` on mixed loss raises
-    ``ValueError``.
+    ``ValueError``.  ``run_rows`` is the rows of the run that the draws are
+    blocks of; the MPS source picks its ends for it (see :class:`MPSSource`).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose one of {', '.join(MODES)}")
@@ -239,5 +248,5 @@ def build_sampler(
             warnings.warn(f"{decision.rationale}; sampling anyway because {mode} mode "
                           "was requested")
     else:
-        source = MPSSource(circuit, mu, max_bond)
+        source = MPSSource(circuit, mu, max_bond, run_rows)
     return Sampler(regime, lambda rng, size: source.draw(inputs(rng, size), rng), decision)

@@ -257,7 +257,7 @@ def test_acceptance_13_sampling_is_deterministic(tmp_path):
     circuit_path = tmp_path / "c.json"
     circuit_path.write_text(circuit_to_json(random_brickwork(4, 2, 0.9, make_stream(1006))))
     argv = ["sample", "--circuit", str(circuit_path), "--photons", "2",
-            "--seed", "123", "--samples", "50", "--workers", "1"]
+            "--seed", "123", "--samples", "50"]
     out1, out2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"
     code1 = cli_main(argv + ["--out", str(out1)])
     code2 = cli_main(argv + ["--out", str(out2)])

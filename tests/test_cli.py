@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import lossyboson.circuit
+import lossyboson.mps
 from lossyboson import cli
 from lossyboson.circuit import (circuit_from_json, circuit_to_json, random_brickwork,
                                 transfer_matrix)
@@ -233,21 +234,27 @@ def test_sample_csv_format(shallow_lossless, capsys):
         assert all(c.isdigit() for c in cells)
 
 
-def test_sample_worker_split_covers_all_samples(shallow_lossless, tmp_path):
-    out = tmp_path / "w.jsonl"
-    code = main([
-        "sample", "--circuit", shallow_lossless, "--photons", "2",
-        "--seed", "5", "--samples", "11", "--workers", "3", "--out", str(out),
-    ])
-    assert code == 0
-    assert len(out.read_text().splitlines()) == 11
+def test_sample_worker_split_covers_all_samples(shallow_lossless, tmp_path, capsys):
+    """A config's "workers" key is unknown and ignored like any other: the bytes do not
+    change.  There is no --workers flag."""
+    argv = ["sample", "--circuit", shallow_lossless, "--photons", "2", "--seed", "5",
+            "--samples", "11"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 3}))
+    outs = [tmp_path / "w.jsonl", tmp_path / "plain.jsonl"]
+    assert main(argv + ["--config", str(cfg), "--out", str(outs[0])]) == 0
+    assert main(argv + ["--out", str(outs[1])]) == 0
+    assert len(outs[0].read_text().splitlines()) == 11
+    assert outs[0].read_bytes() == outs[1].read_bytes()
     meta = json.loads((tmp_path / "w.jsonl.meta.json").read_text())
-    assert meta["workers"] == 3 and meta["samples"] == 11
+    assert meta["samples"] == 11 and "workers" not in meta
+    assert main(argv + ["--workers", "3"]) == 1
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 def test_sample_mps_workers_output_is_byte_identical(shallow_lossy, tmp_path):
     argv = ["sample", "--circuit", shallow_lossy, "--photons", "3", "--mode", "mps",
-            "--seed", "8", "--samples", "301", "--workers", "3"]
+            "--seed", "8", "--samples", "301"]
     outs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
     for out in outs:
         assert main(argv + ["--out", str(out)]) == 0
@@ -468,18 +475,64 @@ def test_format_rows_bytes_match_per_row_formatter(fmt, modes):
 
 @pytest.mark.parametrize("mode", ["thermal", "oracle", "mps", "scattershot"])
 def test_sample_one_row_over_two_workers_writes_one_row(mode, tmp_path):
-    """The second stream draws no rows; the writer must add nothing for it.
-    Scattershot at tau = 0.9 draws from its MPS source (N * mu**2 > eps)."""
+    """A one-row run is one block of one row.  Scattershot at tau = 0.9 draws from its
+    MPS source (N * mu**2 > eps)."""
     out = tmp_path / "one.jsonl"
     cfg = tmp_path / "cfg.json"
     tau, tag = (0.9, "mps") if mode == "scattershot" else (0.3, mode)
     cfg.write_text(json.dumps({
         "circuit": {"brickwork": {"modes": 4, "depth": 3, "tau": tau, "seed": 1}},
-        "photons": 2, "mode": mode, "samples": 1, "workers": 2, "seed": 9, "out": str(out)}))
+        "photons": 2, "mode": mode, "samples": 1, "seed": 9, "out": str(out)}))
     assert main(["sample", "--config", str(cfg)]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["regime"] == tag
     assert len(json.loads(lines[0])["n"]) == 4
+
+
+def _block_run(mode: str, modes: int, samples: int, out) -> None:
+    """A sample run on a brickwork of ``modes`` modes; scattershot at mu = 0.027 is thermal."""
+    cfg = out.parent / f"{out.name}.cfg.json"
+    cfg.write_text(json.dumps({
+        "circuit": {"brickwork": {"modes": modes, "depth": 3, "tau": 0.3, "seed": 2}},
+        "photons": 2, "mode": mode, "samples": samples, "seed": 6, "out": str(out)}))
+    assert main(["sample", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("mode, modes", [("thermal", 64), ("mps", 64), ("oracle", 8),
+                                         ("scattershot", 64)])
+def test_runs_around_one_block_write_their_rows(mode, modes, tmp_path):
+    """B - 1, B and B + 1 rows write that many rows (B = ROW_ENTRIES // M, 2048 at
+    64 modes and 16 384 at the oracle's 8); the B + 1 run is two blocks, its first the
+    B-row run's rows and its rerun the same bytes."""
+    block = cli.ROW_ENTRIES // modes
+    texts = {}
+    for samples in (block - 1, block, block + 1):
+        _block_run(mode, modes, samples, tmp_path / f"{samples}.jsonl")
+        texts[samples] = (tmp_path / f"{samples}.jsonl").read_bytes()
+        assert texts[samples].count(b"\n") == samples
+    assert texts[block + 1].startswith(texts[block])
+    _block_run(mode, modes, block + 1, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == texts[block + 1]
+
+
+def test_mps_ends_read_the_run_not_the_block(tmp_path, monkeypatch):
+    """40 000 rows of 4 photons at mu = 0.075 over blocks of 16 384: each block alone
+    expects 0.52 all-survivor rows, the run 1.27, so every block thins at the output
+    and one state is evolved."""
+    evolved = []
+    simulate = lossyboson.mps.simulate_circuit
+    monkeypatch.setattr(lossyboson.mps, "simulate_circuit",
+                        lambda circuit, pattern, *args: evolved.append(pattern)
+                        or simulate(circuit, pattern, *args))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "circuit": {"brickwork": {"modes": 8, "depth": 2, "tau": 0.075 ** 0.5, "seed": 3}},
+        "photons": 4, "mode": "mps", "samples": 40000, "seed": 1, "format": "csv",
+        "out": str(tmp_path / "rows.csv")}))
+    block = cli.ROW_ENTRIES // 8
+    assert block * 0.075**4 < 1.0 <= 40000 * 0.075**4 and 40000 > 2 * block
+    assert main(["sample", "--config", str(cfg)]) == 0
+    assert evolved == [(1, 1, 1, 1, 0, 0, 0, 0)]
 
 
 # Sample SHA-256 of three small MPS runs and of thermal, scattershot and oracle
@@ -495,8 +548,8 @@ MPS_SAMPLE_SHA256 = {
     "input_side": ({"circuit": {"brickwork": {"modes": 8, "depth": 2, "tau": 0.5, "seed": 5}},
                     "photons": 4, "samples": 20},
                    "9191eb0ca4b740d88ca45141c06567603ae5eeeb13a297628c7ae3dbf14d7709"),
-    "three_workers": ({"workers": 3},
-                      "af5178490fb52d82d424cc1606315bc7959cb17bd3c5baaeb01151c76eb1f1bd"),
+    "two_blocks": ({"samples": 20000},  # blocks of 16384 and 3616 rows
+                   "9230151ebfc7415dad64671a035057e88e611c21d7dfc096b0c520be204bfef8"),
     "thermal_mixed_loss": ({"circuit": MIXED_LOSS, "mode": "thermal"},
                            "7b57e1388257cf3339136ef60e56badd53b56becd2e511cecf3983bb413d75e2"),
     "scattershot": ({"circuit": {"brickwork": {"modes": 8, "depth": 8, "tau": 0.75, "seed": 5}},
@@ -515,7 +568,7 @@ MPS_SAMPLE_SHA256 = {
 def test_mps_sample_bytes_are_pinned(case, tmp_path):
     """301 rows of 3 photons at mu = 0.81 are thinned at the output, 20 rows of 4
     photons at mu = 0.25 at the input.  The thermal, scattershot and oracle cases
-    pin the other modes' bytes."""
+    pin the other modes' bytes, and two_blocks a run's second block."""
     settings, digest = MPS_SAMPLE_SHA256[case]
     if settings.get("circuit") == MIXED_LOSS:
         settings = {**settings, "circuit": _mixed_loss(tmp_path, 0.5, 0.4)}
@@ -1210,6 +1263,21 @@ def test_stats_rejects_malformed_reference(outcomes, tmp_path, capsys):
     assert "tvd_to_reference" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("law", [{"weights": ["0.5", "0.5"]}, {"weights": [True, False]},
+                                 {"weights": [0.5, 0.5], "truncation_error": "0"}],
+                         ids=["weights-text", "weights-boolean", "truncation-text"])
+def test_stats_reference_numbers_must_be_json_numbers(law, tmp_path, capsys):
+    """Text or booleans are a usage error, not read as 0.5 or 1 and 0."""
+    path = tmp_path / "s.csv"
+    path.write_text("1,0\n0,1\n")
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps({"outcomes": [[1, 0], [0, 1]], **law}))
+    assert main(["stats", "--in", str(path), "--reference", str(ref)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and len(captured.err.splitlines()) == 1
+
+
 def test_stats_parse_error_names_the_line(tmp_path, capsys):
     path = tmp_path / "broken.jsonl"
     path.write_text('{"n":[1,0],"regime":"mps"}\n{"n":[oops\n')
@@ -1271,12 +1339,11 @@ def test_config_with_non_integer_photon_counts_is_input_error(command, entry, sh
 
 
 @pytest.mark.parametrize("command, where, key, value", [
-    ("sample", "config", "samples", 2.5), ("sample", "config", "workers", 1.5),
-    ("sample", "config", "max_bond", 8.0), ("sample", "config", "seed", 2.5),
-    ("sample", "brickwork", "modes", 4.9), ("sample", "brickwork", "depth", 2.5),
-    ("sample", "brickwork", "seed", 1.5), ("plan", "config", "modes", 4.5),
-    ("plan", "config", "depth", 2.5),
-], ids=["samples", "workers", "max_bond", "seed", "brickwork-modes", "brickwork-depth",
+    ("sample", "config", "samples", 2.5), ("sample", "config", "max_bond", 8.0),
+    ("sample", "config", "seed", 2.5), ("sample", "brickwork", "modes", 4.9),
+    ("sample", "brickwork", "depth", 2.5), ("sample", "brickwork", "seed", 1.5),
+    ("plan", "config", "modes", 4.5), ("plan", "config", "depth", 2.5),
+], ids=["samples", "max_bond", "seed", "brickwork-modes", "brickwork-depth",
         "brickwork-seed", "plan-modes", "plan-depth"])
 def test_config_with_non_integer_setting_is_input_error(command, where, key, value, tmp_path,
                                                         capsys):
@@ -1291,10 +1358,12 @@ def test_config_with_non_integer_setting_is_input_error(command, where, key, val
     assert captured.out == "" and f'"{key}" must be an integer, got {value}' in captured.err
 
 
-def test_two_stream_run_never_holds_both_streams_counts(tmp_path, monkeypatch):
-    """Each stream's rows are dropped once written: when the second stream draws,
-    the first one's array is gone, and the run peaks below 1.5x one stream's counts."""
-    drawn = []  # (weak reference to each stream's rows, earlier rows still alive)
+def test_block_run_never_holds_two_blocks_counts(tmp_path, monkeypatch):
+    """Each block's rows are dropped once written: when a block draws, no earlier
+    block's array is alive, and the run peaks below 1.5x one block's counts.  Beside
+    the counts (8 M bytes a row) a thermal draw holds its normals (16 N bytes a row);
+    N / M = 0.1 is thermal-deep's ratio."""
+    drawn = []  # (weak reference to each block's rows, earlier rows still alive)
     build = cli.build_sampler
 
     def recording_build(*args, **kwargs):
@@ -1312,7 +1381,7 @@ def test_two_stream_run_never_holds_both_streams_counts(tmp_path, monkeypatch):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "circuit": {"brickwork": {"modes": 60, "depth": 10, "tau": 0.5, "seed": 4}},
-        "photons": 10, "mode": "thermal", "samples": 20000, "workers": 2, "seed": 5,
+        "photons": 6, "mode": "thermal", "samples": 20000, "seed": 5,
         "format": "csv", "out": str(tmp_path / "rows.csv")}))
     tracemalloc.start()
     try:
@@ -1320,6 +1389,7 @@ def test_two_stream_run_never_holds_both_streams_counts(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [alive for _, alive in drawn] == [False, False]
-    stream_bytes = 10000 * 60 * 8
-    assert peak <= 1.5 * stream_bytes, peak / stream_bytes
+    block = cli.ROW_ENTRIES // 60
+    assert [alive for _, alive in drawn] == [False] * -(-20000 // block)
+    block_bytes = block * 60 * 8
+    assert peak <= 1.5 * block_bytes, peak / block_bytes

@@ -1,10 +1,17 @@
-"""Memory smoke check: does a run's peak grow by about one int64 copy of its rows?
+"""Memory smoke check: does a run's peak stay flat as its row count grows?
 
-Runs the CLI on the ``mps-shallow``-shaped config (14 modes, depth 3,
-tau 0.9, 7 photons, MPS mode) at 3 000 and at 100 000 rows, each in a fresh
-process with BLAS at one thread, and reads each child's ``ru_maxrss``.  The
-difference is compared with the extra rows' int64 counts (97 000 x 14 x 8
-bytes); the check fails if it exceeds twice that.
+Runs the CLI on two configs, each at a small and a large row count, in a
+fresh process per run with BLAS at one thread, and reads each child's
+``ru_maxrss``:
+
+* the ``mps-shallow`` shape (14 modes, depth 3, tau 0.9, 7 photons, MPS
+  mode) at 3 000 and 100 000 rows;
+* the ``thermal-deep`` shape (200 modes, depth 200, tau 0.98262, 20 photons,
+  thermal mode) at 2 000 and 20 000 rows.
+
+Rows are drawn and written in blocks of a fixed size, so for each pair the
+check fails if the large run's peak exceeds the small run's by more than
+``FLAT_KIB``, or by more than ``LIMIT`` times the extra rows' int64 counts.
 
 Start it under ``python -S`` from the repository root::
 
@@ -22,15 +29,21 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ROWS = (3000, 100000)
 LIMIT = 2.0  # allowed peak growth over the extra rows' int64 bytes
+FLAT_KIB = 2048  # allowed peak growth from the small to the large run
+SHAPES = {  # name: (brickwork, sample settings, small and large row counts)
+    "mps-shallow": ({"modes": 14, "depth": 3, "tau": 0.9},
+                    {"photons": 7, "mode": "mps"}, (3000, 100000)),
+    "thermal-deep": ({"modes": 200, "depth": 200, "tau": 0.98262},
+                     {"photons": 20, "mode": "thermal"}, (2000, 20000)),
+}
 
 
-def config(samples: int, out: str) -> dict:
-    """The ``mps-shallow``-shaped sample config."""
-    return {"circuit": {"brickwork": {"modes": 14, "depth": 3, "tau": 0.9, "seed": 1}},
-            "photons": 7, "mode": "mps", "samples": samples, "seed": 1, "workers": 1,
-            "format": "jsonl", "out": out}
+def config(name: str, samples: int, out: str) -> dict:
+    """The sample config of one shape."""
+    brickwork, settings, _ = SHAPES[name]
+    return {"circuit": {"brickwork": {**brickwork, "seed": 1}}, **settings,
+            "samples": samples, "seed": 1, "format": "jsonl", "out": out}
 
 
 def peak_kib(cfg: dict, work: str) -> int:
@@ -50,15 +63,20 @@ def peak_kib(cfg: dict, work: str) -> int:
 
 
 def main() -> int:
+    ok = True
     with tempfile.TemporaryDirectory() as work:
         out = os.path.join(work, "rows.jsonl")
-        small, large = (peak_kib(config(n, out), work) for n in ROWS)
-    extra = (ROWS[1] - ROWS[0]) * 14 * 8 / 1024.0  # KiB of int64 counts
-    ratio = (large - small) / extra
-    print(json.dumps({"peak_kib": {str(n): kib for n, kib in zip(ROWS, (small, large))},
-                      "extra_counts_kib": round(extra, 1), "growth_over_counts": round(ratio, 3),
-                      "limit": LIMIT}))
-    return 0 if ratio <= LIMIT else 1
+        for name, (brickwork, _, rows) in SHAPES.items():
+            small, large = (peak_kib(config(name, n, out), work) for n in rows)
+            extra = (rows[1] - rows[0]) * brickwork["modes"] * 8 / 1024.0  # KiB of int64 counts
+            ratio = (large - small) / extra
+            ok &= ratio <= LIMIT and large - small <= FLAT_KIB
+            print(json.dumps({"shape": name,
+                              "peak_kib": {str(n): kib for n, kib in zip(rows, (small, large))},
+                              "growth_kib": large - small, "flat_kib": FLAT_KIB,
+                              "extra_counts_kib": round(extra, 1),
+                              "growth_over_counts": round(ratio, 3), "limit": LIMIT}))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
