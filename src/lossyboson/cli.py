@@ -157,13 +157,16 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key, allowed in (("mode", MODES), ("format", FORMATS)):
         if cfg[key] not in allowed:
             raise UsageError(f"unknown {key} {cfg[key]!r}; choose one of {', '.join(allowed)}")
-    k, gamma, eps = (_number(cfg[key], key) for key in ("density_k", "density_gamma", "eps"))
+    k, gamma, eps, lam = (_number(cfg[key], key)
+                          for key in ("density_k", "density_gamma", "eps", "herald_lambda"))
     if not k > 0.0:
         raise UsageError(f"density_k must be > 0, got {k}")
     if not 0.0 < gamma <= 1.0:
         raise UsageError(f"density_gamma must lie in (0, 1], got {gamma}")
     if not 0.0 < eps < math.inf:
         raise UsageError(f"eps must be finite and > 0, got {eps}")
+    if not 0.0 <= lam < 1.0:
+        raise UsageError(f"herald_lambda must lie in [0, 1), got {lam}")
     return cfg
 
 
@@ -370,12 +373,11 @@ def run_sample(cfg: dict) -> int:
     circuit, circuit_text = _resolve_circuit(cfg)
     if circuit is None:
         raise UsageError("sample needs a circuit (file path or brickwork spec)")
-    pattern = _input_pattern(cfg, circuit.modes)
+    pattern = () if cfg["mode"] == "scattershot" else _input_pattern(cfg, circuit.modes)
     n_samples = cfg["samples"]
     sampler = build_sampler(
         cfg["mode"], circuit, pattern, eps=float(cfg["eps"]),
-        max_bond=cfg["max_bond"], herald_lambda=_number(cfg["herald_lambda"], "herald_lambda"),
-        run_rows=n_samples,
+        max_bond=cfg["max_bond"], herald_lambda=float(cfg["herald_lambda"]), run_rows=n_samples,
     )
     root = make_stream(cfg.get("seed"))
     block = max(1, ROW_ENTRIES // circuit.modes)

@@ -17,7 +17,8 @@ occupied inputs that the gate list can carry to it.  A coupler gives both of
 its modes the union of their input sets, so a site's set only grows and its
 final set bounds its photon number at every layer.  The evolution is
 therefore exact, and the bond dimension is bounded by (d+1)^(2*depth) with d
-the total photon number.
+the total photon number; with the phases riding in the coupler gates it is
+exact up to one global phase (see ``simulate_circuit``).
 
 Losses are handled by the caller (``sampler.MPSSource`` picks the end of the
 circuit at which uniform loss is applied).
@@ -53,7 +54,6 @@ __all__ = [
     "init_input",
     "coupler_fock_amplitudes",
     "coupler_mpo",
-    "apply_phase",
     "apply_coupler",
     "outcome_probability",
     "canonicalize",
@@ -189,15 +189,6 @@ def coupler_mpo(block: np.ndarray, d: int) -> CouplerMPO:
     x_left = u.reshape(q, q, -1)
     x_right = vh.T.reshape(q, q, -1)
     return CouplerMPO(x_left=x_left, sigmas=sig, x_right=x_right)
-
-
-def apply_phase(state: MPSState, mode: int, theta: float) -> MPSState:
-    """Phase rotation exp(i * theta * n) on one mode, in place; bonds untouched."""
-    if not 0 <= mode < state.modes:
-        raise ValueError(f"mode {mode} out of range for {state.modes} modes")
-    factor = np.exp(1j * theta * np.arange(len(state.tensors[mode])))
-    state.tensors[mode] = state.tensors[mode] * factor[:, None, None]
-    return state
 
 
 def apply_coupler(
@@ -420,7 +411,7 @@ def simulate_circuit(
     max_bond: int = DEFAULT_MAX_BOND,
     gates: list | None = None,
 ) -> MPSState:
-    """Evolve |pattern> through a lossless circuit, layer by layer.
+    """Evolve |pattern> through a lossless circuit, coupler by coupler.
 
     Site i's photon cutoff is the number of input photons in its light cone:
     the inputs that the gate list connects to output i.  No photon reaches a
@@ -428,11 +419,17 @@ def simulate_circuit(
     exact zeros and the evolution is exact.  A coupler whose two sites are
     both capped at 0 acts on vacuum alone and is skipped.
 
+    Each layer's phases ride in the 2x2 coupler blocks: a phase on mode i
+    multiplies i's output row of the last coupler that touched it, as nothing
+    acts on i in between; one on a mode that no coupler has touched yet only
+    rotates an input Fock state, a global phase, and is dropped.
+
     ``gates`` caches the couplers' Fock tensors across calls: one entry per
-    coupler in application order, ``None`` until built.  An entry missing or
-    smaller than the larger cutoff of its two sites is (re)built at that
-    cutoff and stored in the list; each is sliced to its two sites' own
-    dimensions, which equals a build at them since a coupler's Fock
+    coupler in application order, ``None`` until built; the folded blocks
+    depend only on the circuit, so one list serves every pattern.  An entry
+    missing or smaller than the larger cutoff of its two sites is (re)built
+    at that cutoff and stored in the list; each is sliced to its two sites'
+    own dimensions, which equals a build at them since a coupler's Fock
     amplitudes do not depend on the cutoff.  Loss is the caller's (see
     ``sampler.MPSSource``): pass ``circuit.lossless_copy()``.
 
@@ -458,24 +455,23 @@ def simulate_circuit(
     elif len(gates) != len(circuit.gate_mode):
         raise ValueError("need one gate tensor per coupler of the circuit")
     offsets = circuit.offsets.tolist()
+    blocks = coupler_blocks(circuit.theta, circuit.phi)
+    last = np.full(circuit.modes, -1)  # row 2 * g + side of the coupler g last on each mode
     reach = np.eye(circuit.modes, dtype=bool)  # reach[i, j]: input j can reach site i
     for l in range(circuit.depth):
-        k = circuit.gate_mode[offsets[l]:offsets[l + 1]]  # disjoint pairs: a layer at once
+        g = np.arange(offsets[l], offsets[l + 1])
+        k = circuit.gate_mode[g]  # disjoint pairs: a layer at once
         reach[k] = reach[k + 1] = reach[k] | reach[k + 1]
+        last[k], last[k + 1] = 2 * g, 2 * g + 1
+        on = np.flatnonzero(last >= 0)  # an untouched mode's phase is global: dropped
+        blocks.reshape(-1, 2)[last[on]] *= np.exp(1j * circuit.phases[l, on])[:, None]
     state = init_input(pattern, reach @ pattern)
     q = [len(t) for t in state.tensors]
-    blocks = coupler_blocks(circuit.theta, circuit.phi)
-    gate_mode = circuit.gate_mode.tolist()
-    for l, phases in enumerate(circuit.phases.tolist()):
-        for g in range(offsets[l], offsets[l + 1]):
-            k = gate_mode[g]
-            qa, qb = q[k], q[k + 1]
-            if qa == qb == 1:
-                continue
-            if gates[g] is None or len(gates[g]) < max(qa, qb):
-                gates[g] = coupler_fock_amplitudes(blocks[g], max(qa, qb) - 1)
-            state = apply_coupler(state, k, gates[g][:qa, :qb, :qa, :qb], max_bond)
-        for i, theta in enumerate(phases):
-            if theta != 0.0:
-                state = apply_phase(state, i, theta)
+    for g, k in enumerate(circuit.gate_mode.tolist()):
+        qa, qb = q[k], q[k + 1]
+        if qa == qb == 1:
+            continue
+        if gates[g] is None or len(gates[g]) < max(qa, qb):
+            gates[g] = coupler_fock_amplitudes(blocks[g], max(qa, qb) - 1)
+        state = apply_coupler(state, k, gates[g][:qa, :qb, :qa, :qb], max_bond)
     return state

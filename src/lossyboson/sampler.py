@@ -88,10 +88,10 @@ class MPSSource:
     ``run_rows`` over its rows, so every block picks the ends the whole run
     would; without ``run_rows`` each draw is its own run.  Evolved states are
     cached by the pattern they start from.  ``gates`` holds one Fock tensor
-    per coupler, or ``None`` for a coupler that has only met vacuum;
-    ``mps.simulate_circuit`` builds each at the larger light-cone cutoff of
-    its two sites, rebuilds it only when a later pattern needs a larger one,
-    and slices it to each pattern's own site dimensions.
+    per coupler (phases folded in), or ``None`` for a coupler that has only
+    met vacuum; ``mps.simulate_circuit`` builds each at the larger light-cone
+    cutoff of its two sites, rebuilds it only when a later pattern needs a
+    larger one, and slices it to each pattern's own site dimensions.
     """
 
     def __init__(self, circuit: circ.LayeredCircuit, mu: float, max_bond: int,

@@ -158,9 +158,8 @@ def sample_output(
     row-major order, so the rows do not depend on the block size.  Each
     block finds its own occupied entries, so only the counts, the amplitudes
     and two intp values per row span the whole draw.  Each block propagates
-    only the columns of ``a`` that some of its rows occupy, so a row costs
-    O(M * N_occ), not O(M * K).  Dropping columns that no row occupies keeps
-    every count bit for bit.
+    all K columns of ``a``: a fixed pattern's ``a`` holds only its occupied
+    columns already.
 
     Parameters
     ----------
@@ -186,8 +185,7 @@ def sample_output(
         stop = min(start + DRAW_BLOCK, len(inputs))
         alpha = np.zeros((stop - start, a.shape[1]), dtype=complex)
         alpha[np.nonzero(inputs[start:stop])] = amplitudes[ends[start]:ends[stop]]
-        cols = np.flatnonzero(inputs[start:stop].any(axis=0))
-        beta = propagate(a[:, cols], alpha[:, cols].T).T
+        beta = propagate(a, alpha.T).T
         out[start:stop] = rng.poisson(np.abs(beta) ** 2)
     return out
 

@@ -5,8 +5,10 @@ own parameters, compute permanents by Glynn's formula and draw from evolved
 states without checking their norm or canonical form.  They stay here so the
 tests can keep holding that code against slow, plain definitions: a Haar
 unitary by QR, the permanent as a sum over permutations, the MPS norm by a
-transfer contraction and the canonical-form conditions.  The last helpers
-read a law, a state or a coupler operator in the form the tests compare.
+transfer contraction and the canonical-form conditions.  ``apply_phase``
+rotates one MPS site by a layer's phase, as an evolution that keeps phases
+out of the coupler gates does.  The last helpers read a law, a state or a
+coupler operator in the form the tests compare.
 """
 
 from itertools import permutations
@@ -99,6 +101,15 @@ def weighted_defect(state: MPSState) -> float:
         gram = np.einsum("nac,a,nad->cd", t.conj(), lam_l**2, t)
         worst = max(worst, float(np.abs(gram - np.diag(lam_r**2)).max()))
     return worst
+
+
+def apply_phase(state: MPSState, mode: int, theta: float) -> MPSState:
+    """Phase rotation exp(i * theta * n) on one mode, in place; bonds untouched."""
+    if not 0 <= mode < state.modes:
+        raise ValueError(f"mode {mode} out of range for {state.modes} modes")
+    factor = np.exp(1j * theta * np.arange(len(state.tensors[mode])))
+    state.tensors[mode] = state.tensors[mode] * factor[:, None, None]
+    return state
 
 
 def as_dict(dist: Distribution) -> dict:

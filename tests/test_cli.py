@@ -234,7 +234,7 @@ def test_sample_csv_format(shallow_lossless, capsys):
         assert all(c.isdigit() for c in cells)
 
 
-def test_sample_worker_split_covers_all_samples(shallow_lossless, tmp_path, capsys):
+def test_sample_unknown_config_key_keeps_the_bytes(shallow_lossless, tmp_path, capsys):
     """A config's "workers" key is unknown and ignored like any other: the bytes do not
     change.  There is no --workers flag."""
     argv = ["sample", "--circuit", shallow_lossless, "--photons", "2", "--seed", "5",
@@ -252,7 +252,7 @@ def test_sample_worker_split_covers_all_samples(shallow_lossless, tmp_path, caps
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
-def test_sample_mps_workers_output_is_byte_identical(shallow_lossy, tmp_path):
+def test_sample_mps_rerun_is_byte_identical(shallow_lossy, tmp_path):
     argv = ["sample", "--circuit", shallow_lossy, "--photons", "3", "--mode", "mps",
             "--seed", "8", "--samples", "301"]
     outs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
@@ -349,6 +349,35 @@ def test_sample_scattershot_smoke(shallow_lossless, capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("settings", [{}, {"photons": 9}], ids=["no-photons", "too-many"])
+def test_scattershot_reads_no_photon_count(tmp_path, settings):
+    """Scattershot heralds every row's input: without photons or a pattern, or with more
+    photons than modes, it draws the rows of a run with a valid photon count."""
+    rows = []
+    for name, extra in (("given", settings), ("valid", {"photons": 2})):
+        out = tmp_path / f"{name}.jsonl"
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({
+            "circuit": {"brickwork": {"modes": 6, "depth": 30, "tau": 0.8, "seed": 1}},
+            "mode": "scattershot", "samples": 40, "seed": 4, "out": str(out), **extra}))
+        assert main(["sample", "--config", str(cfg)]) == 0
+        rows.append(out.read_bytes())
+    assert rows[0] == rows[1] and len(rows[0].splitlines()) == 40
+
+
+@pytest.mark.parametrize("lam", ["-1", "-0.5", "1", "nan"])
+def test_herald_lambda_outside_unit_interval_is_a_usage_error(shallow_lossy, lam, capsys):
+    """herald_lambda is checked for every command: one error line naming it, exit 1."""
+    line = f"usage error: herald_lambda must lie in [0, 1), got {float(lam)}\n"
+    proc = _cli_process("sample", "--circuit", shallow_lossy, "--mode", "scattershot",
+                        "--photons", "1", "--samples", "3", f"--herald-lambda={lam}")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", line)
+    for command in ("plan", "validate", "stats"):
+        assert main([command, "--circuit", shallow_lossy, "--photons", "1",
+                     f"--herald-lambda={lam}"]) == 1
+        assert capsys.readouterr().err == line
 
 
 def test_scattershot_is_planned_on_the_mean_herald_photon_number(tmp_path):
@@ -474,7 +503,7 @@ def test_format_rows_bytes_match_per_row_formatter(fmt, modes):
 
 
 @pytest.mark.parametrize("mode", ["thermal", "oracle", "mps", "scattershot"])
-def test_sample_one_row_over_two_workers_writes_one_row(mode, tmp_path):
+def test_sample_one_row_run_writes_one_row(mode, tmp_path):
     """A one-row run is one block of one row.  Scattershot at tau = 0.9 draws from its
     MPS source (N * mu**2 > eps)."""
     out = tmp_path / "one.jsonl"

@@ -14,7 +14,6 @@ from lossyboson.errors import CapacityError
 from lossyboson.mps import (
     MPSState,
     apply_coupler,
-    apply_phase,
     canonicalize,
     coupler_fock_amplitudes,
     coupler_mpo,
@@ -26,8 +25,8 @@ from lossyboson.mps import (
 )
 from lossyboson.oracle import fock_output_distribution
 from lossyboson.rng import make_stream
-from reference import (as_dict, bond_dims, canonical_defect, haar_unitary, recombine,
-                       state_norm, weighted_defect)
+from reference import (apply_phase, as_dict, bond_dims, canonical_defect, haar_unitary,
+                       recombine, state_norm, weighted_defect)
 
 BS5050 = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
 
@@ -334,14 +333,19 @@ def test_evolved_state_draws_as_the_canonicalized_state(evolved_brickworks, seed
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, "json"])
 def test_simulation_matches_permanent_oracle(seed):
-    rng = make_stream(300 + seed)
-    modes = int(rng.integers(2, 7))
-    depth = int(rng.integers(1, 5))
-    photons = int(rng.integers(1, min(modes, 3) + 1))
-    circuit = random_brickwork(modes, depth, 1.0, rng)
-    pattern = (1,) * photons + (0,) * (modes - photons)
+    """Brickworks phase only the modes a layer's couplers touch; the JSON circuit also
+    phases modes before their first coupler, between two and after their last."""
+    if seed == "json":
+        circuit, pattern = _unordered_json_circuit(), (0, 1, 1, 1, 0, 0, 1)
+    else:
+        rng = make_stream(300 + seed)
+        modes = int(rng.integers(2, 7))
+        depth = int(rng.integers(1, 5))
+        photons = int(rng.integers(1, min(modes, 3) + 1))
+        circuit = random_brickwork(modes, depth, 1.0, rng)
+        pattern = (1,) * photons + (0,) * (modes - photons)
     exact = fock_output_distribution(transfer_matrix(circuit), pattern)
     st = simulate_circuit(circuit, pattern)
     probs = np.array([outcome_probability(st, o) for o in exact.outcomes])
@@ -439,17 +443,19 @@ def test_light_cone_evolution_matches_uniform_cutoff_evolution(kind, size, patte
 
 
 def test_simulate_slices_gates_built_at_a_larger_cutoff():
-    """Gates built at cutoff 5 are sliced to each coupler's two light-cone dimensions,
-    not rebuilt, and give the state a build at those dimensions gives."""
+    """Gates cached for a pattern with larger light-cone caps are sliced to a smaller
+    pattern's two-site dimensions, not rebuilt, and give the state a fresh build gives."""
     circuit = random_brickwork(6, 3, 1.0, make_stream(72))
     pattern = (1, 0, 1, 0, 0, 0)
-    gates = [coupler_fock_amplitudes(b, 5) for b in coupler_blocks(circuit.theta, circuit.phi)]
+    gates = [None] * len(circuit.gate_mode)
+    simulate_circuit(circuit, (1, 1, 1, 0, 1, 0), gates=gates)
     held = list(gates)
     sliced = simulate_circuit(circuit, pattern, gates=gates)
     built = simulate_circuit(circuit, pattern)
     assert all(g is h for g, h in zip(gates, held))
     assert [len(t) for t in sliced.tensors] == [3, 3, 3, 3, 2, 2]
     assert [c + 1 for c in _light_cone_caps(circuit, pattern)] == [3, 3, 3, 3, 2, 2]
+    assert [len(g) for g in gates] == [4, 5, 3, 5, 5, 4, 5, 3]  # a fresh build: 3 or 2
     for got, want in zip(sliced.tensors + sliced.schmidts, built.tensors + built.schmidts):
         assert np.array_equal(got, want)
 

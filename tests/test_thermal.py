@@ -232,7 +232,7 @@ def test_sample_output_rows_do_not_depend_on_block_size(monkeypatch):
 
 
 def _dense_sample_output(a, params, inputs, rng):
-    """sample_output before occupied columns: every block propagates all M columns of a."""
+    """sample_output with every occupied entry found up front, not block by block."""
     a = np.asarray(a, dtype=complex)
     rows, modes = np.nonzero(inputs)
     amplitudes = rng.standard_normal(2 * len(rows)).view(complex)
@@ -251,7 +251,8 @@ def _dense_sample_output(a, params, inputs, rng):
 
 @pytest.mark.parametrize("block", [1, 7, 32, 210])
 def test_sample_output_matches_dense_reference(block, monkeypatch):
-    """Propagating only a block's occupied columns keeps every count of the dense draw."""
+    """Finding each block's occupied entries on its own keeps every count of the draw
+    that finds them all at once, for blocks with no input and rows that cover every mode."""
     a = 0.95 * haar_unitary(12, make_stream(42))
     inputs = make_stream(43).binomial(1, 0.25, size=(210, 12))  # heralded rows
     inputs[[3, 50]] = 0
