@@ -370,7 +370,7 @@ def depth_threshold_algebraic(
 
     D* = d_len * [ (2k/eps)**(1/(2 beta)) * M**(gamma/(2 beta)) - 1 ].  The
     report includes gamma/beta; the simulation stays polynomially bounded
-    when that ratio is below 2.
+    when that ratio is below 2.  Past the float range D* is infinite.
     """
     if d_len <= 0 or beta <= 0:
         raise ValueError("decay length and exponent must be positive")
@@ -380,9 +380,11 @@ def depth_threshold_algebraic(
         raise ValueError(f"density exponent must lie in (0, 1], got {gamma}")
     if modes < 1:
         raise ValueError("mode count must be >= 1")
-    depth = d_len * (
-        (2.0 * k / eps) ** (1.0 / (2.0 * beta)) * modes ** (gamma / (2.0 * beta)) - 1.0
-    )
+    try:
+        scale = (2.0 * k * modes**gamma / eps) ** (1.0 / (2.0 * beta))
+    except OverflowError:
+        scale = math.inf
+    depth = d_len * (scale - 1.0)
     return AlgebraicThreshold(depth=max(0.0, depth), gamma_beta_ratio=gamma / beta)
 
 

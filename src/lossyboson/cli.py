@@ -132,9 +132,12 @@ def _integer(value, key: str) -> int:
 
 
 def _number(value, key: str) -> float:
-    """A setting that must be a JSON number: ``true`` or ``"0.5"`` is a usage error, not cast."""
+    """A setting that must be a finite JSON number: ``true``, ``"0.5"`` or the ``NaN`` and
+    ``Infinity`` that Python's ``json`` reads (JSON has neither) is a usage error, not cast."""
     if type(value) not in (int, float):
         raise UsageError(f"{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise UsageError(f"{key} must be finite, got {value!r}")
     return float(value)
 
 
@@ -163,7 +166,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise UsageError(f"density_k must be > 0, got {k}")
     if not 0.0 < gamma <= 1.0:
         raise UsageError(f"density_gamma must lie in (0, 1], got {gamma}")
-    if not 0.0 < eps < math.inf:
+    if not eps > 0.0:
         raise UsageError(f"eps must be finite and > 0, got {eps}")
     if not 0.0 <= lam < 1.0:
         raise UsageError(f"herald_lambda must lie in [0, 1), got {lam}")
@@ -237,8 +240,8 @@ def run_plan(cfg: dict) -> int:
     per-layer mean mu**(1/D) of its uniform loss (null for mixed loss).
     Without one, the geometry ``modes``/``depth``/``tau`` gives
     mu_max = tau**depth.  With neither photons nor a pattern, N follows the
-    density law k * M**gamma.  An infinite depth (no loss) is reported as
-    null, as JSON has no infinity.
+    density law k * M**gamma.  An infinite depth (no loss, or an algebraic
+    threshold past the float range) is reported as null, as JSON has none.
     """
     eps = float(cfg["eps"])
     k, gamma = float(cfg["density_k"]), float(cfg["density_gamma"])
@@ -257,7 +260,8 @@ def run_plan(cfg: dict) -> int:
         if depth < 0 or not 0.0 < tau <= 1.0:
             raise UsageError(f"plan needs depth >= 0 and tau in (0, 1], got {depth}, {tau}")
     if "pattern" not in cfg and cfg.get("photons") is None:
-        cfg = dict(cfg, photons=max(1, round(k * modes**gamma)))
+        density = k * modes**gamma  # inf if it overflows: not rounded, refused as above M
+        cfg = dict(cfg, photons=max(1, round(density)) if density < modes + 1 else density)
     pattern = _input_pattern(cfg, modes)
     if circuit is not None:
         decision = build_sampler("auto", circuit, pattern, eps).plan
@@ -297,7 +301,8 @@ def run_plan(cfg: dict) -> int:
             "gamma_beta_ratio": result.gamma_beta_ratio,
             "efficient": result.efficient,
         }
-    print(_json_out({key: None if v == math.inf else v for key, v in report.items()}))
+    # JSON has no Infinity: json.dumps writes it, and reading it back makes it null
+    print(_json_out(json.loads(json.dumps(report), parse_constant=lambda _: None)))
     return 0
 
 

@@ -120,11 +120,15 @@ class Distribution:
 
 
 def row_groups(rows: np.ndarray) -> tuple:
-    """Distinct rows of a 2-D int array in sorted order and each row's index among them.
+    """Distinct rows of a 2-D int or bool array in sorted order and each row's index among them.
 
     The result of ``np.unique(rows, axis=0, return_inverse=True)``, from one
-    lexsort of the integer columns instead of a sort of structured rows.
+    lexsort of the columns instead of a sort of structured rows.  Rows with
+    stride 0 (one row broadcast by ``np.broadcast_to``, as a fixed input
+    pattern is) are one group, or none without rows, found without a sort.
     """
+    if rows.strides[0] == 0:
+        return rows[:1].copy(), np.zeros(len(rows), dtype=int)
     order = np.lexsort(rows.T[::-1])
     ranked = rows[order]
     first = np.ones(len(rows), dtype=bool)

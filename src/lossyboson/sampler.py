@@ -15,9 +15,10 @@ to every row (to its occupied columns only, for the thermal source);
 scattershot first draws one collision-free herald per row over all M modes,
 as bool rows.  A draw holds its (rows, M) int64 counts once; beside them
 sit only pieces of bounded size and a few values per row or per occupied
-input.  MPS rows are drawn into place and thinned in place, and each
-thermal block finds its own occupied entries.  ``lossyboson sample`` draws
-once per fixed-size block of its run, so a draw's counts are one block's.
+input.  MPS rows are grouped once, by their end and thinned input (a
+broadcast pattern without a sort), drawn into place and thinned in place;
+each thermal block finds its own occupied entries.  ``lossyboson sample``
+draws once per fixed-size block of its run: a draw's counts are one block's.
 """
 
 from __future__ import annotations
@@ -114,55 +115,41 @@ class MPSSource:
     def draw(self, inputs: np.ndarray, rng: RandomStream) -> np.ndarray:
         """Lossy rows: thin at the input or at the output, per input pattern.
 
-        Rows thinned at the input go first: their occupied entries are thinned
-        in row-major order by one call, then their lossless rows are drawn
-        into place.  The other rows' lossless rows follow, drawn into place
-        from this draw's one grouping of ``inputs``, then their counts are
-        thinned by ``rng.binomial`` in place, in row order, over pieces of
-        :data:`mps.DRAW_CHUNK` rows.  Both sides visit their patterns in
-        sorted order, so the rows depend only on ``rng`` and ``inputs``, and
-        only the (rows, M) output spans the whole draw.
+        If some rows are thinned at the input, each row gets a bool key of
+        its end (input side first) and its input, whose input-side occupied
+        entries are thinned in place, row-major, by one call; the keys are
+        grouped once.  One loop draws each group's lossless rows into place
+        in sorted order, into the output itself when one group covers it.
+        Output-side counts are then thinned by ``rng.binomial`` in place, in
+        row order, over pieces of :data:`mps.DRAW_CHUNK` rows.  The rows
+        depend only on ``rng`` and ``inputs``; only the output spans the draw.
         """
         inputs = np.asarray(inputs)
         patterns, which = row_groups(inputs)
         rows = np.bincount(which, minlength=len(patterns)) * (self.run_rows or len(inputs))
         rows = rows / len(inputs)  # each pattern's rows over the run
-        at_output = rows * self.mu ** patterns.sum(axis=1) >= 1.0
-        at_input = ~at_output[which]
+        at_output = (rows * self.mu ** patterns.sum(axis=1) >= 1.0)[which]
+        if not at_output.all():
+            key = np.empty((len(inputs), 1 + inputs.shape[1]), dtype=bool)
+            key[:, 0], key[:, 1:] = at_output, inputs
+            thinned = key[:, 1:] & ~at_output[:, None]
+            key[:, 1:][thinned] = mps.lossy_input_sample(np.count_nonzero(thinned), self.mu, rng)
+            del thinned
+            patterns, which = row_groups(key)
+            patterns = patterns[:, 1:]
         out = np.empty(inputs.shape, dtype=int)
-        thinned = inputs[at_input]
-        thinned[thinned.astype(bool)] = mps.lossy_input_sample(
-            np.count_nonzero(thinned), self.mu, rng)
-        thinned_patterns, thinned_which = row_groups(thinned)
-        del thinned
-        self._lossless_rows(thinned_patterns, thinned_which, range(len(thinned_patterns)),
-                            rng, out, np.flatnonzero(at_input))
-        self._lossless_rows(patterns, which, np.flatnonzero(at_output), rng, out)
+        for g, pattern in enumerate(patterns):
+            state = self.state(tuple(int(x) for x in pattern))
+            if len(patterns) == 1:
+                mps.sample(state, rng, len(out), out=out)
+            else:
+                group = np.flatnonzero(which == g)
+                out[group] = mps.sample(state, rng, len(group))
         for start in range(0, len(out), mps.DRAW_CHUNK):
             chunk = slice(start, start + mps.DRAW_CHUNK)
-            piece, keep = out[chunk], ~at_input[chunk]
+            piece, keep = out[chunk], at_output[chunk]
             piece[keep] = rng.binomial(piece[keep], self.mu)
         return out
-
-    def _lossless_rows(self, patterns: np.ndarray, which: np.ndarray, groups,
-                       rng: RandomStream, out: np.ndarray, place=None) -> None:
-        """Into ``out``, one lossless chain-rule row per row of each group in ``groups``.
-
-        ``patterns, which`` are a :func:`numerics.row_groups` result; each
-        group is drawn by one :func:`mps.sample` call, in the order of
-        ``groups``.  Row j of ``which`` goes to ``out[place[j]]`` (to
-        ``out[j]`` without ``place``); a group that covers every row of
-        ``out`` is drawn straight into it.
-        """
-        for g in groups:
-            rows = np.flatnonzero(which == g)
-            if place is not None:
-                rows = place[rows]
-            state = self.state(tuple(int(x) for x in patterns[g]))
-            if len(rows) == len(out):
-                mps.sample(state, rng, len(rows), out=out)
-            else:
-                out[rows] = mps.sample(state, rng, len(rows))
 
 
 def _zero_one(pattern: tuple, backend: str) -> np.ndarray:

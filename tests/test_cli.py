@@ -126,6 +126,35 @@ def test_plan_prints_strict_json_for_a_lossless_circuit(shallow_lossless, tmp_pa
     assert doc["depth_threshold_exponential"] is None
 
 
+EXTREME_PLANS = {  # case -> (config text, exit code)
+    "density_k-1e308": ('"density_k": 1e308', 1),
+    "density_k-Infinity": ('"density_k": Infinity', 1),
+    "density_k-NaN": ('"density_k": NaN', 1),
+    "beta-1e-300": ('"photons": 2, "algebraic": {"d_len": 10, "beta": 1e-300}', 0),
+    "beta-5e-324": ('"photons": 2, "algebraic": {"d_len": 1, "beta": 5e-324}', 0),
+    "d_len-1e308": ('"photons": 2, "algebraic": {"d_len": 1e308, "beta": 0.5}', 0),
+    "d_len-Infinity": ('"photons": 2, "algebraic": {"d_len": Infinity, "beta": 0.5}', 1),
+    "d_len-1e999": ('"photons": 2, "algebraic": {"d_len": 1e999, "beta": 0.5}', 1),
+}
+
+
+@pytest.mark.parametrize("case", EXTREME_PLANS)
+def test_plan_on_extreme_numbers_is_a_usage_error_or_strict_json(tmp_path, capsys, case):
+    """JSON has no Infinity or NaN, although Python's json reads them (and reads 1e999 as
+    inf): such a value is a usage error, and a formula that overflows prints null."""
+    text, code = EXTREME_PLANS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"modes": 4, "depth": 3, "tau": 0.9, ' + text + "}")
+    assert main(["plan", "--config", str(cfg)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and captured.err.startswith("usage error: ")
+        assert len(captured.err.splitlines()) == 1
+    else:
+        doc = json.loads(captured.out, parse_constant=_reject_constant)
+        assert captured.err == "" and doc["algebraic"]["depth_threshold"] is None
+
+
 def test_plan_zero_photons_is_a_usage_error_like_sample(shallow_lossy, tmp_path, capsys):
     """The density law fills in only a missing photon number, never an explicit 0."""
     cfg = tmp_path / "cfg.json"
@@ -370,7 +399,8 @@ def test_scattershot_reads_no_photon_count(tmp_path, settings):
 @pytest.mark.parametrize("lam", ["-1", "-0.5", "1", "nan"])
 def test_herald_lambda_outside_unit_interval_is_a_usage_error(shallow_lossy, lam, capsys):
     """herald_lambda is checked for every command: one error line naming it, exit 1."""
-    line = f"usage error: herald_lambda must lie in [0, 1), got {float(lam)}\n"
+    rule = "be finite" if lam == "nan" else "lie in [0, 1)"
+    line = f"usage error: herald_lambda must {rule}, got {float(lam)}\n"
     proc = _cli_process("sample", "--circuit", shallow_lossy, "--mode", "scattershot",
                         "--photons", "1", "--samples", "3", f"--herald-lambda={lam}")
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", line)
@@ -887,7 +917,8 @@ def test_non_finite_circuit_value_is_usage_error_naming_the_field(tmp_path, shal
 def test_eps_and_bond_cap_are_checked_for_plan_and_sample(shallow_lossy, tmp_path, capsys,
                                                           flags):
     out = tmp_path / "s.jsonl"
-    message = {"--eps": f"eps must be finite and > 0, got {float(flags[1])}",
+    rule = "be finite" if flags[1] in ("nan", "inf") else "be finite and > 0"
+    message = {"--eps": f"eps must {rule}, got {float(flags[1])}",
                "--max-bond": f'"max_bond" must be >= 1, got {flags[1]}'}[flags[0]]
     for command in ("plan", "sample"):
         assert main([command, "--circuit", shallow_lossy, "--photons", "2", "--samples", "3",

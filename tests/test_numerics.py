@@ -233,6 +233,22 @@ def test_row_groups_matches_unique():
     assert np.array_equal(patterns[which], rows)
 
 
+@pytest.mark.parametrize("size", [0, 1, 500])
+def test_row_groups_of_a_broadcast_row_is_one_group_without_a_sort(size, monkeypatch):
+    """A fixed input pattern reaches the samplers as a stride-0 view of one row."""
+    row = np.array([1, 0, 1, 1, 0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("row_groups sorted a broadcast row")
+
+    monkeypatch.setattr(np, "lexsort", refuse)
+    patterns, which = numerics.row_groups(np.broadcast_to(row, (size, 5)))
+    assert patterns.shape == ((1, 5) if size else (0, 5)) and which.shape == (size,)
+    assert np.array_equal(patterns[which], np.broadcast_to(row, (size, 5)))
+    if size:
+        assert patterns.flags.writeable and not which.any()
+
+
 def test_total_variation_over_union_of_supports():
     p = Distribution(outcomes=((0,), (1,)), weights=np.array([0.5, 0.5]))
     q = Distribution(outcomes=((1,), (2,)), weights=np.array([0.5, 0.5]))

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lossyboson import circuit as circ
 from lossyboson import mps
@@ -232,6 +234,38 @@ def test_at_output_mps_draw_peaks_under_twice_its_output():
         tracemalloc.stop()
     assert list(source.states) == [pattern] and rows.shape == (20000, 14)
     assert peak <= 2.0 * rows.nbytes, peak / rows.nbytes
+
+
+def test_at_input_mps_draw_peaks_under_twice_its_output():
+    """A fixed-pattern draw thinned at the input keeps bool keys, not an int copy
+    of its rows: the thinned inputs are grouped before the counts are allocated."""
+    circuit = random_brickwork(14, 3, 0.5, make_stream(48))
+    pattern = (1,) * 7 + (0,) * 7
+    inputs = np.broadcast_to(pattern, (9362, 14))
+    source = MPSSource(circuit, 0.5**3, max_bond=4096)
+    source.draw(inputs, make_stream(49))  # the same thinned states, evolved before tracing
+    evolved = len(source.states)
+    tracemalloc.start()
+    try:
+        rows = source.draw(inputs, make_stream(49))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pattern not in source.states and len(source.states) == evolved > 1
+    assert peak <= 2.0 * rows.nbytes, peak / rows.nbytes
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(modes=st.integers(2, 6), depth=st.integers(1, 3), tau=st.floats(0.05, 1.0),
+       lam=st.floats(0.0, 0.9), size=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+def test_mps_draw_equals_regrouping_draw_on_heralded_inputs(modes, depth, tau, lam, size, seed):
+    """Any mix of input-side and output-side heralds gives the rows of the reference draw."""
+    circuit = random_brickwork(modes, depth, tau, make_stream(seed))
+    inputs = scattershot_herald(modes, lam, make_stream(seed + 1), size)
+    mu = circuit.uniform_mu()
+    got = MPSSource(circuit, mu, max_bond=4096).draw(inputs, make_stream(seed + 2))
+    want = _regrouping_draw(MPSSource(circuit, mu, max_bond=4096), inputs, make_stream(seed + 2))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_sampling_path_never_canonicalizes(monkeypatch):
